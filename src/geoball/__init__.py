@@ -62,6 +62,7 @@ from .symmetrize import (
     transplant_exit_time,
 )
 from .verify import (
+    VerificationContext,
     VerificationReport,
     run_verification,
     verify_eigenvalue,

@@ -9,6 +9,8 @@ all hierarchy levels and the inverse power iteration.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,8 @@ from .hierarchy import EigenvalueEstimate, MomentSpectrum, lambda1_from_moments
 from .surface import PolarMetric2D
 
 TWO_PI = 2.0 * math.pi
+# hierarchy depth behind the moment-ratio eigenvalue estimate
+LAMBDA1_LEVELS = 24
 
 
 class ResolutionError(RuntimeError):
@@ -118,57 +122,86 @@ def _face_weights(grid: PolarGrid):
     return w_face_r, w_face_t
 
 
+def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray]:
+    """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
+    and the coupling of the last interior ring to the r = R ring values;
+    the discrete Laplacian is (A x + coupling * boundary) / areas."""
+    nr, nt = grid.n_r, grid.n_theta
+    dr, dt = grid.dr, grid.dtheta
+    w_face_r, w_face_t = _face_weights(grid)
+    c_radial = w_face_r * (dt / dr)  # row i: face between rings i and i+1
+    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
+    # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
+    p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
+                        ring.ravel()])
+    q = np.concatenate([ring[0], ring[1:].ravel(),
+                        np.roll(ring, -1, axis=1).ravel()])
+    c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(),
+                        (dr / dt / w_face_t).ravel()])
+    n_unknowns = 1 + (nr - 1) * nt
+    diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
+    diag[ring[-1]] -= c_radial[-1]  # face to the Dirichlet ring
+    idx = np.arange(n_unknowns)
+    flux = csc_matrix(
+        (np.concatenate([c, c, diag]),
+         (np.concatenate([p, q, idx]), np.concatenate([q, p, idx]))),
+        shape=(n_unknowns, n_unknowns),
+    )
+    return flux, c_radial[-1]
+
+
+def _unknown_areas(grid: PolarGrid) -> np.ndarray:
+    return np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
+
+
+def _vec_to_field(grid: PolarGrid, x: np.ndarray) -> GridField:
+    nr, nt = grid.n_r, grid.n_theta
+    rings = np.vstack([x[1:].reshape(nr - 1, nt), np.zeros((1, nt))])
+    return GridField(grid=grid, center=float(x[0]), rings=rings)
+
+
 def apply_laplacian(
     m: PolarMetric2D, grid: PolarGrid, f: GridField, form: str = "divergence"
 ) -> GridField:
     """Discrete Laplacian of f; the boundary ring of the result is zeroed.
 
     'divergence' is the flux-balanced second-order scheme used by the
-    solver; 'expanded' discretizes the coordinate form
-    f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t and exists as an audit.
+    solver (its flux matrix, applied); 'expanded' discretizes the
+    coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t and
+    exists as an independent audit.
     """
     if m is not grid.metric:
         raise ValueError("field grid was built for a different metric")
+    if form == "divergence":
+        flux, coupling = _assemble_flux(grid)
+        y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
+        y[-grid.n_theta:] += coupling * f.rings[-1]
+        return _vec_to_field(grid, y / _unknown_areas(grid))
+    if form != "expanded":
+        raise ValueError(f"unknown form '{form}'")
     dr, dt = grid.dr, grid.dtheta
-    radii, thetas = grid.radii, grid.thetas
-    nr, ntheta = grid.n_r, grid.n_theta
+    ntheta = grid.n_theta
     vals = f.rings  # (n_r, n_theta)
-    rr, tt = np.meshgrid(radii[1:-1], thetas, indexing="ij")
+    rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
     w = m.w(rr, tt)
-    # rows 0..n_r-2 of `out` are interior rings 1..n_r-1
+    # rows 0..n_r-2 of `interior` are interior rings 1..n_r-1
     below = np.vstack([np.full((1, ntheta), f.center), vals[:-2]])
     above = vals[1:]
     here = vals[:-1]
-    if form == "divergence":
-        w_face_r, w_face_t = _face_weights(grid)
-        flux_r = (
-            w_face_r[1:] * (above - here) - w_face_r[:-1] * (here - below)
-        ) / dr**2
-        inv_face = 1.0 / w_face_t
-        d_plus = np.roll(here, -1, axis=1) - here
-        d_minus = here - np.roll(here, 1, axis=1)
-        flux_t = (inv_face * d_plus - np.roll(inv_face, 1, axis=1) * d_minus) / dt**2
-        interior = (flux_r + flux_t) / w
-        center = float(
-            np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
-        )
-    elif form == "expanded":
-        f_r = (above - below) / (2 * dr)
-        f_rr = (above - 2 * here + below) / dr**2
-        f_t = (np.roll(here, -1, axis=1) - np.roll(here, 1, axis=1)) / (2 * dt)
-        f_tt = (np.roll(here, -1, axis=1) - 2 * here + np.roll(here, 1, axis=1)) / dt**2
-        interior = (
-            f_rr
-            + m.w_r(rr, tt) / w * f_r
-            + f_tt / w**2
-            - m.w_t(rr, tt) / w**3 * f_t
-        )
-        w_face_r, _ = _face_weights(grid)
-        center = float(
-            np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
-        )
-    else:
-        raise ValueError(f"unknown form '{form}'")
+    f_r = (above - below) / (2 * dr)
+    f_rr = (above - 2 * here + below) / dr**2
+    f_t = (np.roll(here, -1, axis=1) - np.roll(here, 1, axis=1)) / (2 * dt)
+    f_tt = (np.roll(here, -1, axis=1) - 2 * here + np.roll(here, 1, axis=1)) / dt**2
+    interior = (
+        f_rr
+        + m.w_r(rr, tt) / w * f_r
+        + f_tt / w**2
+        - m.w_t(rr, tt) / w**3 * f_t
+    )
+    w_face_r, _ = _face_weights(grid)
+    center = float(
+        np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
+    )
     rings = np.vstack([interior, np.zeros((1, ntheta))])
     return GridField(grid=grid, center=center, rings=rings)
 
@@ -178,77 +211,16 @@ class HierarchySolver:
 
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
-    diag(1/area) @ A.
+    diag(1/area) @ A.  A is factored once, in a minimum-degree ordering of
+    A^T + A, which suits its symmetric 5-point pattern.
     """
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        nr, nt = grid.n_r, grid.n_theta
-        dr, dt = grid.dr, grid.dtheta
-        n_unknowns = 1 + (nr - 1) * nt
-        w_face_r, w_face_t = _face_weights(grid)
-
-        def idx(i: int, j: int) -> int:
-            return 1 + (i - 1) * nt + (j % nt)
-
-        rows, cols, data = [], [], []
-
-        def add(p: int, q: int, c: float) -> None:
-            rows.append(p)
-            cols.append(q)
-            data.append(c)
-
-        # center <-> first ring
-        for j in range(nt):
-            c = w_face_r[0, j] * dt / dr
-            p, q = 0, idx(1, j)
-            add(p, p, -c)
-            add(q, q, -c)
-            add(p, q, c)
-            add(q, p, c)
-        # radial faces between rings i and i+1
-        for i in range(1, nr - 1):
-            for j in range(nt):
-                c = w_face_r[i, j] * dt / dr
-                p = idx(i, j)
-                if i + 1 <= nr - 1:
-                    q = idx(i + 1, j)
-                    add(p, p, -c)
-                    add(q, q, -c)
-                    add(p, q, c)
-                    add(q, p, c)
-        # last interior ring to the Dirichlet boundary (value 0)
-        for j in range(nt):
-            c = w_face_r[nr - 1, j] * dt / dr
-            p = idx(nr - 1, j)
-            add(p, p, -c)
-        # angular faces
-        for i in range(1, nr):
-            for j in range(nt):
-                c = dr / (w_face_t[i - 1, j] * dt)
-                p, q = idx(i, j), idx(i, j + 1)
-                add(p, p, -c)
-                add(q, q, -c)
-                add(p, q, c)
-                add(q, p, c)
-
-        self.flux = csc_matrix(
-            (data, (rows, cols)), shape=(n_unknowns, n_unknowns)
-        )
-        areas = np.empty(n_unknowns)
-        areas[0] = grid.center_area
-        areas[1:] = grid.node_area.reshape(-1)
-        self.areas = areas
+        self.flux, _ = _assemble_flux(grid)
+        self.areas = _unknown_areas(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
-        self._lu = splu(self.flux)
-
-    def _vec_to_field(self, x: np.ndarray) -> GridField:
-        nr, nt = self.grid.n_r, self.grid.n_theta
-        rings = np.vstack([x[1:].reshape(nr - 1, nt), np.zeros((1, nt))])
-        return GridField(grid=self.grid, center=float(x[0]), rings=rings)
-
-    def _field_to_vec(self, f: GridField) -> np.ndarray:
-        return np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
+        self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L v = rhs with one step of iterative refinement."""
@@ -260,6 +232,8 @@ class HierarchySolver:
     def hierarchy(self, k_max: int, residual_tol: float = 1e-10) -> list[GridField]:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if k_max > 64:
+            warnings.warn("k_max > 64: deep hierarchy may lose accuracy", RuntimeWarning)
         levels = []
         v = np.ones(len(self.areas))
         for _ in range(k_max):
@@ -273,7 +247,7 @@ class HierarchySolver:
             )
             if res > residual_tol:
                 raise ResolutionError(f"Poisson solve residual {res} too large")
-            levels.append(self._vec_to_field(v_next))
+            levels.append(_vec_to_field(self.grid, v_next))
             v = v_next
         return levels
 
@@ -301,14 +275,10 @@ def solve_hierarchy_grid(
     """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, by direct sparse solves."""
     if m is not grid.metric:
         raise ValueError("grid was built for a different metric")
-    if k_max > 64:
-        import warnings
-
-        warnings.warn("k_max > 64: deep hierarchy may lose accuracy", RuntimeWarning)
     return HierarchySolver(grid).hierarchy(k_max)
 
 
-def moments_grid(grid: PolarGrid, fields: list[GridField]) -> MomentSpectrum:
+def moments_grid(grid: PolarGrid, fields: Sequence[GridField]) -> MomentSpectrum:
     """Normalized moments from hierarchy grid fields; index 0 is the disk area."""
     moments = np.empty(len(fields) + 1)
     moments[0] = grid.total_area()
@@ -327,14 +297,23 @@ class GridEigenvalue:
 def lambda1_grid(
     m: PolarMetric2D,
     grid: PolarGrid,
-    k_max: int = 24,
+    k_max: int = LAMBDA1_LEVELS,
     agreement_tol: float = 0.05,
 ) -> GridEigenvalue:
     """First Dirichlet eigenvalue two ways: moment-ratio limit and inverse
     power iteration.  Disagreement beyond agreement_tol raises."""
     solver = HierarchySolver(grid)
-    fields = solver.hierarchy(k_max)
-    est = lambda1_from_moments(moments_grid(grid, fields))
+    return lambda1_from_solver(solver, solver.hierarchy(k_max), agreement_tol)
+
+
+def lambda1_from_solver(
+    solver: HierarchySolver,
+    fields: Sequence[GridField],
+    agreement_tol: float = 0.05,
+) -> GridEigenvalue:
+    """lambda1_grid on an existing factorization and its hierarchy fields
+    (``solver.hierarchy(k)``, or a prefix of a deeper one)."""
+    est = lambda1_from_moments(moments_grid(solver.grid, fields))
     power = solver.smallest_eigenvalue()
     if abs(est.value - power) > agreement_tol * power:
         raise ResolutionError(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from .hierarchy import (
     hierarchy_sequence,
     lambda1_shooting,
@@ -20,9 +18,28 @@ from .hierarchy import (
     moment_spectrum,
     sphere_volume_model,
 )
-from .model import ModelSpace, balance_check, ball_radius_from_volume
-from .pde import PolarGrid, lambda1_grid, moments_grid, solve_hierarchy_grid
-from .surface import PolarMetric2D, ball_area, hypothesis_report, sphere_length
+from .model import (
+    ModelSpace,
+    balance_check,
+    ball_radius_from_volume,
+    ball_volume_model,
+    isoperimetric_quotient,
+)
+from .pde import (
+    LAMBDA1_LEVELS,
+    GridField,
+    HierarchySolver,
+    PolarGrid,
+    lambda1_from_solver,
+    moments_grid,
+)
+from .surface import (
+    HypothesisReport,
+    PolarMetric2D,
+    ball_area,
+    hypothesis_report,
+    sphere_length,
+)
 from .symmetrize import ComparisonPreconditionError, transplant_exit_time
 
 INEQ_TOL = 1e-6
@@ -101,30 +118,68 @@ def _entry(name: str, inequality: str, lhs: float, rhs: float, sign: float,
     )
 
 
-def _require_uniform(m: PolarMetric2D, model: ModelSpace, R: float):
-    hyp = hypothesis_report(m, model, R)
-    if not hyp.uniform:
-        raise ComparisonPreconditionError(
-            "mean-curvature comparison has no uniform direction"
+@dataclass(frozen=True)
+class VerificationContext:
+    """What the report's checks share, computed once for one (metric,
+    model, R, grid): the hypothesis scan, one factorization, the hierarchy
+    fields v_1..v_max(k_max, 24) (the report levels and the eigenvalue
+    estimate are prefixes of the same fields) and the ball areas at the
+    sampled radii R/4, R/2, R.  Build it with ``VerificationContext.build``."""
+
+    model: ModelSpace
+    k_max: int
+    hypothesis: HypothesisReport
+    grid: PolarGrid
+    solver: HierarchySolver
+    fields: tuple[GridField, ...]
+    ball_areas: dict[float, float]
+
+    @classmethod
+    def build(
+        cls,
+        m: PolarMetric2D,
+        model: ModelSpace,
+        R: float,
+        n_r: int = 128,
+        n_theta: int = 128,
+        k_max: int = 5,
+    ) -> "VerificationContext":
+        """Raises ComparisonPreconditionError when the mean-curvature
+        comparison has no uniform direction."""
+        if k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        hyp = hypothesis_report(m, model, R)
+        if not hyp.uniform:
+            raise ComparisonPreconditionError(
+                "mean-curvature comparison has no uniform direction"
+            )
+        grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
+        solver = HierarchySolver(grid)
+        return cls(
+            model=model,
+            k_max=k_max,
+            hypothesis=hyp,
+            grid=grid,
+            solver=solver,
+            fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
+            ball_areas={r: ball_area(m, r) for r in sorted({R / 4, R / 2, R})},
         )
-    return hyp
+
+    @property
+    def sign(self) -> float:
+        return _sign(self.hypothesis.direction)
+
+    @property
+    def tol(self) -> float:
+        return _tol_for(self.hypothesis.direction)
 
 
-def verify_mean_exit(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 128,
-    n_theta: int = 128,
-    sign: float | None = None,
-) -> Entry:
+def verify_mean_exit(ctx: VerificationContext, sign: float | None = None) -> Entry:
     """Transplanted model exit time dominates the metric exit time (per
     the hypothesis direction), checked pointwise on the grid."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(hyp.direction) if sign is None else sign
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    transplant = transplant_exit_time(model, R, grid)
-    v1 = solve_hierarchy_grid(m, grid, 1)[0]
+    s = ctx.sign if sign is None else sign
+    transplant = transplant_exit_time(ctx.model, ctx.grid.R, ctx.grid)
+    v1 = ctx.fields[0]
     gap = s * (transplant.rings[:-1] - v1.rings[:-1])
     gap_center = s * (transplant.center - v1.center)
     scale = transplant.max_abs()
@@ -136,31 +191,21 @@ def verify_mean_exit(
         0.0,
         1.0,
         scale=scale,
-        tol=_tol_for(hyp.direction),
+        tol=ctx.tol,
     )
 
 
 def verify_isoperimetric_volumes(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    r_samples: tuple[float, ...] = (0.25, 0.5, 1.0),
-    sign: float | None = None,
+    ctx: VerificationContext, sign: float | None = None
 ) -> list[Entry]:
-    """Isoperimetric quotient and volume comparisons at sampled radii."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(hyp.direction) if sign is None else sign
-    tol = _tol_for(hyp.direction)
-    from .model import isoperimetric_quotient
-
+    """Isoperimetric quotient and volume comparisons at the sampled radii."""
+    s = ctx.sign if sign is None else sign
+    m, model, tol = ctx.grid.metric, ctx.model, ctx.tol
     entries = []
-    for r in r_samples:
+    for r, area in ctx.ball_areas.items():
         r = float(r)
-        if r > R:
-            continue
         q_model = isoperimetric_quotient(model, r)
         length = sphere_length(m, r)
-        area = ball_area(m, r)
         q_metric = area / length
         entries.append(
             _entry(
@@ -173,7 +218,7 @@ def verify_isoperimetric_volumes(
                 tol=tol,
             )
         )
-        vol_ball_model = _ball_volume(model, r)
+        vol_ball_model = ball_volume_model(model, r)
         vol_sphere_model = sphere_volume_model(model, r)
         entries.append(
             _entry(
@@ -202,31 +247,18 @@ def verify_isoperimetric_volumes(
     return entries
 
 
-def _ball_volume(model: ModelSpace, r: float) -> float:
-    from .model import ball_volume_model
-
-    return ball_volume_model(model, r)
-
-
 def verify_moment_spectrum(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    k_max: int = 5,
-    n_r: int = 128,
-    n_theta: int = 128,
-    sign: float | None = None,
+    ctx: VerificationContext, sign: float | None = None
 ) -> list[Entry]:
-    """Pointwise hierarchy domination and averaged-moment comparison."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(hyp.direction) if sign is None else sign
-    tol = _tol_for(hyp.direction)
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    grid_fields = solve_hierarchy_grid(m, grid, k_max)
+    """Pointwise hierarchy domination and averaged-moment comparison for
+    k = 1..ctx.k_max."""
+    s = ctx.sign if sign is None else sign
+    m, R, model, k_max, tol = ctx.grid.metric, ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
+    grid_fields = ctx.fields[:k_max]
     model_levels = hierarchy_sequence(model, R, k_max, N=4096)
     entries = []
     for k in range(1, k_max + 1):
-        transplant = model_levels[k - 1](grid.radii[1:])[:, None]
+        transplant = model_levels[k - 1](ctx.grid.radii[1:])[:, None]
         gap = s * (transplant - grid_fields[k - 1].rings)
         gap_center = s * (
             float(model_levels[k - 1](0.0)) - grid_fields[k - 1].center
@@ -245,7 +277,7 @@ def verify_moment_spectrum(
             )
         )
     spec_model = moment_spectrum(model, R, k_max, N=4096)
-    spec_grid = moments_grid(grid, grid_fields)
+    spec_grid = moments_grid(ctx.grid, grid_fields)
     vol_s_model = sphere_volume_model(model, R)
     vol_s_metric = sphere_length(m, R)
     for k in range(1, k_max + 1):
@@ -267,27 +299,19 @@ def verify_moment_spectrum(
 
 
 def verify_torsional(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 128,
-    n_theta: int = 128,
-    sign: float | None = None,
+    ctx: VerificationContext, sign: float | None = None
 ) -> list[Entry]:
     """Torsional rigidity of the equal-volume model ball versus the disk,
     plus the coarse exit-time bound on the disk rigidity."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(hyp.direction) if sign is None else sign
-    if not balance_check(model, max(R, _s_radius(m, model, R))).balanced:
+    s = ctx.sign if sign is None else sign
+    model, R, tol = ctx.model, ctx.grid.R, ctx.tol
+    s_R = ball_radius_from_volume(model, ctx.ball_areas[R])
+    if not balance_check(model, max(R, s_R)).balanced:
         raise ComparisonPreconditionError(
             f"model '{model.warping.label}' is not balanced"
         )
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    fields = solve_hierarchy_grid(m, grid, 1)
-    a1_metric = moments_grid(grid, fields).moment(1)
-    s_R = _s_radius(m, model, R)
+    a1_metric = moments_grid(ctx.grid, ctx.fields[:1]).moment(1)
     a1_model = moment_spectrum(model, s_R, 1, N=4096).moment(1)
-    tol = _tol_for(hyp.direction)
     entries = [
         _entry(
             "torsional_rigidity",
@@ -302,7 +326,7 @@ def verify_torsional(
     ]
     if s > 0:
         e0 = float(mean_exit_profile(model, s_R)(0.0))
-        bound = e0 * ball_area(m, R)
+        bound = e0 * ctx.ball_areas[R]
         entries.append(
             _entry(
                 "torsional_coarse_bound",
@@ -317,24 +341,12 @@ def verify_torsional(
     return entries
 
 
-def _s_radius(m: PolarMetric2D, model: ModelSpace, R: float) -> float:
-    return ball_radius_from_volume(model, ball_area(m, R))
-
-
-def verify_eigenvalue(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 128,
-    n_theta: int = 128,
-    sign: float | None = None,
-) -> Entry:
+def verify_eigenvalue(ctx: VerificationContext, sign: float | None = None) -> Entry:
     """First Dirichlet eigenvalue of the model ball versus the metric disk."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(hyp.direction) if sign is None else sign
-    lam_model = lambda1_shooting(model, R)
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    lam_metric = lambda1_grid(m, grid).power_value
+    s = ctx.sign if sign is None else sign
+    lam_model = lambda1_shooting(ctx.model, ctx.grid.R)
+    fields = ctx.fields[:LAMBDA1_LEVELS]
+    lam_metric = lambda1_from_solver(ctx.solver, fields).power_value
     return _entry(
         "eigenvalue",
         "lambda1(model) <= lambda1(metric)" if s > 0 else
@@ -343,7 +355,7 @@ def verify_eigenvalue(
         lam_model,
         s,
         scale=lam_model,
-        tol=_tol_for(hyp.direction),
+        tol=ctx.tol,
     )
 
 
@@ -359,25 +371,19 @@ def run_verification(
     """Full harness.  direction_override forces the asserted inequality
     direction ('model<=M' or 'model>=M'); it exists as a negative control
     and must make a healthy run fail."""
-    hyp = _require_uniform(m, model, R)
-    s = _sign(direction_override) if direction_override else _sign(hyp.direction)
-    entries: list[Entry] = []
-    entries.append(verify_mean_exit(m, model, R, n_r, n_theta, sign=s))
-    radii = tuple(sorted({R / 4, R / 2, R}))
-    entries.extend(
-        verify_isoperimetric_volumes(m, model, R, r_samples=radii, sign=s)
-    )
-    entries.extend(
-        verify_moment_spectrum(m, model, R, k_max, n_r, n_theta, sign=s)
-    )
-    entries.extend(verify_torsional(m, model, R, n_r, n_theta, sign=s))
-    entries.append(verify_eigenvalue(m, model, R, n_r, n_theta, sign=s))
+    ctx = VerificationContext.build(m, model, R, n_r, n_theta, k_max)
+    s = _sign(direction_override) if direction_override else ctx.sign
+    entries: list[Entry] = [verify_mean_exit(ctx, sign=s)]
+    entries.extend(verify_isoperimetric_volumes(ctx, sign=s))
+    entries.extend(verify_moment_spectrum(ctx, sign=s))
+    entries.extend(verify_torsional(ctx, sign=s))
+    entries.append(verify_eigenvalue(ctx, sign=s))
     return VerificationReport(
         metric=m.label,
         model=model.warping.label,
         radius=R,
-        direction=direction_override or hyp.direction,
-        hypothesis_min_margin=hyp.min_margin,
+        direction=direction_override or ctx.hypothesis.direction,
+        hypothesis_min_margin=ctx.hypothesis.min_margin,
         entries=tuple(entries),
         grid=(n_r, n_theta),
     )

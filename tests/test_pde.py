@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from geoball.hierarchy import hierarchy_sequence
+from geoball import pde
 from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import (
     GridField,
@@ -148,6 +149,44 @@ def test_self_adjointness(flat_grid):
     lhs = float(np.sum(lx * y * solver.areas))
     rhs = float(np.sum(x * ly * solver.areas))
     assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _loop_flux(grid):
+    """Reference assembly, one face at a time."""
+    nr, nt = grid.n_r, grid.n_theta
+    dr, dt = grid.dr, grid.dtheta
+    w_face_r, w_face_t = pde._face_weights(grid)
+    n = 1 + (nr - 1) * nt
+    a = np.zeros((n, n))
+
+    def idx(i, j):
+        return 1 + (i - 1) * nt + (j % nt)
+
+    def couple(p, q, c):
+        a[p, p] -= c
+        a[q, q] -= c
+        a[p, q] += c
+        a[q, p] += c
+
+    for j in range(nt):
+        couple(0, idx(1, j), w_face_r[0, j] * dt / dr)
+    for i in range(1, nr - 1):
+        for j in range(nt):
+            couple(idx(i, j), idx(i + 1, j), w_face_r[i, j] * dt / dr)
+    for j in range(nt):
+        a[idx(nr - 1, j), idx(nr - 1, j)] -= w_face_r[nr - 1, j] * dt / dr
+    for i in range(1, nr):
+        for j in range(nt):
+            couple(idx(i, j), idx(i, j + 1), dr / (w_face_t[i - 1, j] * dt))
+    return a
+
+
+def test_vectorized_flux_matches_loop_assembly():
+    grid = make_grid(builtin_example_metric(), 1.0, 16, 12)
+    flux = HierarchySolver(grid).flux
+    ref = _loop_flux(grid)
+    assert np.all(np.abs(flux.toarray() - ref) <= 1e-14 * np.abs(ref))
+    assert (flux != flux.T).nnz == 0
 
 
 def test_lambda1_grid_disk(flat, flat_grid):

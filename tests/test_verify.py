@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from geoball import pde, verify
 from geoball.model import euclidean_profile, make_space_form
 from geoball.surface import builtin_example_metric, radial_metric, sphere_length
 from geoball.symmetrize import ComparisonPreconditionError
 from geoball.verify import (
+    VerificationContext,
     run_verification,
     verify_eigenvalue,
     verify_isoperimetric_volumes,
@@ -37,6 +39,11 @@ def example_report(example, flat_model):
     return run_verification(example, flat_model, 1.0)
 
 
+@pytest.fixture(scope="module")
+def example_context(example, flat_model):
+    return VerificationContext.build(example, flat_model, 1.0)
+
+
 def test_example_report_all_pass(example_report):
     assert example_report.all_passed
     assert example_report.direction == "model<=M"
@@ -48,14 +55,14 @@ def test_example_report_positive_margins(example_report):
         assert e.margin > 0, e.name
 
 
-def test_mean_exit_example(example, flat_model):
-    e = verify_mean_exit(example, flat_model, 1.0)
+def test_mean_exit_example(example_context):
+    e = verify_mean_exit(example_context)
     assert e.passed
     assert e.margin > 0
 
 
-def test_isoperimetric_example(example, flat_model):
-    entries = verify_isoperimetric_volumes(example, flat_model, 1.0)
+def test_isoperimetric_example(example, example_context):
+    entries = verify_isoperimetric_volumes(example_context)
     assert len(entries) == 9
     assert all(e.passed for e in entries)
     assert sphere_length(example, 1.0) == pytest.approx(
@@ -63,30 +70,30 @@ def test_isoperimetric_example(example, flat_model):
     )
 
 
-def test_moment_spectrum_example(example, flat_model):
-    entries = verify_moment_spectrum(example, flat_model, 1.0, k_max=5)
+def test_moment_spectrum_example(example_context):
+    entries = verify_moment_spectrum(example_context)
     assert len(entries) == 10
     assert all(e.passed for e in entries)
 
 
-def test_torsional_example(example, flat_model):
-    entries = verify_torsional(example, flat_model, 1.0)
+def test_torsional_example(example_context):
+    entries = verify_torsional(example_context)
     assert all(e.passed for e in entries)
     rigidity = entries[0]
     assert rigidity.lhs >= rigidity.rhs  # A_1 of the symmetrized ball wins
 
 
-def test_eigenvalue_example(example, flat_model):
-    e = verify_eigenvalue(example, flat_model, 1.0)
+def test_eigenvalue_example(example_context):
+    e = verify_eigenvalue(example_context)
     assert e.passed
     # the model eigenvalue is the Bessel value; the disk's must exceed it
     assert e.rhs == pytest.approx(5.783185962946785, rel=1e-6)
     assert e.lhs > e.rhs
 
 
-def test_eigenvalue_scaling(example, flat_model):
-    e1 = verify_eigenvalue(example, flat_model, 1.0)
-    e2 = verify_eigenvalue(example, flat_model, 0.5)
+def test_eigenvalue_scaling(example, flat_model, example_context):
+    e1 = verify_eigenvalue(example_context)
+    e2 = verify_eigenvalue(VerificationContext.build(example, flat_model, 0.5))
     assert e2.rhs == pytest.approx(4 * e1.rhs, rel=1e-6)
     # the metric is not scale invariant, so only flat-like scaling holds
     assert e2.lhs == pytest.approx(4 * e1.lhs, rel=0.2)
@@ -126,7 +133,7 @@ def test_mixed_hypothesis_rejected(flat_model):
     m = perturbed_flat_metric(0.2, 2)
     model = make_space_form(-1.0, 2)
     with pytest.raises(ComparisonPreconditionError):
-        verify_mean_exit(m, model, 2.0)
+        verify_mean_exit(VerificationContext.build(m, model, 2.0))
 
 
 def test_report_serialization(example_report):
@@ -143,3 +150,39 @@ def test_reports_reproducible(example, flat_model):
     a = run_verification(example, flat_model, 0.5)
     b = run_verification(example, flat_model, 0.5)
     assert a == b
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_factorization_and_one_scan_per_report(example, flat_model, monkeypatch):
+    builds = _count_calls(monkeypatch, pde.HierarchySolver, "__init__")
+    scans = _count_calls(monkeypatch, verify, "hypothesis_report")
+    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32)
+    assert (len(builds), len(scans)) == (1, 1)
+    # nothing is carried over to the next call
+    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32)
+    assert (len(builds), len(scans)) == (2, 2)
+
+
+@pytest.mark.parametrize("override", [None, "model>=M"])
+def test_standalone_checks_match_report(example, flat_model, override):
+    rep = run_verification(example, flat_model, 1.0, n_r=32, n_theta=32,
+                           direction_override=override)
+    ctx = VerificationContext.build(example, flat_model, 1.0, n_r=32, n_theta=32)
+    s = -ctx.sign if override else None
+    entries = [verify_mean_exit(ctx, sign=s),
+               *verify_isoperimetric_volumes(ctx, sign=s),
+               *verify_moment_spectrum(ctx, sign=s),
+               *verify_torsional(ctx, sign=s),
+               verify_eigenvalue(ctx, sign=s)]
+    assert tuple(entries) == rep.entries
