@@ -58,7 +58,6 @@ from .symmetrize import (
     level_profile,
     symmetrize_field,
     symmetrized_profile_comparison,
-    symmetrized_radius,
     transplant_exit_time,
 )
 from .verify import (

@@ -25,6 +25,7 @@ from .model import (
     ModelSpace,
     WarpingProfile,
     balance_check,
+    ball_radius_from_volume,
     euclidean_profile,
     isoperimetric_quotient,
     space_form_profile,
@@ -36,6 +37,7 @@ from .surface import (
     PolarMetric2D,
     ball_area,
     gauss_curvature,
+    hypothesis_report,
     perturbed_flat_metric,
     radial_metric,
     sphere_length,
@@ -45,7 +47,6 @@ from .symmetrize import (
     check_equimeasurable,
     integral_identity_check,
     symmetrize_field,
-    symmetrized_radius,
     transplant_exit_time,
 )
 from .verify import run_verification
@@ -62,19 +63,27 @@ class ExpressionError(ValueError):
         self.pos = pos
 
 
-def _parse_args_list(text: str, name: str) -> list[float]:
-    """Parse 'name(a,b,...)' and return the numeric arguments."""
+def _parse_args_list(text: str, name: str, arity: int | None = None) -> list[float]:
+    """Parse 'name(a,b,...)' and return the numeric arguments; with arity,
+    exactly that many."""
     inner = text[len(name) + 1 : -1]
     if not text.endswith(")"):
         raise ExpressionError(text, len(text), "missing closing parenthesis")
-    args = []
+    args, offsets = [], []
     offset = len(name) + 1
     for part in inner.split(","):
         try:
-            args.append(float(part))
+            value = float(part)
         except ValueError:
             raise ExpressionError(text, offset, f"not a number: {part!r}")
+        if not math.isfinite(value):
+            raise ExpressionError(text, offset, f"not a finite number: {part!r}")
+        args.append(value)
+        offsets.append(offset)
         offset += len(part) + 1
+    if arity is not None and len(args) != arity:
+        pos = offsets[arity] if len(args) > arity else len(text) - 1
+        raise ExpressionError(text, pos, f"need {arity} argument(s), got {len(args)}")
     return args
 
 
@@ -85,15 +94,12 @@ def parse_warping_expr(text: str) -> WarpingProfile:
         return euclidean_profile()
     for name in ("sphere", "hyperbolic"):
         if text.startswith(name + "("):
-            (b,) = _parse_args_list(text, name) or (None,)
-            if b is None or b <= 0:
+            (b,) = _parse_args_list(text, name, 1)
+            if b <= 0:
                 raise ExpressionError(text, len(name) + 1, "need one value > 0")
             return space_form_profile(b if name == "sphere" else -b)
     if text.startswith("poly("):
-        coeffs = _parse_args_list(text, "poly")
-        if not coeffs:
-            raise ExpressionError(text, 5, "need at least one coefficient")
-        return polynomial_profile(tuple(coeffs))
+        return polynomial_profile(tuple(_parse_args_list(text, "poly")))
     raise ExpressionError(text, 0, "expected euclidean|sphere(b)|hyperbolic(b)|poly(...)")
 
 
@@ -105,10 +111,11 @@ def parse_metric_expr(text: str) -> PolarMetric2D:
     if text.startswith("radial(") and text.endswith(")"):
         return radial_metric(parse_warping_expr(text[7:-1]))
     if text.startswith("perturbed("):
-        args = _parse_args_list(text, "perturbed")
-        if len(args) != 2:
-            raise ExpressionError(text, 10, "need (eps, mode)")
-        return perturbed_flat_metric(args[0], int(args[1]))
+        eps, mode = _parse_args_list(text, "perturbed", 2)
+        if not (mode.is_integer() and mode >= 1):
+            raise ExpressionError(text, text.index(",") + 1,
+                                  "mode must be a positive integer")
+        return perturbed_flat_metric(eps, int(mode))
     raise ExpressionError(text, 0, "expected example1|radial(...)|perturbed(eps,mode)")
 
 
@@ -185,8 +192,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     model = ModelSpace(warping=parse_warping_expr(args.model), dim=2)
     override = None
     if args.flip_direction:
-        from .surface import hypothesis_report
-
         hyp = hypothesis_report(m, model, args.radius)
         override = "model>=M" if hyp.direction in ("model<=M", "equal") else "model<=M"
     report = run_verification(
@@ -221,7 +226,7 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
     grid = PolarGrid(metric=m, R=R, n_r=args.nr, n_theta=args.ntheta)
     field = transplant_exit_time(model, R, grid)
     fstar = symmetrize_field(field, grid, model)
-    s_R = symmetrized_radius(ball_area(m, R), model)
+    s_R = ball_radius_from_volume(model, ball_area(m, R))
     deviation = check_equimeasurable(field, fstar, model, grid)
     lhs, rhs = integral_identity_check(m, model, R, args.nr, args.ntheta)
     _write_csv(out / "symmetrized_profile.csv", ["rho", "fstar"],

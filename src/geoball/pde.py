@@ -2,8 +2,17 @@
 
 The Laplacian is discretized in divergence form, which makes the operator
 symmetric in the area-weighted inner product; the expanded coordinate form
-is kept as an audit route.  A single sparse factorization is reused across
-all hierarchy levels and the inverse power iteration.
+is kept as an audit route.  A single factorization is reused across all
+hierarchy levels and the inverse power iteration.
+
+When the face conductances of the flux matrix are constant in theta (every
+``radial(...)`` metric, the model balls of the comparison theorems), the
+matrix is circulant in theta: a real FFT along theta splits it into
+n_theta/2 + 1 independent tridiagonal radial systems, the classical fast
+Poisson solver on a disk (Buzbee, Golub & Nielson 1970; Swarztrauber &
+Sweet 1973).  That factorization solves the very same discrete system as a
+sparse LU of the flux matrix, so only the cost changes.  Any other metric
+takes the general sparse LU.
 """
 
 from __future__ import annotations
@@ -12,10 +21,11 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse import csc_matrix, diags
+from scipy.sparse.linalg import SuperLU, splu
 
 from .hierarchy import EigenvalueEstimate, MomentSpectrum, lambda1_from_moments
 from .surface import PolarMetric2D
@@ -122,22 +132,24 @@ def _face_weights(grid: PolarGrid):
     return w_face_r, w_face_t
 
 
-def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray]:
-    """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
-    and the coupling of the last interior ring to the r = R ring values;
-    the discrete Laplacian is (A x + coupling * boundary) / areas."""
+def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
+    """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1),
+    the radial face conductances (n_r, n_theta; row i couples ring i to
+    ring i+1, the last row couples to the r = R ring values) and the
+    angular ones (n_r-1, n_theta; face j+1/2 of ring i+1).  The discrete
+    Laplacian is (A x + c_radial[-1] * boundary) / areas."""
     nr, nt = grid.n_r, grid.n_theta
     dr, dt = grid.dr, grid.dtheta
     w_face_r, w_face_t = _face_weights(grid)
     c_radial = w_face_r * (dt / dr)  # row i: face between rings i and i+1
+    c_angular = dr / dt / w_face_t
     ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
     # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
     p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
                         ring.ravel()])
     q = np.concatenate([ring[0], ring[1:].ravel(),
                         np.roll(ring, -1, axis=1).ravel()])
-    c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(),
-                        (dr / dt / w_face_t).ravel()])
+    c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(), c_angular.ravel()])
     n_unknowns = 1 + (nr - 1) * nt
     diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
     diag[ring[-1]] -= c_radial[-1]  # face to the Dirichlet ring
@@ -147,7 +159,46 @@ def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray]:
          (np.concatenate([p, q, idx]), np.concatenate([q, p, idx]))),
         shape=(n_unknowns, n_unknowns),
     )
-    return flux, c_radial[-1]
+    return flux, c_radial, c_angular
+
+
+def _theta_independent(c_radial: np.ndarray, c_angular: np.ndarray) -> bool:
+    """True iff every ring's conductances are equal across theta, i.e. the
+    flux matrix is circulant in theta."""
+    return bool(np.all(c_radial == c_radial[:, :1])
+                and np.all(c_angular == c_angular[:, :1]))
+
+
+def _factor_fourier_modes(c: np.ndarray, a: np.ndarray, n_theta: int) -> SuperLU:
+    """LU of the block-diagonal matrix of the theta-Fourier modes of a
+    circulant flux matrix with radial conductances c (n_r) and angular
+    conductances a (n_r-1).
+
+    Block k = 0..n_theta/2 is tridiagonal over rings 1..n_r-1 with diagonal
+    -(c[i] + c[i+1]) - 2 a[i] (1 - cos(2 pi k / n_theta)) and off-diagonal
+    c[i+1].  Block 0 is bordered in front by the center unknown, scaled as
+    y = n_theta * x_center so that the block stays symmetric.
+    """
+    n_modes = n_theta // 2 + 1
+    eig = 2.0 * (1.0 - np.cos(TWO_PI / n_theta * np.arange(n_modes)))
+    diagonal = np.concatenate([[-c[0]], (-(c[:-1] + c[1:]) - np.outer(eig, a)).ravel()])
+    # coupling of unknown n to n+1: none across a block boundary
+    off = np.concatenate([[c[0]], np.tile(np.append(c[1:-1], 0.0), n_modes)[:-1]])
+    blocks = diags([off, diagonal, off], [-1, 0, 1], format="csc")
+    return splu(blocks, permc_spec="NATURAL")
+
+
+def _fourier_solve(lu: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b for the circulant flux matrix A whose Fourier-mode blocks
+    lu factors (``_factor_fourier_modes``)."""
+    b_hat = np.fft.rfft(b[1:].reshape(-1, n_theta), axis=1).T.ravel()
+    rhs = np.empty((len(b_hat) + 1, 2))
+    rhs[0] = b[0], 0.0
+    rhs[1:, 0], rhs[1:, 1] = b_hat.real, b_hat.imag
+    y = lu.solve(rhs)
+    x_hat = (y[1:, 0] + 1j * y[1:, 1]).reshape(n_theta // 2 + 1, -1).T
+    x = np.fft.irfft(x_hat, n_theta, axis=1).ravel()
+    return np.concatenate([[y[0, 0] / n_theta], x])
 
 
 def _unknown_areas(grid: PolarGrid) -> np.ndarray:
@@ -173,9 +224,9 @@ def apply_laplacian(
     if m is not grid.metric:
         raise ValueError("field grid was built for a different metric")
     if form == "divergence":
-        flux, coupling = _assemble_flux(grid)
+        flux, c_radial, _ = _assemble_flux(grid)
         y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
-        y[-grid.n_theta:] += coupling * f.rings[-1]
+        y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
         return _vec_to_field(grid, y / _unknown_areas(grid))
     if form != "expanded":
         raise ValueError(f"unknown form '{form}'")
@@ -207,26 +258,41 @@ def apply_laplacian(
 
 
 class HierarchySolver:
-    """Sparse direct solver for the Dirichlet Poisson hierarchy on a grid.
+    """Direct solver for the Dirichlet Poisson hierarchy on a grid.
 
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
-    diag(1/area) @ A.  A is factored once, in a minimum-degree ordering of
-    A^T + A, which suits its symmetric 5-point pattern.
+    diag(1/area) @ A.  A is factored once.  If its conductances are
+    constant in theta (any radial metric), A is circulant in theta and the
+    factorization is that of its n_theta/2 + 1 tridiagonal Fourier-mode
+    blocks, applied between a real FFT and its inverse along theta; this
+    is an exact block diagonalization of the same A, so it solves the same
+    discrete system as a sparse LU would.  Otherwise A is factored by
+    SuperLU in a minimum-degree ordering of A^T + A, which suits its
+    symmetric 5-point pattern.  Either way the result is refined against
+    A itself.
     """
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        self.flux, _ = _assemble_flux(grid)
+        self.flux, c_radial, c_angular = _assemble_flux(grid)
         self.areas = _unknown_areas(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
-        self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
+        if _theta_independent(c_radial, c_angular):
+            self._lu = _factor_fourier_modes(
+                c_radial[:, 0], c_angular[:, 0], grid.n_theta)
+            # bound to the factor, not to self: a cycle through self
+            # would keep every solver alive until the cyclic collector runs
+            self._flux_solve = partial(_fourier_solve, self._lu, grid.n_theta)
+        else:
+            self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
+            self._flux_solve = self._lu.solve
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L v = rhs with one step of iterative refinement."""
         b = self.areas * rhs
-        x = self._lu.solve(b)
-        x += self._lu.solve(b - self.flux @ x)
+        x = self._flux_solve(b)
+        x += self._flux_solve(b - self.flux @ x)
         return x
 
     def hierarchy(self, k_max: int, residual_tol: float = 1e-10) -> list[GridField]:
@@ -260,7 +326,7 @@ class HierarchySolver:
         x = rng.standard_normal(len(self.areas))
         lam_prev = 0.0
         for _ in range(max_iter):
-            y = self._lu.solve(self.areas * x)
+            y = self._flux_solve(self.areas * x)
             y /= np.linalg.norm(y)
             lam = -float(y @ (self.flux @ y)) / float(y @ (self.areas * y))
             if abs(lam - lam_prev) <= tol * abs(lam):

@@ -91,11 +91,6 @@ def level_profile(f: GridField, grid: PolarGrid) -> LevelSetProfile:
     )
 
 
-def symmetrized_radius(V: float, model: ModelSpace) -> float:
-    """Radius s with Vol(B_s) = V in the model space."""
-    return ball_radius_from_volume(model, V)
-
-
 def _volume_table(model: ModelSpace, r_top: float, n: int = VOLUME_TABLE_NODES):
     """Monotone (radius, ball volume) table for fast two-way interpolation."""
     rs = np.linspace(0.0, r_top, n)

@@ -42,6 +42,13 @@ def test_parse_warping_errors_have_position():
         parse_warping_expr("spiral(1)")
     with pytest.raises(ExpressionError):
         parse_warping_expr("poly()")
+    with pytest.raises(ExpressionError) as exc:
+        parse_warping_expr("poly(1,nan)")
+    assert exc.value.pos == 7
+    for text in ("sphere(1,2)", "hyperbolic(1,2)"):
+        with pytest.raises(ExpressionError) as exc:
+            parse_warping_expr(text)
+        assert exc.value.pos == text.index(",") + 1
 
 
 def test_parse_metric_builtin_and_families():
@@ -59,6 +66,17 @@ def test_parse_metric_errors():
         parse_metric_expr("example2")
     with pytest.raises(ExpressionError):
         parse_metric_expr("perturbed(1)")
+    for text in ("perturbed(0.5,1.5)", "perturbed(0.5,0)", "perturbed(0.5,inf)"):
+        with pytest.raises(ExpressionError) as exc:
+            parse_metric_expr(text)
+        assert exc.value.pos == 14
+    with pytest.raises(ExpressionError) as exc:
+        parse_metric_expr("perturbed(nan,1)")
+    assert exc.value.pos == 10
+    for text in ("radial(sphere(1,2))", "radial(hyperbolic(1,2))"):
+        with pytest.raises(ExpressionError) as exc:
+            parse_metric_expr(text)
+        assert exc.value.pos == text.index(",") + 1 - len("radial(")
 
 
 def test_cli_model_outputs(tmp_path, capsys):

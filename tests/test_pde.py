@@ -1,9 +1,13 @@
 """Tests for the polar-grid Laplacian, hierarchy solver and eigenvalues."""
 
+import copy
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from geoball.hierarchy import hierarchy_sequence
 from geoball import pde
@@ -19,7 +23,13 @@ from geoball.pde import (
     moments_grid,
     solve_hierarchy_grid,
 )
-from geoball.surface import ball_area, builtin_example_metric, radial_metric
+from geoball.surface import (
+    PolarMetric2D,
+    ball_area,
+    builtin_example_metric,
+    radial_metric,
+)
+from geoball.verify import run_verification
 
 J01SQ = 2.404825557695773**2
 
@@ -187,6 +197,85 @@ def test_vectorized_flux_matches_loop_assembly():
     ref = _loop_flux(grid)
     assert np.all(np.abs(flux.toarray() - ref) <= 1e-14 * np.abs(ref))
     assert (flux != flux.T).nnz == 0
+
+
+def _splu_reference(solver):
+    """The same solver, with every flux solve done by a sparse LU of its
+    flux matrix."""
+    ref = copy.copy(solver)
+    ref._flux_solve = splu(solver.flux, permc_spec="MMD_AT_PLUS_A").solve
+    return ref
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("n_r,n_theta", [(4, 2), (17, 12), (64, 64)])
+def test_fourier_route_matches_sparse_lu(curvature, n_r, n_theta):
+    m = radial_metric(space_form_profile(curvature))
+    solver = HierarchySolver(make_grid(m, 1.0, n_r, n_theta))
+    assert solver._lu.shape == (1 + (n_theta // 2 + 1) * (n_r - 1),) * 2
+    ref = _splu_reference(solver)
+    rhs = np.random.default_rng(3).standard_normal(len(solver.areas))
+    assert _rel_err(solver.solve_poisson(rhs), ref.solve_poisson(rhs)) <= 1e-12
+    for v, v_ref in zip(solver.hierarchy(24), ref.hierarchy(24)):
+        assert _rel_err(np.append(v.rings, v.center),
+                        np.append(v_ref.rings, v_ref.center)) <= 1e-10
+    assert solver.smallest_eigenvalue() == pytest.approx(
+        ref.smallest_eigenvalue(), rel=1e-10)
+
+
+def _almost_flat_metric():
+    """The plane with w perturbed by 1e-15 * r * sin(theta): a few ulps."""
+
+    def w(r, t):
+        return np.asarray(r, float) * (1.0 + 1e-15 * np.sin(t))
+
+    def w_r(r, t):
+        return np.ones_like(np.asarray(r, float)) + 1e-15 * np.sin(t)
+
+    def w_rr(r, t):
+        return np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
+
+    def w_t(r, t):
+        return 1e-15 * np.asarray(r, float) * np.cos(t)
+
+    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=10.0,
+                         label="almost-flat")
+
+
+def test_fourier_route_only_for_theta_independent_grids(flat):
+    radial = HierarchySolver(make_grid(flat, 1.0, 16, 12))
+    assert radial._lu.shape == (1 + 7 * 15,) * 2
+    for m in (builtin_example_metric(), _almost_flat_metric()):
+        solver = HierarchySolver(make_grid(m, 1.0, 16, 12))
+        assert solver._lu.shape == solver.flux.shape
+
+
+def test_solver_freed_by_reference_counting(flat):
+    # a reference cycle would hold every solver's flux matrix and factor
+    # until the cyclic collector happens to run
+    gc.disable()
+    try:
+        for m in (flat, builtin_example_metric()):
+            ref = weakref.ref(HierarchySolver(make_grid(m, 1.0, 16, 12)))
+            assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_fourier_route_report_matches_sparse_lu(flat, monkeypatch):
+    model = make_space_form(0.0, 2)
+    fast = run_verification(flat, model, 1.0, n_r=64, n_theta=64)
+    monkeypatch.setattr(pde, "_theta_independent", lambda *conductances: False)
+    general = run_verification(flat, model, 1.0, n_r=64, n_theta=64)
+    assert len(fast.entries) == len(general.entries)
+    for e, g in zip(fast.entries, general.entries):
+        assert (e.name, e.inequality, e.passed) == (g.name, g.inequality, g.passed)
+        for x, y in ((e.lhs, g.lhs), (e.rhs, g.rhs), (e.margin, g.margin)):
+            assert x == pytest.approx(y, rel=1e-10, abs=1e-12)
 
 
 def test_lambda1_grid_disk(flat, flat_grid):

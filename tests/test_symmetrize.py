@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geoball.model import make_space_form
+from geoball.model import ball_radius_from_volume, make_space_form
 from geoball.model import euclidean_profile
 from geoball.pde import PolarGrid, field_from_function, make_grid
 from geoball.surface import ball_area, builtin_example_metric, radial_metric
@@ -17,7 +17,6 @@ from geoball.symmetrize import (
     level_profile,
     symmetrize_field,
     symmetrized_profile_comparison,
-    symmetrized_radius,
     transplant_exit_time,
 )
 
@@ -33,18 +32,18 @@ def flat_model():
 
 
 def test_symmetrized_radius_euclidean(flat_model):
-    assert symmetrized_radius(math.pi, flat_model) == pytest.approx(1.0, abs=1e-10)
+    assert ball_radius_from_volume(flat_model, math.pi) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_symmetrized_radius_hyperbolic():
     model = make_space_form(-1.0, 2)
     V = 2 * math.pi * (math.cosh(1.0) - 1.0)
-    assert symmetrized_radius(V, model) == pytest.approx(1.0, abs=1e-9)
+    assert ball_radius_from_volume(model, V) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_symmetrized_radius_example_exceeds_one(flat_model):
     ex = builtin_example_metric()
-    assert symmetrized_radius(ball_area(ex, 1.0), flat_model) > 1.0
+    assert ball_radius_from_volume(flat_model, ball_area(ex, 1.0)) > 1.0
 
 
 def test_level_profile_constant_field(flat, flat_model):
