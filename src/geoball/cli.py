@@ -127,11 +127,8 @@ def _output_dir(arg: str | None) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = np.column_stack(columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FLOAT_FMT % x for x in row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -167,18 +164,13 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     out = _output_dir(args.output)
     rs = np.linspace(R / args.nr, R, args.nr)
     ts = np.arange(args.ntheta) * (2 * math.pi / args.ntheta)
-    rows_r, rows_t, rows_h, rows_k = [], [], [], []
-    for r in rs:
-        for t in ts:
-            rows_r.append(r)
-            rows_t.append(t)
-            rows_h.append(sphere_mean_curvature(m, float(r), float(t)))
-            rows_k.append(gauss_curvature(m, float(r), float(t)))
+    rr, tt = np.meshgrid(rs, ts, indexing="ij")
     _write_csv(out / "surface_curvature.csv", ["r", "theta", "H", "K"],
-               [np.array(rows_r), np.array(rows_t),
-                np.array(rows_h), np.array(rows_k)])
-    lengths = np.array([sphere_length(m, float(r)) for r in rs])
-    areas = np.array([ball_area(m, float(r)) for r in rs])
+               [rr.ravel(), tt.ravel(),
+                sphere_mean_curvature(m, rr, tt).ravel(),
+                gauss_curvature(m, rr, tt).ravel()])
+    lengths = sphere_length(m, rs)
+    areas = ball_area(m, rs)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])
     print(f"metric {m.label} R={R}")

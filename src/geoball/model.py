@@ -127,6 +127,8 @@ def polynomial_profile(coeffs: tuple[float, ...]) -> WarpingProfile:
     construction; positivity on the probe interval is audited at build time.
     """
     cs = tuple(float(c) for c in coeffs)
+    if not all(math.isfinite(c) for c in cs):
+        raise ValueError(f"polynomial coefficients must be finite, got {cs}")
 
     def w(r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .model import DomainError, ModelSpace, WarpingProfile
-from .quadrature import integrate
+from .quadrature import QuadratureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,10 +41,14 @@ class PolarMetric2D:
         _audit_partials(self)
         _audit_pole_and_periodicity(self)
 
-    def _check_radius(self, t: float) -> None:
-        if not 0 < t <= self.R_valid:
+    def _check_radius(self, t: float | np.ndarray) -> None:
+        """Raise DomainError unless every radius in t lies in (0, R_valid]."""
+        t = np.asarray(t, dtype=float)
+        bad = ~((t > 0) & (t <= self.R_valid))
+        if bad.any():
             raise DomainError(
-                f"radius {t} outside (0, {self.R_valid}] for metric '{self.label}'"
+                f"radius {float(t[bad].flat[0])} outside (0, {self.R_valid}] "
+                f"for metric '{self.label}'"
             )
 
 
@@ -64,7 +68,7 @@ def _audit_partials(m: PolarMetric2D, n_points: int = 200, tol: float = 1e-5) ->
         ("w_t", wt_fd, m.w_t(rs, ts)),
     ):
         err = np.max(np.abs(fd - an) / scale)
-        if err > tol:
+        if not err <= tol:  # a NaN sample gives a NaN error, which fails too
             raise MetricAuditError(
                 f"metric '{m.label}': analytic {name} deviates from finite "
                 f"differences by {err:.3e}"
@@ -75,18 +79,22 @@ def _audit_pole_and_periodicity(m: PolarMetric2D) -> None:
     ts = np.linspace(0.0, TWO_PI, 33)
     r0 = 1e-4
     ratio = m.w(np.full_like(ts, r0), ts) / r0
-    if np.max(np.abs(ratio - 1.0)) > 1e-3:
+    # every test is written as "not ok" so that a NaN sample fails it
+    if not np.max(np.abs(ratio - 1.0)) <= 1e-3:
         raise MetricAuditError(
             f"metric '{m.label}' fails the smooth-pole condition w(r,.)/r -> 1"
         )
     rs = np.linspace(0.1, min(m.R_valid, 5.0), 17)
     seam = np.abs(m.w(rs, np.zeros_like(rs)) - m.w(rs, np.full_like(rs, TWO_PI)))
-    if np.max(seam) > 1e-12:
+    if not np.max(seam) <= 1e-12:
         raise MetricAuditError(f"metric '{m.label}' is not 2*pi-periodic in theta")
     probe_r = np.linspace(1e-3, min(m.R_valid, 5.0), 64)
     pr, pt = np.meshgrid(probe_r, np.linspace(0, TWO_PI, 64, endpoint=False))
-    if np.any(m.w(pr, pt) <= 0):
-        raise MetricAuditError(f"metric '{m.label}' is not positive inside R_valid")
+    probe = m.w(pr, pt)
+    if not np.all(np.isfinite(probe) & (probe > 0)):
+        raise MetricAuditError(
+            f"metric '{m.label}' is not finite and positive inside R_valid"
+        )
 
 
 def perturbed_flat_metric(eps: float, mode: int, R_valid: float = 10.0) -> PolarMetric2D:
@@ -169,37 +177,104 @@ METRIC_REGISTRY = {
 }
 
 
-def sphere_mean_curvature(m: PolarMetric2D, t: float, theta: float) -> float:
-    """Pointed-inward mean curvature of the distance circle: w_r / w."""
+def sphere_mean_curvature(
+    m: PolarMetric2D, t: float | np.ndarray, theta: float | np.ndarray
+) -> float | np.ndarray:
+    """Pointed-inward mean curvature of the distance circle: w_r / w.
+
+    Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    return float(m.w_r(np.array(t), np.array(theta)) / m.w(np.array(t), np.array(theta)))
+    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
+    h = m.w_r(t, theta) / m.w(t, theta)
+    return float(h) if h.ndim == 0 else h
 
 
-def gauss_curvature(m: PolarMetric2D, t: float, theta: float) -> float:
-    """Gauss curvature -w_rr / w."""
+def gauss_curvature(
+    m: PolarMetric2D, t: float | np.ndarray, theta: float | np.ndarray
+) -> float | np.ndarray:
+    """Gauss curvature -w_rr / w.
+
+    Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    return float(
-        -m.w_rr(np.array(t), np.array(theta)) / m.w(np.array(t), np.array(theta))
+    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
+    k = -m.w_rr(t, theta) / m.w(t, theta)
+    return float(k) if k.ndim == 0 else k
+
+
+# Starting and largest node counts of the tensor rule: its doubling budget.
+_THETA_NODES, _THETA_NODES_MAX = 16, 16 << 10
+_GAUSS_NODES, _GAUSS_NODES_MAX = 2, 2 << 9
+
+
+def _lengths_and_areas(
+    m: PolarMetric2D, radii: float | np.ndarray, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths int_0^{2pi} w(r, theta) dtheta and areas int_0^r length at
+    sorted radii, from one tensor rule per refinement level.
+
+    theta: the periodic trapezoid rule, which converges geometrically for a
+    smooth periodic integrand; w is sampled at 2n angles, so the n-point
+    rule on every other angle estimates its error at no extra cost.
+    r: n_g-point Gauss-Legendre panels between consecutive radii (the
+    first from 0), summed cumulatively, so every area comes out of the same
+    pass.  Each level evaluates w once on the (r, theta) mesh, then doubles
+    n while the trapezoid error estimate exceeds rel_tol, otherwise n_g
+    until the areas move by at most rel_tol from n_g/2 to n_g nodes.
+    Raises QuadratureError when that does not happen within the doubling
+    budget, or at once on a non-finite sample, which could never settle.
+    """
+    rs = np.atleast_1d(np.asarray(radii, dtype=float))
+    if rs.ndim != 1 or rs.size == 0 or np.any(np.diff(rs) < 0):
+        raise ValueError("radii must be a scalar or a sorted, non-empty 1-D array")
+    m._check_radius(rs)
+    k = len(rs)
+    left = np.concatenate(([0.0], rs[:-1]))
+    half, mid = 0.5 * (rs - left), 0.5 * (rs + left)
+    n, n_g = _THETA_NODES, _GAUSS_NODES
+    prev_areas = None
+    while n <= _THETA_NODES_MAX and n_g <= _GAUSS_NODES_MAX:
+        x, wts = np.polynomial.legendre.leggauss(n_g)
+        r_nodes = np.concatenate((rs, (mid[:, None] + half[:, None] * x).ravel()))
+        w = m.w(r_nodes[:, None], np.arange(2 * n) * (np.pi / n))
+        if not np.all(np.isfinite(w)):
+            break
+        fine = w.sum(axis=1) * (np.pi / n)
+        coarse = w[:, ::2].sum(axis=1) * (TWO_PI / n)
+        areas = np.cumsum(half * (fine[k:].reshape(k, n_g) @ wts))
+        # "not <=" so that a NaN change counts as unsettled; areas are only
+        # compared between n_g and 2*n_g at the same n
+        if not np.max(np.abs(fine - coarse) / np.abs(fine)) <= rel_tol:
+            n, prev_areas = 2 * n, None
+        elif prev_areas is None or not (
+            np.max(np.abs(areas - prev_areas) / np.abs(areas)) <= rel_tol
+        ):
+            n_g, prev_areas = 2 * n_g, areas
+        else:
+            return fine[:k], areas
+    raise QuadratureError(
+        f"lengths and areas of metric '{m.label}' did not converge to "
+        f"rel_tol={rel_tol} on (0, {rs[-1]}]"
     )
 
 
-def sphere_length(m: PolarMetric2D, r: float, rel_tol: float = 1e-10) -> float:
-    """Length of the distance circle: int_0^{2pi} w(r, theta) dtheta."""
-    m._check_radius(r)
-    return integrate(lambda t: m.w(np.full_like(t, r), t), 0.0, TWO_PI, rel_tol=rel_tol)
+def sphere_length(
+    m: PolarMetric2D, r: float | np.ndarray, rel_tol: float = 1e-10
+) -> float | np.ndarray:
+    """Length of the distance circle: int_0^{2pi} w(r, theta) dtheta.
+
+    r is a radius or a sorted 1-D array of radii; a radius gives a float."""
+    lengths = _lengths_and_areas(m, r, rel_tol)[0]
+    return float(lengths[0]) if np.ndim(r) == 0 else lengths
 
 
-def ball_area(m: PolarMetric2D, r: float, rel_tol: float = 1e-9) -> float:
-    """Area of the geodesic disk: int_0^r length(t) dt (nested quadrature)."""
-    m._check_radius(r)
+def ball_area(
+    m: PolarMetric2D, r: float | np.ndarray, rel_tol: float = 1e-9
+) -> float | np.ndarray:
+    """Area of the geodesic disk: int_0^r length(t) dt.
 
-    def lengths(ts: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            out[i] = sphere_length(m, t, rel_tol=rel_tol * 0.1) if t > 0 else 0.0
-        return out
-
-    return integrate(lengths, 0.0, r, rel_tol=rel_tol, initial_points=129)
+    r is a radius or a sorted 1-D array of radii; a radius gives a float."""
+    areas = _lengths_and_areas(m, r, rel_tol)[1]
+    return float(areas[0]) if np.ndim(r) == 0 else areas
 
 
 @dataclass(frozen=True)
@@ -234,7 +309,7 @@ def hypothesis_report(
     rs = np.linspace(R / n_r, R, n_r)
     ts = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
     rr, tt = np.meshgrid(rs, ts, indexing="ij")
-    h_metric = m.w_r(rr, tt) / m.w(rr, tt)
+    h_metric = sphere_mean_curvature(m, rr, tt)
     eta = (model.warping.dw(rs) / model.warping.w(rs))[:, None]
     gap = h_metric - eta
     gmin, gmax = float(gap.min()), float(gap.max())

@@ -36,9 +36,8 @@ from .pde import (
 from .surface import (
     HypothesisReport,
     PolarMetric2D,
-    ball_area,
+    _lengths_and_areas,
     hypothesis_report,
-    sphere_length,
 )
 from .symmetrize import ComparisonPreconditionError, transplant_exit_time
 
@@ -123,8 +122,9 @@ class VerificationContext:
     """What the report's checks share, computed once for one (metric,
     model, R, grid): the hypothesis scan, one factorization, the hierarchy
     fields v_1..v_max(k_max, 24) (the report levels and the eigenvalue
-    estimate are prefixes of the same fields) and the ball areas at the
-    sampled radii R/4, R/2, R.  Build it with ``VerificationContext.build``."""
+    estimate are prefixes of the same fields) and the sphere lengths and
+    ball areas at the sampled radii R/4, R/2, R, both from one tensor-rule
+    pass.  Build it with ``VerificationContext.build``."""
 
     model: ModelSpace
     k_max: int
@@ -132,6 +132,7 @@ class VerificationContext:
     grid: PolarGrid
     solver: HierarchySolver
     fields: tuple[GridField, ...]
+    sphere_lengths: dict[float, float]
     ball_areas: dict[float, float]
 
     @classmethod
@@ -155,6 +156,8 @@ class VerificationContext:
             )
         grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
         solver = HierarchySolver(grid)
+        radii = sorted({R / 4, R / 2, float(R)})
+        lengths, areas = _lengths_and_areas(m, radii, rel_tol=1e-10)
         return cls(
             model=model,
             k_max=k_max,
@@ -162,7 +165,8 @@ class VerificationContext:
             grid=grid,
             solver=solver,
             fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
-            ball_areas={r: ball_area(m, r) for r in sorted({R / 4, R / 2, R})},
+            sphere_lengths=dict(zip(radii, lengths.tolist())),
+            ball_areas=dict(zip(radii, areas.tolist())),
         )
 
     @property
@@ -200,12 +204,11 @@ def verify_isoperimetric_volumes(
 ) -> list[Entry]:
     """Isoperimetric quotient and volume comparisons at the sampled radii."""
     s = ctx.sign if sign is None else sign
-    m, model, tol = ctx.grid.metric, ctx.model, ctx.tol
+    model, tol = ctx.model, ctx.tol
     entries = []
     for r, area in ctx.ball_areas.items():
-        r = float(r)
         q_model = isoperimetric_quotient(model, r)
-        length = sphere_length(m, r)
+        length = ctx.sphere_lengths[r]
         q_metric = area / length
         entries.append(
             _entry(
@@ -253,7 +256,7 @@ def verify_moment_spectrum(
     """Pointwise hierarchy domination and averaged-moment comparison for
     k = 1..ctx.k_max."""
     s = ctx.sign if sign is None else sign
-    m, R, model, k_max, tol = ctx.grid.metric, ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
+    R, model, k_max, tol = ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
     grid_fields = ctx.fields[:k_max]
     model_levels = hierarchy_sequence(model, R, k_max, N=4096)
     entries = []
@@ -279,7 +282,7 @@ def verify_moment_spectrum(
     spec_model = moment_spectrum(model, R, k_max, N=4096)
     spec_grid = moments_grid(ctx.grid, grid_fields)
     vol_s_model = sphere_volume_model(model, R)
-    vol_s_metric = sphere_length(m, R)
+    vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):
         avg_model = spec_model.moment(k) / vol_s_model
         avg_grid = spec_grid.moment(k) / vol_s_metric

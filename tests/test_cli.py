@@ -6,12 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import geoball.cli
 from geoball.cli import (
+    FLOAT_FMT,
     ExpressionError,
+    _write_csv,
     main,
     parse_metric_expr,
     parse_warping_expr,
 )
+from geoball.surface import builtin_example_metric
 
 
 def test_parse_warping_euclidean():
@@ -152,6 +156,44 @@ def test_cli_surface(tmp_path):
     last = rows[-1].split(",")
     assert float(last[1]) == pytest.approx(4 * math.pi, rel=1e-8)
     assert float(last[2]) == pytest.approx(4 * math.pi, rel=1e-8)
+
+
+def test_cli_surface_evaluates_metric_a_fixed_number_of_times(tmp_path, monkeypatch):
+    calls = {}
+
+    def run(n):
+        m = builtin_example_metric()
+        w = m.w
+
+        def counted(r, t):
+            calls[n] += 1
+            return w(r, t)
+
+        object.__setattr__(m, "w", counted)
+        monkeypatch.setattr(geoball.cli, "parse_metric_expr", lambda text: m)
+        calls[n] = 0
+        assert main(["surface", "--metric", "example1", "--radius", "1",
+                     "--nr", str(n), "--ntheta", str(n),
+                     "--output", str(tmp_path / str(n))]) == 0
+
+    run(8)
+    run(64)
+    assert calls[64] <= calls[8] <= 40
+
+
+def test_write_csv_matches_per_value_format(tmp_path):
+    values = np.array([
+        [-1.5, 5e-324, -2.2250738585072014e-308, 1e308],
+        [3.0, -0.0, 0.1, -123456789.0],
+        [1.7976931348623157e308, 2.0**-1074 * 3, 1e-310, 7.0],
+    ])
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, list(values.T))
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(FLOAT_FMT % x for x in row) + "\n" for row in values
+    )
+    assert path.read_bytes() == expected.encode()
 
 
 def test_cli_output_env_var(tmp_path, monkeypatch):

@@ -39,6 +39,14 @@ def test_profile_positivity_rejected():
         polynomial_profile((-1.0,))  # r - r^3 turns negative past r = 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polynomial_profile_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        polynomial_profile((bad,))
+    with pytest.raises(ValueError):
+        polynomial_profile((0.5, bad))
+
+
 def test_space_form_curvatures():
     for b in (-2.0, -1.0, 1.0, 2.0):
         m = make_space_form(b, 3)
