@@ -35,12 +35,12 @@ from .pde import PolarGrid, lambda1_grid
 from .surface import (
     METRIC_REGISTRY,
     PolarMetric2D,
+    _lengths_and_areas,
     ball_area,
     gauss_curvature,
     hypothesis_report,
     perturbed_flat_metric,
     radial_metric,
-    sphere_length,
     sphere_mean_curvature,
 )
 from .symmetrize import (
@@ -119,6 +119,14 @@ def parse_metric_expr(text: str) -> PolarMetric2D:
     raise ExpressionError(text, 0, "expected example1|radial(...)|perturbed(eps,mode)")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the node and moment counts."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    return value
+
+
 def _output_dir(arg: str | None) -> Path:
     base = arg or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(base)
@@ -137,7 +145,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
     out = _output_dir(args.output)
     rs = np.linspace(R / args.grid, R, args.grid)
     profile = mean_exit_profile(model, R)
-    q = np.array([isoperimetric_quotient(model, float(r)) for r in rs])
+    q = isoperimetric_quotient(model, rs)
     _write_csv(out / "model_profile.csv", ["r", "q", "exit_time"],
                [rs, q, profile(rs)])
     spec = moment_spectrum(model, R, args.kmax)
@@ -169,8 +177,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                [rr.ravel(), tt.ravel(),
                 sphere_mean_curvature(m, rr, tt).ravel(),
                 gauss_curvature(m, rr, tt).ravel()])
-    lengths = sphere_length(m, rs)
-    areas = ball_area(m, rs)
+    lengths, areas = _lengths_and_areas(m, rs, rel_tol=1e-10)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])
     print(f"metric {m.label} R={R}")
@@ -244,16 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warping", required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--kmax", type=int, default=40)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--kmax", type=_positive_int, default=40)
+    p.add_argument("--grid", type=_positive_int, default=256)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("surface", help="curvature and volume tables of a metric")
     p.add_argument("--metric", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--nr", type=int, default=64)
-    p.add_argument("--ntheta", type=int, default=64)
+    p.add_argument("--nr", type=_positive_int, default=64)
+    p.add_argument("--ntheta", type=_positive_int, default=64)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_surface)
 
@@ -261,9 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--nr", type=int, default=128)
-    p.add_argument("--ntheta", type=int, default=128)
-    p.add_argument("--kmax", type=int, default=5)
+    p.add_argument("--nr", type=_positive_int, default=128)
+    p.add_argument("--ntheta", type=_positive_int, default=128)
+    p.add_argument("--kmax", type=_positive_int, default=5)
     p.add_argument("--flip-direction", action="store_true",
                    help="negative control: assert the reversed inequalities")
     p.add_argument("--output")
@@ -273,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--nr", type=int, default=128)
-    p.add_argument("--ntheta", type=int, default=128)
+    p.add_argument("--nr", type=_positive_int, default=128)
+    p.add_argument("--ntheta", type=_positive_int, default=128)
     p.add_argument("--tol", type=float, default=1e-2)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_symmetrize)

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .model import DomainError, ModelSpace, ball_volume_model, sphere_volume_model
+from .model import DomainError, ModelSpace, sphere_volume_model
 from .quadrature import cumulative_integral, simpson_uniform
 
 DEFAULT_GRID = 2048

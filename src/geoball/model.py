@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .quadrature import integrate
+from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 BALANCE_TOL = 1e-9
 
@@ -77,11 +77,16 @@ class ModelSpace:
     def r_max(self) -> float:
         return self.warping.r_max
 
-    def _check_radius(self, r: float, allow_zero: bool = False) -> None:
+    def _check_radius(self, r: float | np.ndarray, allow_zero: bool = False) -> None:
+        """Raise DomainError unless every radius in r lies in (0, r_max),
+        or in [0, r_max) with allow_zero."""
+        r = np.asarray(r, dtype=float)
         lo_ok = r >= 0 if allow_zero else r > 0
-        if not lo_ok or r >= self.r_max:
+        bad = ~(lo_ok & (r < self.r_max))
+        if bad.any():
             raise DomainError(
-                f"radius {r} outside (0, {self.r_max}) for model '{self.warping.label}'"
+                f"radius {float(r[bad].flat[0])} outside (0, {self.r_max}) "
+                f"for model '{self.warping.label}'"
             )
 
 
@@ -172,42 +177,49 @@ def radial_curvature_model(m: ModelSpace, r: float) -> float:
     return float(-m.warping.ddw(np.array(r)) / m.warping.w(np.array(r)))
 
 
-def sphere_volume_model(m: ModelSpace, r: float) -> float:
-    """Volume of the distance sphere of radius r."""
+def sphere_volume_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarray:
+    """Volume of the distance sphere of radius r; broadcasts over arrays."""
     m._check_radius(r, allow_zero=True)
-    return m.sphere_constant * float(m.warping.w(np.array(r))) ** (m.dim - 1)
+    vol = m.sphere_constant * m.warping.w(np.asarray(r, dtype=float)) ** (m.dim - 1)
+    return float(vol) if np.ndim(r) == 0 else vol
 
 
-def ball_volume_model(m: ModelSpace, r: float, rel_tol: float = 1e-11) -> float:
-    """Volume of the geodesic ball of radius r, by quadrature of w^(n-1)."""
-    m._check_radius(r, allow_zero=True)
-    if r == 0:
-        return 0.0
-    n = m.dim
-    val = integrate(lambda t: m.warping.w(t) ** (n - 1), 0.0, r, rel_tol=rel_tol)
-    return m.sphere_constant * val
+def ball_volume_model(
+    m: ModelSpace, r: float | np.ndarray, rel_tol: float = 1e-11
+) -> float | np.ndarray:
+    """Volume c_n int_0^r w^(n-1) of the geodesic ball of radius r.
+
+    r is a radius or a sorted 1-D array of radii (0 allowed); a radius gives
+    a float.  GaussPanels integrate w^(n-1) up to every radius in one pass;
+    n_g doubles until the volumes move by at most rel_tol from n_g/2 to n_g
+    nodes.  Raises QuadratureError when that does not happen within the
+    doubling budget, or at once on a non-finite sample.
+    """
+    panels = GaussPanels(r)
+    m._check_radius(panels.radii, allow_zero=True)
+    n_g, prev = GAUSS_NODES, None
+    while n_g <= GAUSS_NODES_MAX:
+        wn = m.warping.w(panels.nodes(n_g)) ** (m.dim - 1)
+        if not np.all(np.isfinite(wn)):
+            break
+        vols = m.sphere_constant * panels.cumulative(wn, n_g)
+        # a NaN change compares False, so it counts as unsettled
+        if prev is not None and np.all(np.abs(vols - prev) <= rel_tol * vols):
+            return float(vols[0]) if np.ndim(r) == 0 else vols
+        n_g, prev = 2 * n_g, vols
+    raise QuadratureError(
+        f"ball volumes of model '{m.warping.label}' did not converge to "
+        f"rel_tol={rel_tol} on [0, {panels.radii[-1]}]"
+    )
 
 
-def isoperimetric_quotient(m: ModelSpace, r: float) -> float:
-    """q(r) = Vol(ball_r) / Vol(sphere_r) = int_0^r w^(n-1) / w^(n-1)(r)."""
+def isoperimetric_quotient(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarray:
+    """q(r) = Vol(ball_r) / Vol(sphere_r) = int_0^r w^(n-1) / w^(n-1)(r).
+
+    r is a radius or a sorted 1-D array of positive radii; a radius gives a
+    float."""
     m._check_radius(r)
-    n = m.dim
-    num = integrate(lambda t: m.warping.w(t) ** (n - 1), 0.0, r, rel_tol=1e-11)
-    return num / float(m.warping.w(np.array(r))) ** (n - 1)
-
-
-def _quotient_on_samples(m: ModelSpace, rs: np.ndarray) -> np.ndarray:
-    """Vectorized q(r) on a sorted sample via a fine cumulative grid."""
-    from .quadrature import cumulative_integral
-
-    n = m.dim
-    top = float(rs[-1])
-    grid_n = max(4097, 2 * len(rs) + 1)
-    grid = np.linspace(0.0, top, grid_n)
-    wn = m.warping.w(grid) ** (n - 1)
-    cum = cumulative_integral(wn, grid[1] - grid[0])
-    num = np.interp(rs, grid, cum)
-    return num / m.warping.w(rs) ** (n - 1)
+    return ball_volume_model(m, r) / sphere_volume_model(m, r)
 
 
 @dataclass(frozen=True)
@@ -234,7 +246,7 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
         raise ValueError("samples must be >= 2")
     n = m.dim
     rs = np.linspace(R / samples, R, samples)
-    q = _quotient_on_samples(m, rs)
+    q = isoperimetric_quotient(m, rs)
     eta = m.warping.dw(rs) / m.warping.w(rs)
 
     margin1 = 1.0 / (n - 1) - q * eta
@@ -242,9 +254,9 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
     # q' = 1 - (n-1)*eta*q analytically; cross-checked by central differences.
     h = min(R * 1e-5, 1e-5)
     inner = rs[(rs - h > 0) & (rs + h < m.r_max)]
-    qp_fd = (_quotient_on_samples(m, inner + h) - _quotient_on_samples(m, inner - h)) / (
-        2 * h
-    )
+    qp_fd = (
+        isoperimetric_quotient(m, inner + h) - isoperimetric_quotient(m, inner - h)
+    ) / (2 * h)
     margin2 = qp_fd
 
     wn = m.warping.w(rs) ** n
@@ -273,7 +285,7 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
 
 def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> float:
     """Invert the strictly increasing ball-volume map."""
-    if V < 0:
+    if not V >= 0:  # a NaN volume fails this too
         raise DomainError(f"volume must be nonnegative, got {V}")
     if V == 0:
         return 0.0

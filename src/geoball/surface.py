@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .model import DomainError, ModelSpace, WarpingProfile
-from .quadrature import QuadratureError
+from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,8 +58,12 @@ def _audit_partials(m: PolarMetric2D, n_points: int = 200, tol: float = 1e-5) ->
     rs = rng.uniform(0.05 * top, 0.95 * top, n_points)
     ts = rng.uniform(0.0, TWO_PI, n_points)
     h = 1e-5
+    # the second difference loses about 4*eps/h2^2 to roundoff: 9e-6 at
+    # h = 1e-5, too close to tol, and 9e-8 at h2 = 1e-4, where its
+    # truncation error h2^2 * w_rrrr / 12 is still far below tol
+    h2 = 1e-4
     wr_fd = (m.w(rs + h, ts) - m.w(rs - h, ts)) / (2 * h)
-    wrr_fd = (m.w(rs + h, ts) - 2 * m.w(rs, ts) + m.w(rs - h, ts)) / h**2
+    wrr_fd = (m.w(rs + h2, ts) - 2 * m.w(rs, ts) + m.w(rs - h2, ts)) / h2**2
     wt_fd = (m.w(rs, ts + h) - m.w(rs, ts - h)) / (2 * h)
     scale = np.maximum(1.0, np.abs(m.w(rs, ts)))
     for name, fd, an in (
@@ -201,9 +205,8 @@ def gauss_curvature(
     return float(k) if k.ndim == 0 else k
 
 
-# Starting and largest node counts of the tensor rule: its doubling budget.
+# Starting and largest angle counts of the tensor rule: its theta budget.
 _THETA_NODES, _THETA_NODES_MAX = 16, 16 << 10
-_GAUSS_NODES, _GAUSS_NODES_MAX = 2, 2 << 9
 
 
 def _lengths_and_areas(
@@ -215,32 +218,27 @@ def _lengths_and_areas(
     theta: the periodic trapezoid rule, which converges geometrically for a
     smooth periodic integrand; w is sampled at 2n angles, so the n-point
     rule on every other angle estimates its error at no extra cost.
-    r: n_g-point Gauss-Legendre panels between consecutive radii (the
-    first from 0), summed cumulatively, so every area comes out of the same
-    pass.  Each level evaluates w once on the (r, theta) mesh, then doubles
-    n while the trapezoid error estimate exceeds rel_tol, otherwise n_g
-    until the areas move by at most rel_tol from n_g/2 to n_g nodes.
+    r: GaussPanels, so every area comes out of the same pass.  Each level
+    evaluates w once on the (r, theta) mesh, then doubles n while the
+    trapezoid error estimate exceeds rel_tol, otherwise n_g until the areas
+    move by at most rel_tol from n_g/2 to n_g nodes.
     Raises QuadratureError when that does not happen within the doubling
     budget, or at once on a non-finite sample, which could never settle.
     """
-    rs = np.atleast_1d(np.asarray(radii, dtype=float))
-    if rs.ndim != 1 or rs.size == 0 or np.any(np.diff(rs) < 0):
-        raise ValueError("radii must be a scalar or a sorted, non-empty 1-D array")
+    panels = GaussPanels(radii)
+    rs = panels.radii
     m._check_radius(rs)
     k = len(rs)
-    left = np.concatenate(([0.0], rs[:-1]))
-    half, mid = 0.5 * (rs - left), 0.5 * (rs + left)
-    n, n_g = _THETA_NODES, _GAUSS_NODES
+    n, n_g = _THETA_NODES, GAUSS_NODES
     prev_areas = None
-    while n <= _THETA_NODES_MAX and n_g <= _GAUSS_NODES_MAX:
-        x, wts = np.polynomial.legendre.leggauss(n_g)
-        r_nodes = np.concatenate((rs, (mid[:, None] + half[:, None] * x).ravel()))
+    while n <= _THETA_NODES_MAX and n_g <= GAUSS_NODES_MAX:
+        r_nodes = np.concatenate((rs, panels.nodes(n_g)))
         w = m.w(r_nodes[:, None], np.arange(2 * n) * (np.pi / n))
         if not np.all(np.isfinite(w)):
             break
         fine = w.sum(axis=1) * (np.pi / n)
         coarse = w[:, ::2].sum(axis=1) * (TWO_PI / n)
-        areas = np.cumsum(half * (fine[k:].reshape(k, n_g) @ wts))
+        areas = panels.cumulative(fine[k:], n_g)
         # "not <=" so that a NaN change counts as unsettled; areas are only
         # compared between n_g and 2*n_g at the same n
         if not np.max(np.abs(fine - coarse) / np.abs(fine)) <= rel_tol:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hierarchy import RadialFunction, mean_exit_profile
-from .model import ModelSpace, ball_radius_from_volume, balance_check
+from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
 from .pde import GridField, PolarGrid
-from .quadrature import cumulative_integral, simpson_uniform
+from .quadrature import simpson_uniform
 from .surface import PolarMetric2D, ball_area, hypothesis_report
 
 PROFILE_NODES = 1025
@@ -91,14 +91,6 @@ def level_profile(f: GridField, grid: PolarGrid) -> LevelSetProfile:
     )
 
 
-def _volume_table(model: ModelSpace, r_top: float, n: int = VOLUME_TABLE_NODES):
-    """Monotone (radius, ball volume) table for fast two-way interpolation."""
-    rs = np.linspace(0.0, r_top, n)
-    wn = model.warping.w(rs) ** (model.dim - 1)
-    vols = model.sphere_constant * cumulative_integral(wn, rs[1] - rs[0])
-    return rs, vols
-
-
 def symmetrize_field(
     f: GridField, grid: PolarGrid, model: ModelSpace
 ) -> RadialFunction:
@@ -110,8 +102,8 @@ def symmetrize_field(
     """
     prof = level_profile(f, grid)
     s_total = ball_radius_from_volume(model, prof.total_volume)
-    _, vol_of = _volume_table(model, s_total)
     table_r = np.linspace(0.0, s_total, VOLUME_TABLE_NODES)
+    vol_of = ball_volume_model(model, table_r)
     # place each level at the midpoint of its volume span: a cell's value
     # represents its whole cell, so the centered radius is second-order
     # accurate where the naive cumulative endpoint is only first-order
@@ -136,7 +128,6 @@ def check_equimeasurable(
 ) -> float:
     """Max relative gap between Vol{f >= t} and Vol{f* >= t} over level t."""
     prof = level_profile(f, grid)
-    _, vol_of = _volume_table(model, fstar.radius)
     ts = np.linspace(0.0, prof.top, t_samples)
     mu_field = prof.mu(ts)
     # f* is non-increasing on its grid: invert by reversed interpolation
@@ -144,7 +135,7 @@ def check_equimeasurable(
     rho_of_t = np.interp(ts, dec_vals[::-1], fstar.grid[::-1])
     rho_of_t[ts > dec_vals[0]] = 0.0
     table_r = np.linspace(0.0, fstar.radius, VOLUME_TABLE_NODES)
-    mu_star = np.interp(rho_of_t, table_r, vol_of)
+    mu_star = np.interp(rho_of_t, table_r, ball_volume_model(model, table_r))
     return float(np.max(np.abs(mu_field - mu_star)) / prof.total_volume)
 
 

@@ -16,7 +16,6 @@ from .hierarchy import (
     lambda1_shooting,
     mean_exit_profile,
     moment_spectrum,
-    sphere_volume_model,
 )
 from .model import (
     ModelSpace,
@@ -24,6 +23,7 @@ from .model import (
     ball_radius_from_volume,
     ball_volume_model,
     isoperimetric_quotient,
+    sphere_volume_model,
 )
 from .pde import (
     LAMBDA1_LEVELS,

@@ -15,6 +15,7 @@ from geoball.cli import (
     parse_metric_expr,
     parse_warping_expr,
 )
+from geoball.model import space_form_profile
 from geoball.surface import builtin_example_metric
 
 
@@ -181,6 +182,29 @@ def test_cli_surface_evaluates_metric_a_fixed_number_of_times(tmp_path, monkeypa
     assert calls[64] <= calls[8] <= 40
 
 
+def test_cli_model_evaluates_warping_independently_of_grid(tmp_path, monkeypatch):
+    calls = {}
+
+    def run(grid):
+        profile = space_form_profile(-1.0)
+        w = profile.w
+
+        def counted(r):
+            calls[grid] += 1
+            return w(r)
+
+        object.__setattr__(profile, "w", counted)
+        monkeypatch.setattr(geoball.cli, "parse_warping_expr", lambda text: profile)
+        calls[grid] = 0
+        assert main(["model", "--warping", "hyperbolic(1)", "--dim", "3",
+                     "--radius", "1", "--kmax", "5", "--grid", str(grid),
+                     "--output", str(tmp_path / str(grid))]) == 0
+
+    run(8)
+    run(4096)
+    assert calls[4096] <= calls[8]
+
+
 def test_write_csv_matches_per_value_format(tmp_path):
     values = np.array([
         [-1.5, 5e-324, -2.2250738585072014e-308, 1e308],
@@ -209,4 +233,25 @@ def test_cli_output_env_var(tmp_path, monkeypatch):
 def test_cli_bad_expression_exit_code(capsys):
     code = main(["model", "--warping", "spiral(2)", "--radius", "1"])
     assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--warping", "euclidean", "--radius", "1", "--grid", "0"],
+        ["model", "--warping", "euclidean", "--radius", "1", "--kmax", "0"],
+        ["surface", "--metric", "example1", "--radius", "1", "--nr", "0"],
+        ["surface", "--metric", "example1", "--radius", "1", "--ntheta", "-3"],
+        ["verify", "--metric", "example1", "--model", "euclidean", "--radius", "1",
+         "--kmax", "0"],
+        ["symmetrize", "--metric", "example1", "--model", "euclidean", "--radius",
+         "1", "--nr", "x"],
+    ],
+    ids=["grid", "kmax", "nr", "ntheta", "verify-kmax", "not-an-integer"],
+)
+def test_cli_nonpositive_count_exit_code(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from geoball.model import (
     DomainError,
@@ -21,6 +22,7 @@ from geoball.model import (
     space_form_profile,
     sphere_volume_model,
 )
+from geoball.quadrature import QuadratureError
 
 
 def test_profile_axioms_rejected():
@@ -129,8 +131,9 @@ def test_ball_radius_from_volume_roundtrip():
 
 def test_ball_radius_rejects_excess_volume():
     m = make_space_form(1.0, 2)
-    with pytest.raises(DomainError):
-        ball_radius_from_volume(m, 100.0)
+    for V in (100.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            ball_radius_from_volume(m, V)
 
 
 def test_space_form_profile_rejects_nonfinite():
@@ -144,3 +147,96 @@ def test_euclidean_profile_samples():
     assert np.allclose(p.w(rs), rs)
     assert np.allclose(p.dw(rs), 1.0)
     assert np.allclose(p.ddw(rs), 0.0)
+
+
+def _quad_integral(profile, n, r):
+    """int_0^r w^(n-1) by adaptive Gauss-Kronrod: the independent reference."""
+    f = lambda t: float(profile.w(np.array(t))) ** (n - 1)
+    return quad(f, 0.0, r, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+
+
+REFERENCE_RADII = (0.01, 0.05, 0.3, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "profile",
+    [space_form_profile(0.7), space_form_profile(-1.0), polynomial_profile((0.1, 0.01))],
+    ids=lambda p: p.label,
+)
+def test_volumes_and_quotient_match_quad_reference(profile, n):
+    m = ModelSpace(warping=profile, dim=n)
+    rs = np.array(REFERENCE_RADII)
+    ref = np.array([_quad_integral(profile, n, r) for r in rs])
+    ref_vol = m.sphere_constant * ref
+    ref_q = ref / profile.w(rs) ** (n - 1)
+    np.testing.assert_allclose(ball_volume_model(m, rs), ref_vol, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(isoperimetric_quotient(m, rs), ref_q, rtol=1e-13, atol=0)
+    for r, vol, q in zip(rs, ref_vol, ref_q):
+        assert ball_volume_model(m, float(r)) == pytest.approx(vol, rel=1e-13, abs=0)
+        assert isoperimetric_quotient(m, float(r)) == pytest.approx(q, rel=1e-13, abs=0)
+
+
+def test_ball_volume_settles_relative_to_tiny_volumes():
+    # volumes near 1e-11: an absolute stopping test would accept the
+    # 4-node rule, 0.5% off
+    m = make_space_form(1e6, 4)
+    r = 0.9 * m.r_max
+    ref = m.sphere_constant * _quad_integral(m.warping, 4, r)
+    assert ball_volume_model(m, r) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def test_balance_margin_matches_quad_reference():
+    profile, n, R = space_form_profile(0.7), 4, 2.0
+    m = ModelSpace(warping=profile, dim=n)
+    rs = np.linspace(R / 512, R, 512)
+    q = np.array([_quad_integral(profile, n, r) for r in rs]) / profile.w(rs) ** (n - 1)
+    ref = np.min(1.0 / (n - 1) - q * profile.dw(rs) / profile.w(rs))
+    assert balance_check(m, R).min_margin == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_ball_volume_array_matches_scalar():
+    m = make_space_form(-1.0, 3)
+    rs = np.array([0.0, 0.0, 0.2, 0.2, 0.9, 1.7])
+    vols = ball_volume_model(m, rs)
+    assert isinstance(vols, np.ndarray) and vols.shape == rs.shape
+    assert vols[0] == vols[1] == 0.0
+    for r, vol in zip(rs, vols):
+        scalar = ball_volume_model(m, float(r))
+        assert type(scalar) is float
+        assert vol == pytest.approx(scalar, rel=1e-13, abs=0)
+    quotients = isoperimetric_quotient(m, rs[2:])
+    assert isinstance(quotients, np.ndarray) and quotients.shape == (4,)
+    assert type(isoperimetric_quotient(m, 0.9)) is float
+    assert type(sphere_volume_model(m, 0.9)) is float
+    np.testing.assert_allclose(
+        sphere_volume_model(m, rs), [sphere_volume_model(m, float(r)) for r in rs],
+        rtol=1e-15, atol=0,
+    )
+    with pytest.raises(ValueError):
+        ball_volume_model(m, rs[::-1])
+    with pytest.raises(DomainError):
+        ball_volume_model(m, np.array([-0.1, 0.5]))
+    with pytest.raises(DomainError):
+        ball_volume_model(make_space_form(1.0, 2), np.array([1.0, 3.5]))
+    with pytest.raises(DomainError):
+        isoperimetric_quotient(m, rs)  # q is undefined at r = 0
+
+
+def test_ball_volume_raises_when_unconverged():
+    # NaN samples (the evaluator swapped after the axiom audit) never settle
+    nan_profile = space_form_profile(-1.0)
+    object.__setattr__(nan_profile, "w", lambda r: np.full(np.shape(r), np.nan))
+    with pytest.raises(QuadratureError):
+        ball_volume_model(ModelSpace(warping=nan_profile, dim=3), 1.0)
+    # a kink in w' at r = 0.5: Gauss-Legendre converges only algebraically,
+    # so the doubling budget runs out
+    kink = WarpingProfile(
+        w=lambda r: np.asarray(r, dtype=float) + 0.2 * np.maximum(r - 0.5, 0.0),
+        dw=lambda r: 1.0 + 0.2 * (np.asarray(r, dtype=float) > 0.5),
+        ddw=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        r_max=math.inf,
+        label="kink",
+    )
+    with pytest.raises(QuadratureError):
+        ball_volume_model(ModelSpace(warping=kink, dim=2), 1.0)

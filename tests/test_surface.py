@@ -57,6 +57,24 @@ def test_metric_audit_rejects_wrong_partial():
             PolarMetric2D(w=nan_where(mask), w_r=one, w_rr=zero, w_t=zero,
                           R_valid=5.0, label=label)
 
+    # w_rr off by 1e-3: the second difference still sees it
+    ex = builtin_example_metric()
+    with pytest.raises(MetricAuditError):
+        PolarMetric2D(w=ex.w, w_r=ex.w_r, w_rr=lambda r, t: ex.w_rr(r, t) + 1e-3,
+                      w_t=ex.w_t, R_valid=ex.R_valid, label="wrr-off")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda b=b: radial_metric(space_form_profile(-b)) for b in (1, 1.5, 2, 3, 9)]
+    + [builtin_example_metric, lambda: perturbed_flat_metric(10.0, 4)],
+    ids=["hyperbolic(1)", "hyperbolic(1.5)", "hyperbolic(2)", "hyperbolic(3)",
+         "hyperbolic(9)", "example1", "perturbed(10,4)"],
+)
+def test_metric_audit_accepts_valid_metrics(build):
+    # the second difference's roundoff must stay below the audit tolerance
+    assert isinstance(build(), PolarMetric2D)
+
 
 def test_example_mean_curvature_closed_forms():
     m = builtin_example_metric()
