@@ -13,23 +13,23 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .model import DomainError, ModelSpace, sphere_volume_model
 from .quadrature import cumulative_integral, simpson_uniform
 
 DEFAULT_GRID = 2048
 UNDERFLOW_FLOOR = 1e-300
+LAMBDA1_REL_TOL = 1e-10
+LAMBDA1_N_MAX = 1025
 
 
 class MomentCrossCheckError(RuntimeError):
     """Bulk and boundary moment routes disagree beyond tolerance."""
 
 
-class EigenvalueBracketError(RuntimeError):
-    """No sign change of the shooting function below the search cap."""
+class EigenvalueConvergenceError(RuntimeError):
+    """The collocated model-ball eigenvalue did not settle."""
 
 
 @dataclass(frozen=True)
@@ -205,43 +205,39 @@ def lambda1_from_moments(spec: MomentSpectrum) -> EigenvalueEstimate:
     return EigenvalueEstimate(value=value, trace=rho, converged=converged)
 
 
-def _shoot(m: ModelSpace, R: float, lam: float) -> float:
-    """Value at r = R of the radial eigenfunction started with phi(0) = 1."""
-    n = m.dim
-    r0 = min(1e-6, R * 1e-4)
-    y0 = [1.0 - lam * r0**2 / (2 * n), -lam * r0 / n]
+def lambda1_shooting(m: ModelSpace, R: float) -> float:
+    """First Dirichlet eigenvalue of the model ball B_R by Chebyshev collocation.
 
-    def rhs(r, y):
-        eta = float(m.warping.dw(np.array(r)) / m.warping.w(np.array(r)))
-        return [y[1], -(n - 1) * eta * y[1] - lam * y[0]]
-
-    sol = solve_ivp(rhs, (r0, R), y0, method="RK45", rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise RuntimeError(f"shooting integration failed: {sol.message}")
-    return float(sol.y[0, -1])
-
-
-def lambda1_shooting(m: ModelSpace, R: float, cap_factor: float = 1e6) -> float:
-    """First Dirichlet eigenvalue of the model ball by shooting + bisection."""
+    u'' + (n-1)(w'/w) u' = -lambda u is collocated at R cos(j pi/N), j = 0..N,
+    on the even extension to [-R, R] (N odd: no node at r = 0), and folded
+    onto the (N-1)/2 nodes in (0, R) with u(R) = 0 (Trefethen, Spectral
+    Methods in MATLAB, 2000).  lambda_1 is the smallest positive real
+    eigenvalue of that matrix.  N goes 17, 33, 65, ... (N -> 2N-1) until two
+    consecutive values agree to LAMBDA1_REL_TOL.  EigenvalueConvergenceError
+    is raised at once on a non-finite w'/w, and when nothing settles by
+    N = LAMBDA1_N_MAX: the O(N^4) roundoff of D^2 does that near a sphere's
+    cut locus (n = 3, R = 0.999 pi) and on large hyperbolic balls (n = 3,
+    R = 20).  The name predates the method; callers and the benchmark use it.
+    """
     m._check_radius(R)
-    base = 0.5 / R**2
-    lo, f_lo = base, _shoot(m, R, base)
-    if f_lo <= 0:
-        # already past the first zero; walk down
-        while f_lo <= 0:
-            lo /= 2.0
-            f_lo = _shoot(m, R, lo)
-            if lo < 1e-12:
-                raise EigenvalueBracketError("could not bracket from below")
-    hi = lo
-    f_hi = f_lo
-    while f_hi > 0:
-        hi *= 1.5
-        if hi > cap_factor / R**2:
-            raise EigenvalueBracketError(
-                f"no sign change of the shooting function below {hi}"
-            )
-        f_hi = _shoot(m, R, hi)
-    return float(
-        brentq(lambda lam: _shoot(m, R, lam), hi / 1.5, hi, rtol=1e-12, xtol=1e-14)
-    )
+    N, prev = 17, math.nan
+    while N <= LAMBDA1_N_MAX:
+        j = np.arange(N + 1)
+        x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(j pi/N); x[N-j] == -x[j]
+        c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+        D = np.outer(c, 1 / c) / (R * (x[:, None] - x[None, :] + np.eye(N + 1)))
+        D -= np.diag(D.sum(axis=1))  # d/dr at the nodes (Trefethen's cheb.m)
+        M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
+        eta = m.warping.dw(R * x[1 : M + 1]) / m.warping.w(R * x[1 : M + 1])
+        if not np.all(np.isfinite(eta)):
+            raise EigenvalueConvergenceError(f"non-finite w'/w in '{m.warping.label}'")
+        L = D[1 : M + 1] @ D + ((m.dim - 1) * eta)[:, None] * D[1 : M + 1]
+        # columns 0 and N drop out with u(+-R) = 0; u(-r) = u(r) folds the rest
+        ev = -np.linalg.eigvals(L[:, 1 : M + 1] + L[:, N - 1 : M : -1])
+        positive = ev.real[(ev.imag == 0) & (ev.real > 0)]
+        lam = float(positive.min()) if positive.size else math.nan
+        if abs(lam - prev) <= LAMBDA1_REL_TOL * lam:  # a NaN never settles
+            return lam
+        N, prev = 2 * N - 1, lam
+    raise EigenvalueConvergenceError(
+        f"lambda1 of '{m.warping.label}' on B_{R} unsettled at N = {LAMBDA1_N_MAX}")

@@ -285,8 +285,8 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
 
 def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> float:
     """Invert the strictly increasing ball-volume map."""
-    if not V >= 0:  # a NaN volume fails this too
-        raise DomainError(f"volume must be nonnegative, got {V}")
+    if not 0 <= V < math.inf:  # a NaN volume fails this too
+        raise DomainError(f"volume must be finite and nonnegative, got {V}")
     if V == 0:
         return 0.0
     if math.isfinite(m.r_max):
@@ -297,8 +297,11 @@ def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> floa
         hi = 1.0
         while ball_volume_model(m, hi) < V:
             hi *= 2.0
-            if hi > 1e6:
-                raise DomainError(f"volume {V} not reachable below radius 1e6")
+            with np.errstate(over="ignore"):
+                w_top = m.warping.w(np.array(hi)) ** (m.dim - 1)
+            if hi > 1e6 or not np.isfinite(w_top):
+                raise DomainError(f"volume {V} not reached below radius {hi}: "
+                                  "past the 1e6 cap, or w^(n-1) overflows there")
     return float(
         brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi, xtol=tol, rtol=8.9e-16)
     )

@@ -239,6 +239,22 @@ def test_cli_bad_expression_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["model", "--warping", "sphere(1)", "--dim", "3", "--radius", "3.1384"],
+        # moments pass at k_max = 5; the model eigenvalue does not settle
+        ["model", "--warping", "hyperbolic(1)", "--dim", "3", "--radius", "20",
+         "--kmax", "5"],
+    ],
+    ids=["sphere-cut-locus", "hyperbolic-20"],
+)
+def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["model", "--warping", "euclidean", "--radius", "1", "--grid", "0"],
         ["model", "--warping", "euclidean", "--radius", "1", "--kmax", "0"],
         ["surface", "--metric", "example1", "--radius", "1", "--nr", "0"],

@@ -136,6 +136,15 @@ def test_ball_radius_rejects_excess_volume():
             ball_radius_from_volume(m, V)
 
 
+def test_ball_radius_raises_domain_error_before_overflow():
+    # 1e300 is the volume of radius ~345.2, but the doubling bracket jumps
+    # from 256 to 512, where w^2 = sinh^2 overflows
+    m = make_space_form(-1.0, 3)
+    for V in (math.inf, 1e300):
+        with pytest.raises(DomainError):
+            ball_radius_from_volume(m, V)
+
+
 def test_space_form_profile_rejects_nonfinite():
     with pytest.raises(ValueError):
         space_form_profile(math.nan)
