@@ -227,7 +227,7 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
     fstar = symmetrize_field(field, grid, model)
     s_R = ball_radius_from_volume(model, ball_area(m, R))
     deviation = check_equimeasurable(field, fstar, model, grid)
-    lhs, rhs = integral_identity_check(m, model, R, args.nr, args.ntheta)
+    lhs, rhs = integral_identity_check(field, fstar, model)
     _write_csv(out / "symmetrized_profile.csv", ["rho", "fstar"],
                [fstar.grid, fstar.values])
     print(f"symmetrize {m.label} into {model.warping.label} R={R}")

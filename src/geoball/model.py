@@ -192,17 +192,22 @@ def ball_volume_model(
     r is a radius or a sorted 1-D array of radii (0 allowed); a radius gives
     a float.  GaussPanels integrate w^(n-1) up to every radius in one pass;
     n_g doubles until the volumes move by at most rel_tol from n_g/2 to n_g
-    nodes.  Raises QuadratureError when that does not happen within the
-    doubling budget, or at once on a non-finite sample.
+    nodes.  Raises DomainError at once when a volume overflows, and
+    QuadratureError at once on a NaN sample or when the volumes do not
+    settle within the doubling budget.
     """
     panels = GaussPanels(r)
     m._check_radius(panels.radii, allow_zero=True)
     n_g, prev = GAUSS_NODES, None
     while n_g <= GAUSS_NODES_MAX:
-        wn = m.warping.w(panels.nodes(n_g)) ** (m.dim - 1)
-        if not np.all(np.isfinite(wn)):
-            break
-        vols = m.sphere_constant * panels.cumulative(wn, n_g)
+        with np.errstate(over="ignore"):
+            wn = m.warping.w(panels.nodes(n_g)) ** (m.dim - 1)
+            vols = m.sphere_constant * panels.cumulative(wn, n_g)
+        if not np.isfinite(vols[-1]):  # the cumulative sum carries NaN and inf
+            if np.isnan(vols[-1]):
+                break
+            raise DomainError(f"ball volume of model '{m.warping.label}' "
+                              f"overflows below radius {panels.radii[-1]}")
         # a NaN change compares False, so it counts as unsettled
         if prev is not None and np.all(np.abs(vols - prev) <= rel_tol * vols):
             return float(vols[0]) if np.ndim(r) == 0 else vols
@@ -283,8 +288,22 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
     )
 
 
+def _volume_below_cap(m: ModelSpace, r: float) -> float:
+    """Ball volume at r; inf past the radius cap 1e6 or where it overflows."""
+    try:
+        return ball_volume_model(m, r) if r <= 1e6 else math.inf
+    except DomainError:
+        return math.inf
+
+
 def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> float:
-    """Invert the strictly increasing ball-volume map."""
+    """Invert the strictly increasing ball-volume map.
+
+    On a model of infinite extent the root is bracketed by doubling the
+    radius from 1; a step past the radius cap 1e6, or to a radius whose
+    volume overflows, is bisected back inside the last bracket.  A volume
+    that is not reached there is a DomainError.
+    """
     if not 0 <= V < math.inf:  # a NaN volume fails this too
         raise DomainError(f"volume must be finite and nonnegative, got {V}")
     if V == 0:
@@ -294,14 +313,14 @@ def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> floa
         if V > ball_volume_model(m, hi) * (1 + 1e-12):
             raise DomainError(f"volume {V} exceeds total model volume")
     else:
-        hi = 1.0
-        while ball_volume_model(m, hi) < V:
-            hi *= 2.0
-            with np.errstate(over="ignore"):
-                w_top = m.warping.w(np.array(hi)) ** (m.dim - 1)
-            if hi > 1e6 or not np.isfinite(w_top):
-                raise DomainError(f"volume {V} not reached below radius {hi}: "
-                                  "past the 1e6 cap, or w^(n-1) overflows there")
+        # top: the least radius tried that is past the cap or overflows
+        lo, hi, top = 0.0, 1.0, math.inf
+        while not V <= (vol := _volume_below_cap(m, hi)) < math.inf:
+            lo, top = (hi, top) if vol < V else (lo, hi)
+            if lo >= top * (1 - tol):
+                raise DomainError(f"volume {V} not reached below radius {lo}: "
+                                  "past the 1e6 cap, or the volume overflows")
+            hi = 2.0 * hi if top == math.inf else 0.5 * (lo + top)
     return float(
         brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi, xtol=tol, rtol=8.9e-16)
     )

@@ -153,27 +153,19 @@ def transplant_exit_time(
 
 
 def integral_identity_check(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 128,
-    n_theta: int = 128,
+    f: GridField, fstar: RadialFunction, model: ModelSpace
 ) -> tuple[float, float]:
-    """Integral of the transplanted exit time versus its symmetrization.
+    """Disk integral of f versus the model-ball integral of its
+    symmetrization fstar (``symmetrize_field(f, f.grid, model)``).
 
-    Equimeasurable functions share all integrals, so the disk integral of
-    the transplant must match the model-ball integral of the rearrangement
-    up to grid error.
+    Equimeasurable functions share all integrals, so the two must match up
+    to grid error.
     """
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    field = transplant_exit_time(model, R, grid)
-    lhs = field.integral()
-    fstar = symmetrize_field(field, grid, model)
     wn = model.warping.w(fstar.grid) ** (model.dim - 1)
     rhs = model.sphere_constant * simpson_uniform(
         fstar.values * wn, fstar.grid[1] - fstar.grid[0]
     )
-    return lhs, rhs
+    return f.integral(), rhs
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 from .hierarchy import (
+    RadialFunction,
+    averaged_moment,
     hierarchy_sequence,
     lambda1_shooting,
     mean_exit_profile,
@@ -22,7 +24,6 @@ from .model import (
     balance_check,
     ball_radius_from_volume,
     ball_volume_model,
-    isoperimetric_quotient,
     sphere_volume_model,
 )
 from .pde import (
@@ -39,7 +40,7 @@ from .surface import (
     _lengths_and_areas,
     hypothesis_report,
 )
-from .symmetrize import ComparisonPreconditionError, transplant_exit_time
+from .symmetrize import ComparisonPreconditionError
 
 INEQ_TOL = 1e-6
 EQUALITY_TOL = 1e-3
@@ -120,18 +121,22 @@ def _entry(name: str, inequality: str, lhs: float, rhs: float, sign: float,
 @dataclass(frozen=True)
 class VerificationContext:
     """What the report's checks share, computed once for one (metric,
-    model, R, grid): the hypothesis scan, one factorization, the hierarchy
-    fields v_1..v_max(k_max, 24) (the report levels and the eigenvalue
-    estimate are prefixes of the same fields) and the sphere lengths and
-    ball areas at the sampled radii R/4, R/2, R, both from one tensor-rule
-    pass.  Build it with ``VerificationContext.build``."""
+    model, R, grid): the hypothesis scan, the asserted direction (the
+    hypothesis direction unless overridden), one factorization, the
+    hierarchy fields v_1..v_max(k_max, 24) (the report levels and the
+    eigenvalue estimate are prefixes of the same fields), the model
+    hierarchy v_1..v_k_max on [0, R], and the sphere lengths and ball areas
+    at the sampled radii R/4, R/2, R, both from one tensor-rule pass.
+    Build it with ``VerificationContext.build``."""
 
     model: ModelSpace
     k_max: int
     hypothesis: HypothesisReport
+    direction: str
     grid: PolarGrid
     solver: HierarchySolver
     fields: tuple[GridField, ...]
+    model_levels: tuple[RadialFunction, ...]
     sphere_lengths: dict[float, float]
     ball_areas: dict[float, float]
 
@@ -144,9 +149,11 @@ class VerificationContext:
         n_r: int = 128,
         n_theta: int = 128,
         k_max: int = 5,
+        direction_override: str | None = None,
     ) -> "VerificationContext":
-        """Raises ComparisonPreconditionError when the mean-curvature
-        comparison has no uniform direction."""
+        """direction_override forces the asserted inequality direction
+        ('model<=M' or 'model>=M').  Raises ComparisonPreconditionError
+        when the mean-curvature comparison has no uniform direction."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         hyp = hypothesis_report(m, model, R)
@@ -162,76 +169,76 @@ class VerificationContext:
             model=model,
             k_max=k_max,
             hypothesis=hyp,
+            direction=direction_override or hyp.direction,
             grid=grid,
             solver=solver,
             fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
+            model_levels=tuple(hierarchy_sequence(model, R, k_max, N=4096)),
             sphere_lengths=dict(zip(radii, lengths.tolist())),
             ball_areas=dict(zip(radii, areas.tolist())),
         )
 
     @property
     def sign(self) -> float:
-        return _sign(self.hypothesis.direction)
+        return _sign(self.direction)
 
     @property
     def tol(self) -> float:
         return _tol_for(self.hypothesis.direction)
 
 
-def verify_mean_exit(ctx: VerificationContext, sign: float | None = None) -> Entry:
+def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
+                     inequality: str) -> Entry:
+    """Worst signed gap between the transplanted model level v_k and the
+    grid level v_k over the center and the interior rings, normalized by
+    the model's v_k(0)."""
+    level, grid_field = ctx.model_levels[k - 1], ctx.fields[k - 1]
+    top = float(level(0.0))
+    gap = ctx.sign * (level(ctx.grid.radii[1:-1])[:, None] - grid_field.rings[:-1])
+    worst = min(float(gap.min()), ctx.sign * (top - grid_field.center))
+    return _entry(name, inequality, worst, 0.0, 1.0, scale=top, tol=ctx.tol)
+
+
+def verify_mean_exit(ctx: VerificationContext) -> Entry:
     """Transplanted model exit time dominates the metric exit time (per
-    the hypothesis direction), checked pointwise on the grid."""
-    s = ctx.sign if sign is None else sign
-    transplant = transplant_exit_time(ctx.model, ctx.grid.R, ctx.grid)
-    v1 = ctx.fields[0]
-    gap = s * (transplant.rings[:-1] - v1.rings[:-1])
-    gap_center = s * (transplant.center - v1.center)
-    scale = transplant.max_abs()
-    worst = min(float(gap.min()), gap_center)
-    return _entry(
-        "mean_exit_transplant",
-        "transplant >= exit_time" if s > 0 else "transplant <= exit_time",
-        worst,
-        0.0,
-        1.0,
-        scale=scale,
-        tol=ctx.tol,
+    the asserted direction), checked pointwise on the grid."""
+    return _pointwise_entry(
+        ctx, 1, "mean_exit_transplant",
+        "transplant >= exit_time" if ctx.sign > 0 else "transplant <= exit_time",
     )
 
 
-def verify_isoperimetric_volumes(
-    ctx: VerificationContext, sign: float | None = None
-) -> list[Entry]:
+def verify_isoperimetric_volumes(ctx: VerificationContext) -> list[Entry]:
     """Isoperimetric quotient and volume comparisons at the sampled radii."""
-    s = ctx.sign if sign is None else sign
-    model, tol = ctx.model, ctx.tol
+    s, model, tol = ctx.sign, ctx.model, ctx.tol
+    radii = list(ctx.ball_areas)  # sorted
+    vols_ball = ball_volume_model(model, radii).tolist()
+    vols_sphere = sphere_volume_model(model, radii).tolist()
     entries = []
-    for r, area in ctx.ball_areas.items():
-        q_model = isoperimetric_quotient(model, r)
+    for (r, area), vol_ball, vol_sphere in zip(ctx.ball_areas.items(), vols_ball,
+                                               vols_sphere):
         length = ctx.sphere_lengths[r]
-        q_metric = area / length
+        q_model = vol_ball / vol_sphere
         entries.append(
             _entry(
                 f"isoperimetric_quotient(r={r})",
                 "q_model >= q_metric" if s > 0 else "q_model <= q_metric",
                 q_model,
-                q_metric,
+                area / length,
                 s,
                 scale=q_model,
                 tol=tol,
             )
         )
-        vol_ball_model = ball_volume_model(model, r)
-        vol_sphere_model = sphere_volume_model(model, r)
         entries.append(
             _entry(
                 f"ball_volume(r={r})",
                 "Vol(B_model) <= Vol(B_metric)" if s > 0 else
                 "Vol(B_model) >= Vol(B_metric)",
                 area,
-                vol_ball_model,
+                vol_ball,
                 s,
-                scale=vol_ball_model,
+                scale=vol_ball,
                 tol=tol,
             )
         )
@@ -241,50 +248,31 @@ def verify_isoperimetric_volumes(
                 "Vol(S_model) <= Vol(S_metric)" if s > 0 else
                 "Vol(S_model) >= Vol(S_metric)",
                 length,
-                vol_sphere_model,
+                vol_sphere,
                 s,
-                scale=vol_sphere_model,
+                scale=vol_sphere,
                 tol=tol,
             )
         )
     return entries
 
 
-def verify_moment_spectrum(
-    ctx: VerificationContext, sign: float | None = None
-) -> list[Entry]:
+def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
     """Pointwise hierarchy domination and averaged-moment comparison for
     k = 1..ctx.k_max."""
-    s = ctx.sign if sign is None else sign
-    R, model, k_max, tol = ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
-    grid_fields = ctx.fields[:k_max]
-    model_levels = hierarchy_sequence(model, R, k_max, N=4096)
-    entries = []
-    for k in range(1, k_max + 1):
-        transplant = model_levels[k - 1](ctx.grid.radii[1:])[:, None]
-        gap = s * (transplant - grid_fields[k - 1].rings)
-        gap_center = s * (
-            float(model_levels[k - 1](0.0)) - grid_fields[k - 1].center
+    s, R, model, k_max, tol = ctx.sign, ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
+    entries = [
+        _pointwise_entry(
+            ctx, k, f"hierarchy_pointwise(k={k})",
+            "transplant >= grid" if s > 0 else "transplant <= grid",
         )
-        scale = float(model_levels[k - 1](0.0))
-        worst = min(float(gap[:-1].min()), gap_center)
-        entries.append(
-            _entry(
-                f"hierarchy_pointwise(k={k})",
-                "transplant >= grid" if s > 0 else "transplant <= grid",
-                worst,
-                0.0,
-                1.0,
-                scale=scale,
-                tol=tol,
-            )
-        )
+        for k in range(1, k_max + 1)
+    ]
     spec_model = moment_spectrum(model, R, k_max, N=4096)
-    spec_grid = moments_grid(ctx.grid, grid_fields)
-    vol_s_model = sphere_volume_model(model, R)
+    spec_grid = moments_grid(ctx.grid, ctx.fields[:k_max])
     vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):
-        avg_model = spec_model.moment(k) / vol_s_model
+        avg_model = averaged_moment(spec_model, model, k)
         avg_grid = spec_grid.moment(k) / vol_s_metric
         entries.append(
             _entry(
@@ -301,13 +289,10 @@ def verify_moment_spectrum(
     return entries
 
 
-def verify_torsional(
-    ctx: VerificationContext, sign: float | None = None
-) -> list[Entry]:
+def verify_torsional(ctx: VerificationContext) -> list[Entry]:
     """Torsional rigidity of the equal-volume model ball versus the disk,
     plus the coarse exit-time bound on the disk rigidity."""
-    s = ctx.sign if sign is None else sign
-    model, R, tol = ctx.model, ctx.grid.R, ctx.tol
+    s, model, R, tol = ctx.sign, ctx.model, ctx.grid.R, ctx.tol
     s_R = ball_radius_from_volume(model, ctx.ball_areas[R])
     if not balance_check(model, max(R, s_R)).balanced:
         raise ComparisonPreconditionError(
@@ -344,9 +329,9 @@ def verify_torsional(
     return entries
 
 
-def verify_eigenvalue(ctx: VerificationContext, sign: float | None = None) -> Entry:
+def verify_eigenvalue(ctx: VerificationContext) -> Entry:
     """First Dirichlet eigenvalue of the model ball versus the metric disk."""
-    s = ctx.sign if sign is None else sign
+    s = ctx.sign
     lam_model = lambda1_shooting(ctx.model, ctx.grid.R)
     fields = ctx.fields[:LAMBDA1_LEVELS]
     lam_metric = lambda1_from_solver(ctx.solver, fields).power_value
@@ -374,18 +359,18 @@ def run_verification(
     """Full harness.  direction_override forces the asserted inequality
     direction ('model<=M' or 'model>=M'); it exists as a negative control
     and must make a healthy run fail."""
-    ctx = VerificationContext.build(m, model, R, n_r, n_theta, k_max)
-    s = _sign(direction_override) if direction_override else ctx.sign
-    entries: list[Entry] = [verify_mean_exit(ctx, sign=s)]
-    entries.extend(verify_isoperimetric_volumes(ctx, sign=s))
-    entries.extend(verify_moment_spectrum(ctx, sign=s))
-    entries.extend(verify_torsional(ctx, sign=s))
-    entries.append(verify_eigenvalue(ctx, sign=s))
+    ctx = VerificationContext.build(m, model, R, n_r, n_theta, k_max,
+                                    direction_override)
+    entries: list[Entry] = [verify_mean_exit(ctx)]
+    entries.extend(verify_isoperimetric_volumes(ctx))
+    entries.extend(verify_moment_spectrum(ctx))
+    entries.extend(verify_torsional(ctx))
+    entries.append(verify_eigenvalue(ctx))
     return VerificationReport(
         metric=m.label,
         model=model.warping.label,
         radius=R,
-        direction=direction_override or ctx.hypothesis.direction,
+        direction=ctx.direction,
         hypothesis_min_margin=ctx.hypothesis.min_margin,
         entries=tuple(entries),
         grid=(n_r, n_theta),

@@ -134,6 +134,27 @@ def test_cli_verify_deterministic(tmp_path):
     assert a == b
 
 
+def test_cli_symmetrize_symmetrizes_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    grid_cls = geoball.cli.PolarGrid
+    monkeypatch.setattr(grid_cls, "__post_init__",
+                        counted("grid", grid_cls.__post_init__))
+    symmetrize = counted("symmetrize", geoball.symmetrize.symmetrize_field)
+    for module in (geoball.cli, geoball.symmetrize):
+        monkeypatch.setattr(module, "symmetrize_field", symmetrize)
+    rc = main(["symmetrize", "--metric", "example1", "--model", "euclidean",
+               "--radius", "1", "--output", str(tmp_path)])
+    assert rc == 0
+    assert sorted(calls) == ["grid", "symmetrize"]
+
+
 def test_cli_symmetrize(tmp_path, capsys):
     code = main([
         "symmetrize", "--metric", "example1", "--model", "euclidean",

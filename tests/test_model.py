@@ -1,10 +1,12 @@
 """Tests for warping profiles, model-space geometry and the balance check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from geoball.model import (
     DomainError,
@@ -137,12 +139,24 @@ def test_ball_radius_rejects_excess_volume():
 
 
 def test_ball_radius_raises_domain_error_before_overflow():
-    # 1e300 is the volume of radius ~345.2, but the doubling bracket jumps
-    # from 256 to 512, where w^2 = sinh^2 overflows
-    m = make_space_form(-1.0, 3)
-    for V in (math.inf, 1e300):
+    # inf is no volume; 1e13 would need radius 1.8e6, past the 1e6 cap
+    for m, V in ((make_space_form(-1.0, 3), math.inf), (make_space_form(0.0, 2), 1e13)):
         with pytest.raises(DomainError):
             ball_radius_from_volume(m, V)
+    # 1e300 is the volume of radius ~345.2: the doubling bracket steps from
+    # 256 to 512, where w^2 = sinh^2 overflows, and bisects back from there
+    m = make_space_form(-1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ball_radius_from_volume(m, 1e300)
+    exact = brentq(lambda t: math.pi * (math.sinh(2 * t) - 2 * t) - 1e300, 340.0, 350.0)
+    assert r == pytest.approx(exact, rel=1e-12, abs=0)
+    assert ball_volume_model(m, r) == pytest.approx(1e300, rel=1e-12, abs=0)
+    # radius 564189.58: the bracket steps from 524288 past the cap
+    m = make_space_form(0.0, 2)
+    r = ball_radius_from_volume(m, 1e12)
+    assert r == pytest.approx(math.sqrt(1e12 / math.pi), rel=1e-12, abs=0)
+    assert ball_volume_model(m, r) == pytest.approx(1e12, rel=1e-12, abs=0)
 
 
 def test_space_form_profile_rejects_nonfinite():
@@ -228,6 +242,8 @@ def test_ball_volume_array_matches_scalar():
         ball_volume_model(m, np.array([-0.1, 0.5]))
     with pytest.raises(DomainError):
         ball_volume_model(make_space_form(1.0, 2), np.array([1.0, 3.5]))
+    with pytest.raises(DomainError):
+        ball_volume_model(m, np.array([0.5, 512.0]))  # sinh^2 overflows
     with pytest.raises(DomainError):
         isoperimetric_quotient(m, rs)  # q is undefined at r = 0
 

@@ -295,6 +295,8 @@ def test_grid_metric_mismatch_rejected(flat_grid):
     ex = builtin_example_metric()
     with pytest.raises(ValueError):
         solve_hierarchy_grid(ex, flat_grid, 1)
+    with pytest.raises(ValueError):
+        lambda1_grid(ex, flat_grid)
 
 
 def test_gridfield_shape_checked(flat_grid):

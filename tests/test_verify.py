@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from geoball import pde, verify
+from geoball import hierarchy, pde, symmetrize, verify
 from geoball.model import euclidean_profile, make_space_form
 from geoball.surface import builtin_example_metric, radial_metric, sphere_length
 from geoball.symmetrize import ComparisonPreconditionError
@@ -174,15 +174,36 @@ def test_one_factorization_and_one_scan_per_report(example, flat_model, monkeypa
     assert (len(builds), len(scans)) == (2, 2)
 
 
+def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch):
+    # one direct solve per hierarchy level (radial grids solve through
+    # _fourier_solve, which the solver binds when it is built)
+    solves = _count_calls(monkeypatch, pde, "_fourier_solve")
+    solver = pde.HierarchySolver(pde.make_grid(radial_metric(euclidean_profile()),
+                                               1.0, 16, 16))
+    solver.hierarchy(pde.LAMBDA1_LEVELS)
+    assert len(solves) == pde.LAMBDA1_LEVELS
+    # the model side is built once, in the context: the model hierarchy
+    # once, and no separate transplanted exit time
+    sequences = _count_calls(monkeypatch, verify, "hierarchy_sequence")
+    arrays = _count_calls(monkeypatch, hierarchy, "_hierarchy_arrays")
+    transplants = _count_calls(monkeypatch, symmetrize, "transplant_exit_time")
+    # a call through either module's binding counts
+    monkeypatch.setattr(verify, "transplant_exit_time",
+                        symmetrize.transplant_exit_time, raising=False)
+    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32)
+    # model levels, the moment spectrum, and the torsion spectrum and profile
+    assert (len(sequences), len(arrays), len(transplants)) == (1, 4, 0)
+
+
 @pytest.mark.parametrize("override", [None, "model>=M"])
 def test_standalone_checks_match_report(example, flat_model, override):
     rep = run_verification(example, flat_model, 1.0, n_r=32, n_theta=32,
                            direction_override=override)
-    ctx = VerificationContext.build(example, flat_model, 1.0, n_r=32, n_theta=32)
-    s = -ctx.sign if override else None
-    entries = [verify_mean_exit(ctx, sign=s),
-               *verify_isoperimetric_volumes(ctx, sign=s),
-               *verify_moment_spectrum(ctx, sign=s),
-               *verify_torsional(ctx, sign=s),
-               verify_eigenvalue(ctx, sign=s)]
+    ctx = VerificationContext.build(example, flat_model, 1.0, n_r=32, n_theta=32,
+                                    direction_override=override)
+    entries = [verify_mean_exit(ctx),
+               *verify_isoperimetric_volumes(ctx),
+               *verify_moment_spectrum(ctx),
+               *verify_torsional(ctx),
+               verify_eigenvalue(ctx)]
     assert tuple(entries) == rep.entries
