@@ -49,7 +49,6 @@ from .pde import (
     lambda1_grid,
     make_grid,
     moments_grid,
-    solve_hierarchy_grid,
 )
 from .symmetrize import (
     LevelSetProfile,

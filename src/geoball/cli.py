@@ -31,8 +31,9 @@ from .model import (
     space_form_profile,
     polynomial_profile,
 )
-from .pde import PolarGrid, lambda1_grid
+from .pde import PolarGrid
 from .surface import (
+    LENGTH_REL_TOL,
     METRIC_REGISTRY,
     PolarMetric2D,
     _lengths_and_areas,
@@ -46,6 +47,7 @@ from .surface import (
 from .symmetrize import (
     check_equimeasurable,
     integral_identity_check,
+    level_profile,
     symmetrize_field,
     transplant_exit_time,
 )
@@ -177,7 +179,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                [rr.ravel(), tt.ravel(),
                 sphere_mean_curvature(m, rr, tt).ravel(),
                 gauss_curvature(m, rr, tt).ravel()])
-    lengths, areas = _lengths_and_areas(m, rs, rel_tol=1e-10)
+    lengths, areas = _lengths_and_areas(m, rs, LENGTH_REL_TOL)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])
     print(f"metric {m.label} R={R}")
@@ -223,10 +225,11 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
     R = args.radius
     out = _output_dir(args.output)
     grid = PolarGrid(metric=m, R=R, n_r=args.nr, n_theta=args.ntheta)
-    field = transplant_exit_time(model, R, grid)
-    fstar = symmetrize_field(field, grid, model)
+    field = transplant_exit_time(model, grid)
+    prof = level_profile(field)
+    fstar = symmetrize_field(prof, model)
     s_R = ball_radius_from_volume(model, ball_area(m, R))
-    deviation = check_equimeasurable(field, fstar, model, grid)
+    deviation = check_equimeasurable(prof, fstar, model)
     lhs, rhs = integral_identity_check(field, fstar, model)
     _write_csv(out / "symmetrized_profile.csv", ["rho", "fstar"],
                [fstar.grid, fstar.values])

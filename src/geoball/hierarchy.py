@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .model import DomainError, ModelSpace, sphere_volume_model
+from .model import ModelSpace, sphere_volume_model
 from .quadrature import cumulative_integral, simpson_uniform
 
 DEFAULT_GRID = 2048
+# largest relative gap between the bulk and boundary routes of a moment
+CROSS_CHECK_TOL = 1e-6
 UNDERFLOW_FLOOR = 1e-300
 LAMBDA1_REL_TOL = 1e-10
 LAMBDA1_N_MAX = 1025
@@ -117,9 +119,10 @@ def _hierarchy_arrays(
     return grid, wn, levels
 
 
-def mean_exit_profile(m: ModelSpace, R: float, N: int = DEFAULT_GRID) -> RadialFunction:
-    """Mean exit time E(r) = int_r^R q(t) dt on a uniform grid over [0, R]."""
-    grid, _, levels = _hierarchy_arrays(m, R, 1, N)
+def mean_exit_profile(m: ModelSpace, R: float) -> RadialFunction:
+    """Mean exit time E(r) = int_r^R q(t) dt on DEFAULT_GRID uniform
+    intervals of [0, R]."""
+    grid, _, levels = _hierarchy_arrays(m, R, 1, DEFAULT_GRID)
     return RadialFunction(grid=grid, values=levels[1])
 
 
@@ -151,13 +154,12 @@ def moment_spectrum(
     R: float,
     k_max: int,
     N: int = DEFAULT_GRID,
-    cross_check_tol: float = 1e-6,
 ) -> MomentSpectrum:
     """Normalized moments A_k/k! = c * int_0^R v_k w^(n-1), k = 0..k_max.
 
     Each moment is recomputed through the boundary flux of the next
     hierarchy level (divergence-theorem identity); disagreement beyond
-    cross_check_tol relative raises MomentCrossCheckError.
+    CROSS_CHECK_TOL relative raises MomentCrossCheckError.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -170,10 +172,10 @@ def moment_spectrum(
     for k in range(avail + 1):
         bulk = c * simpson_uniform(levels[k] * wn, dr)
         boundary = -_boundary_derivative(levels[k + 1], dr) * vol_sphere
-        if abs(bulk - boundary) > cross_check_tol * max(abs(bulk), abs(boundary)):
+        if abs(bulk - boundary) > CROSS_CHECK_TOL * max(abs(bulk), abs(boundary)):
             raise MomentCrossCheckError(
-                f"moment cross-check failed at k={k}: bulk={bulk}, "
-                f"boundary={boundary}; increase the grid resolution"
+                f"moment cross-check failed at k={k} with N={N}: "
+                f"bulk={bulk}, boundary={boundary}"
             )
         moments[k] = bulk
     return MomentSpectrum(normalized=moments, radius=R, dim=m.dim)

@@ -18,6 +18,12 @@ from scipy.optimize import brentq
 from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 BALANCE_TOL = 1e-9
+# radii sampled on (0, R] by balance_check
+BALANCE_SAMPLES = 512
+# relative change of the ball volumes at which the node doubling stops
+VOLUME_REL_TOL = 1e-11
+# relative width below which the radius bracket of a volume counts as empty
+RADIUS_BRACKET_TOL = 1e-12
 
 
 class DomainError(ValueError):
@@ -184,17 +190,15 @@ def sphere_volume_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndar
     return float(vol) if np.ndim(r) == 0 else vol
 
 
-def ball_volume_model(
-    m: ModelSpace, r: float | np.ndarray, rel_tol: float = 1e-11
-) -> float | np.ndarray:
+def ball_volume_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarray:
     """Volume c_n int_0^r w^(n-1) of the geodesic ball of radius r.
 
     r is a radius or a sorted 1-D array of radii (0 allowed); a radius gives
     a float.  GaussPanels integrate w^(n-1) up to every radius in one pass;
-    n_g doubles until the volumes move by at most rel_tol from n_g/2 to n_g
-    nodes.  Raises DomainError at once when a volume overflows, and
-    QuadratureError at once on a NaN sample or when the volumes do not
-    settle within the doubling budget.
+    n_g doubles until the volumes move by at most VOLUME_REL_TOL relative
+    from n_g/2 to n_g nodes.  Raises DomainError at once when a volume
+    overflows, and QuadratureError at once on a NaN sample or when the
+    volumes do not settle within the doubling budget.
     """
     panels = GaussPanels(r)
     m._check_radius(panels.radii, allow_zero=True)
@@ -209,12 +213,12 @@ def ball_volume_model(
             raise DomainError(f"ball volume of model '{m.warping.label}' "
                               f"overflows below radius {panels.radii[-1]}")
         # a NaN change compares False, so it counts as unsettled
-        if prev is not None and np.all(np.abs(vols - prev) <= rel_tol * vols):
+        if prev is not None and np.all(np.abs(vols - prev) <= VOLUME_REL_TOL * vols):
             return float(vols[0]) if np.ndim(r) == 0 else vols
         n_g, prev = 2 * n_g, vols
     raise QuadratureError(
         f"ball volumes of model '{m.warping.label}' did not converge to "
-        f"rel_tol={rel_tol} on [0, {panels.radii[-1]}]"
+        f"rel_tol={VOLUME_REL_TOL} on [0, {panels.radii[-1]}]"
     )
 
 
@@ -237,20 +241,19 @@ class BalanceReport:
     note: str
 
 
-def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
+def balance_check(m: ModelSpace, R: float) -> BalanceReport:
     """Check the balanced-from-above condition q*eta <= 1/(n-1) on (0, R].
 
-    Three equivalent criteria are evaluated on the same radius sample:
+    Three equivalent criteria are evaluated on the same BALANCE_SAMPLES
+    radii:
     the quotient-times-curvature margin, nonnegativity of q' (by finite
     differences), and the closed-form inequality
     w^n >= (n-1) w' * int_0^r w^(n-1).  Disagreement between the verdicts
     raises BalanceInconsistencyError.
     """
     m._check_radius(R)
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     n = m.dim
-    rs = np.linspace(R / samples, R, samples)
+    rs = np.linspace(R / BALANCE_SAMPLES, R, BALANCE_SAMPLES)
     q = isoperimetric_quotient(m, rs)
     eta = m.warping.dw(rs) / m.warping.w(rs)
 
@@ -283,7 +286,7 @@ def balance_check(m: ModelSpace, R: float, samples: int = 512) -> BalanceReport:
         argmin=float(rs[i]),
         quotient_derivative_min=float(margin2.min()),
         closed_form_min=float(margin3.min()),
-        note=f"checked on (0, {R}] with {samples} samples; "
+        note=f"checked on (0, {R}] with {BALANCE_SAMPLES} samples; "
         "the global (all r >= 0) variant is not certified",
     )
 
@@ -296,8 +299,9 @@ def _volume_below_cap(m: ModelSpace, r: float) -> float:
         return math.inf
 
 
-def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> float:
-    """Invert the strictly increasing ball-volume map.
+def ball_radius_from_volume(m: ModelSpace, V: float) -> float:
+    """Invert the strictly increasing ball-volume map to a relative radius
+    tolerance, so that tiny volumes keep their accuracy.
 
     On a model of infinite extent the root is bracketed by doubling the
     radius from 1; a step past the radius cap 1e6, or to a radius whose
@@ -317,10 +321,10 @@ def ball_radius_from_volume(m: ModelSpace, V: float, tol: float = 1e-12) -> floa
         lo, hi, top = 0.0, 1.0, math.inf
         while not V <= (vol := _volume_below_cap(m, hi)) < math.inf:
             lo, top = (hi, top) if vol < V else (lo, hi)
-            if lo >= top * (1 - tol):
+            if lo >= top * (1 - RADIUS_BRACKET_TOL):
                 raise DomainError(f"volume {V} not reached below radius {lo}: "
                                   "past the 1e6 cap, or the volume overflows")
             hi = 2.0 * hi if top == math.inf else 0.5 * (lo + top)
-    return float(
-        brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi, xtol=tol, rtol=8.9e-16)
-    )
+    # xtol: the least positive double, so that rtol alone sets the accuracy
+    return float(brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi,
+                        xtol=math.ulp(0.0), rtol=8.9e-16))

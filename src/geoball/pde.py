@@ -34,6 +34,13 @@ from .surface import PolarMetric2D
 TWO_PI = 2.0 * math.pi
 # hierarchy depth behind the moment-ratio eigenvalue estimate
 LAMBDA1_LEVELS = 24
+# largest normwise backward error of a hierarchy solve
+RESIDUAL_TOL = 1e-10
+# inverse power iteration: relative eigenvalue change to stop at, step budget
+POWER_TOL = 1e-8
+POWER_MAX_ITER = 500
+# largest relative gap between the moment-ratio and power eigenvalues
+AGREEMENT_TOL = 0.05
 
 
 class ResolutionError(RuntimeError):
@@ -212,18 +219,16 @@ def _vec_to_field(grid: PolarGrid, x: np.ndarray) -> GridField:
     return GridField(grid=grid, center=float(x[0]), rings=rings)
 
 
-def apply_laplacian(
-    m: PolarMetric2D, grid: PolarGrid, f: GridField, form: str = "divergence"
-) -> GridField:
-    """Discrete Laplacian of f; the boundary ring of the result is zeroed.
+def apply_laplacian(f: GridField, form: str = "divergence") -> GridField:
+    """Discrete Laplacian of f on its grid; the boundary ring of the result
+    is zeroed.
 
     'divergence' is the flux-balanced second-order scheme used by the
     solver (its flux matrix, applied); 'expanded' discretizes the
     coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t and
     exists as an independent audit.
     """
-    if m is not grid.metric:
-        raise ValueError("field grid was built for a different metric")
+    grid = f.grid
     if form == "divergence":
         flux, c_radial, _ = _assemble_flux(grid)
         y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
@@ -231,7 +236,7 @@ def apply_laplacian(
         return _vec_to_field(grid, y / _unknown_areas(grid))
     if form != "expanded":
         raise ValueError(f"unknown form '{form}'")
-    dr, dt = grid.dr, grid.dtheta
+    m, dr, dt = grid.metric, grid.dr, grid.dtheta
     ntheta = grid.n_theta
     vals = f.rings  # (n_r, n_theta)
     rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
@@ -293,7 +298,9 @@ class HierarchySolver:
         """Solve L v = rhs by one direct solve of the flux system."""
         return self._flux_solve(self.areas * rhs)
 
-    def hierarchy(self, k_max: int, residual_tol: float = 1e-10) -> list[GridField]:
+    def hierarchy(self, k_max: int) -> list[GridField]:
+        """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
+        solve per level."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if k_max > 64:
@@ -309,41 +316,34 @@ class HierarchySolver:
             res = np.max(np.abs(self.flux @ v_next + rhs)) / (
                 self._flux_norm * np.max(np.abs(v_next)) + np.max(np.abs(rhs))
             )
-            if res > residual_tol:
+            if res > RESIDUAL_TOL:
                 raise ResolutionError(f"Poisson solve residual {res} too large")
             levels.append(_vec_to_field(self.grid, v_next))
             v = v_next
         return levels
 
-    def smallest_eigenvalue(
-        self, tol: float = 1e-8, max_iter: int = 500
-    ) -> float:
+    def smallest_eigenvalue(self) -> float:
         """Smallest Dirichlet eigenvalue by inverse power iteration on the
         area-weighted pencil (-flux, areas)."""
         rng = np.random.default_rng(7)
         x = rng.standard_normal(len(self.areas))
         lam_prev = 0.0
-        for _ in range(max_iter):
+        for _ in range(POWER_MAX_ITER):
             y = self._flux_solve(self.areas * x)
             y /= np.linalg.norm(y)
             lam = -float(y @ (self.flux @ y)) / float(y @ (self.areas * y))
-            if abs(lam - lam_prev) <= tol * abs(lam):
+            if abs(lam - lam_prev) <= POWER_TOL * abs(lam):
                 return lam
             lam_prev, x = lam, y
         raise ResolutionError("inverse power iteration did not converge")
 
 
-def solve_hierarchy_grid(
-    m: PolarMetric2D, grid: PolarGrid, k_max: int
-) -> list[GridField]:
-    """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, by direct sparse solves."""
-    if m is not grid.metric:
-        raise ValueError("grid was built for a different metric")
-    return HierarchySolver(grid).hierarchy(k_max)
-
-
-def moments_grid(grid: PolarGrid, fields: Sequence[GridField]) -> MomentSpectrum:
-    """Normalized moments from hierarchy grid fields; index 0 is the disk area."""
+def moments_grid(fields: Sequence[GridField]) -> MomentSpectrum:
+    """Normalized moments from hierarchy grid fields; index 0 is the area
+    of their disk."""
+    if not fields:
+        raise ValueError("need at least one hierarchy field")
+    grid = fields[0].grid
     moments = np.empty(len(fields) + 1)
     moments[0] = grid.total_area()
     for k, f in enumerate(fields, start=1):
@@ -358,30 +358,24 @@ class GridEigenvalue:
     moment_estimate: EigenvalueEstimate
 
 
-def lambda1_grid(
-    m: PolarMetric2D,
-    grid: PolarGrid,
-    k_max: int = LAMBDA1_LEVELS,
-    agreement_tol: float = 0.05,
-) -> GridEigenvalue:
-    """First Dirichlet eigenvalue two ways: moment-ratio limit and inverse
-    power iteration.  Disagreement beyond agreement_tol raises."""
+def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
+    """First Dirichlet eigenvalue two ways: moment-ratio limit of
+    LAMBDA1_LEVELS levels and inverse power iteration.  Disagreement beyond
+    AGREEMENT_TOL raises."""
     if m is not grid.metric:
         raise ValueError("grid was built for a different metric")
     solver = HierarchySolver(grid)
-    return lambda1_from_solver(solver, solver.hierarchy(k_max), agreement_tol)
+    return lambda1_from_solver(solver, solver.hierarchy(LAMBDA1_LEVELS))
 
 
 def lambda1_from_solver(
-    solver: HierarchySolver,
-    fields: Sequence[GridField],
-    agreement_tol: float = 0.05,
+    solver: HierarchySolver, fields: Sequence[GridField]
 ) -> GridEigenvalue:
     """lambda1_grid on an existing factorization and its hierarchy fields
     (``solver.hierarchy(k)``, or a prefix of a deeper one)."""
-    est = lambda1_from_moments(moments_grid(solver.grid, fields))
+    est = lambda1_from_moments(moments_grid(fields))
     power = solver.smallest_eigenvalue()
-    if abs(est.value - power) > agreement_tol * power:
+    if abs(est.value - power) > AGREEMENT_TOL * power:
         raise ResolutionError(
             f"eigenvalue routes disagree: moments={est.value}, power={power}"
         )

@@ -207,6 +207,12 @@ def gauss_curvature(
 
 # Starting and largest angle counts of the tensor rule: its theta budget.
 _THETA_NODES, _THETA_NODES_MAX = 16, 16 << 10
+# relative accuracy of sphere_length and of ball_area
+LENGTH_REL_TOL = 1e-10
+AREA_REL_TOL = 1e-9
+# hypothesis_report: scan grid (radii, angles) and the |gap| counted as zero
+HYPOTHESIS_N_R = HYPOTHESIS_N_THETA = 256
+HYPOTHESIS_TOL = 1e-9
 
 
 def _lengths_and_areas(
@@ -255,23 +261,19 @@ def _lengths_and_areas(
     )
 
 
-def sphere_length(
-    m: PolarMetric2D, r: float | np.ndarray, rel_tol: float = 1e-10
-) -> float | np.ndarray:
+def sphere_length(m: PolarMetric2D, r: float | np.ndarray) -> float | np.ndarray:
     """Length of the distance circle: int_0^{2pi} w(r, theta) dtheta.
 
     r is a radius or a sorted 1-D array of radii; a radius gives a float."""
-    lengths = _lengths_and_areas(m, r, rel_tol)[0]
+    lengths = _lengths_and_areas(m, r, LENGTH_REL_TOL)[0]
     return float(lengths[0]) if np.ndim(r) == 0 else lengths
 
 
-def ball_area(
-    m: PolarMetric2D, r: float | np.ndarray, rel_tol: float = 1e-9
-) -> float | np.ndarray:
+def ball_area(m: PolarMetric2D, r: float | np.ndarray) -> float | np.ndarray:
     """Area of the geodesic disk: int_0^r length(t) dt.
 
     r is a radius or a sorted 1-D array of radii; a radius gives a float."""
-    areas = _lengths_and_areas(m, r, rel_tol)[1]
+    areas = _lengths_and_areas(m, r, AREA_REL_TOL)[1]
     return float(areas[0]) if np.ndim(r) == 0 else areas
 
 
@@ -290,28 +292,22 @@ class HypothesisReport:
         return self.direction in ("model<=M", "model>=M", "equal")
 
 
-def hypothesis_report(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 256,
-    n_theta: int = 256,
-    tol: float = 1e-9,
-) -> HypothesisReport:
+def hypothesis_report(m: PolarMetric2D, model: ModelSpace, R: float) -> HypothesisReport:
     """Grid scan of the mean-curvature gap H_M - eta_model on (0, R] x [0, 2pi)."""
     if model.dim != 2:
         raise ValueError("hypothesis check requires a 2-D model space")
     m._check_radius(R)
     if R >= model.r_max:
         raise DomainError(f"radius {R} exceeds the model domain {model.r_max}")
-    rs = np.linspace(R / n_r, R, n_r)
-    ts = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    rs = np.linspace(R / HYPOTHESIS_N_R, R, HYPOTHESIS_N_R)
+    ts = np.linspace(0.0, TWO_PI, HYPOTHESIS_N_THETA, endpoint=False)
     rr, tt = np.meshgrid(rs, ts, indexing="ij")
     h_metric = sphere_mean_curvature(m, rr, tt)
     eta = (model.warping.dw(rs) / model.warping.w(rs))[:, None]
     gap = h_metric - eta
     gmin, gmax = float(gap.min()), float(gap.max())
     i, j = np.unravel_index(np.argmin(gap), gap.shape)
+    tol = HYPOTHESIS_TOL
     if gmin >= -tol and gmax <= tol:
         direction = "equal"
     elif gmin >= -tol:

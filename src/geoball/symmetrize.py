@@ -7,7 +7,6 @@ by construction, which is what the comparison statements consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,10 @@ from .surface import PolarMetric2D, ball_area, hypothesis_report
 
 PROFILE_NODES = 1025
 VOLUME_TABLE_NODES = 8193
+# levels at which check_equimeasurable compares the two distributions
+EQUIMEASURABLE_LEVELS = 128
+# grid of the transplanted exit time in symmetrized_profile_comparison
+COMPARISON_N_R = COMPARISON_N_THETA = 128
 
 
 class ComparisonPreconditionError(RuntimeError):
@@ -66,7 +69,8 @@ class LevelSetProfile:
         return float(np.sum(self.values * incr))
 
 
-def _cell_values_and_areas(f: GridField, grid: PolarGrid):
+def _cell_values_and_areas(f: GridField):
+    grid = f.grid
     vals = np.concatenate([[f.center], f.rings.reshape(-1)])
     areas = np.concatenate(
         [[grid.center_area], grid.node_area.reshape(-1), grid.boundary_area]
@@ -74,9 +78,10 @@ def _cell_values_and_areas(f: GridField, grid: PolarGrid):
     return vals, areas
 
 
-def level_profile(f: GridField, grid: PolarGrid) -> LevelSetProfile:
-    """Sort cells by value and accumulate areas into superlevel volumes."""
-    vals, areas = _cell_values_and_areas(f, grid)
+def level_profile(f: GridField) -> LevelSetProfile:
+    """Sort the cells of f's grid by value and accumulate their areas into
+    superlevel volumes."""
+    vals, areas = _cell_values_and_areas(f)
     if np.any(vals < 0):
         raise NegativeFieldError("field has negative values")
     order = np.argsort(-vals, kind="stable")
@@ -91,16 +96,14 @@ def level_profile(f: GridField, grid: PolarGrid) -> LevelSetProfile:
     )
 
 
-def symmetrize_field(
-    f: GridField, grid: PolarGrid, model: ModelSpace
-) -> RadialFunction:
-    """Radial non-increasing rearrangement of f into the model space.
+def symmetrize_field(prof: LevelSetProfile, model: ModelSpace) -> RadialFunction:
+    """Radial non-increasing rearrangement into the model space of the
+    field whose level-set profile is prof (``level_profile(f)``).
 
     The step profile (level value, symmetrized radius) is resampled with
     linear interpolation onto a uniform radial grid reaching the radius of
     the equal-volume model ball.
     """
-    prof = level_profile(f, grid)
     s_total = ball_radius_from_volume(model, prof.total_volume)
     table_r = np.linspace(0.0, s_total, VOLUME_TABLE_NODES)
     vol_of = ball_volume_model(model, table_r)
@@ -120,32 +123,25 @@ def symmetrize_field(
 
 
 def check_equimeasurable(
-    f: GridField,
-    fstar: RadialFunction,
-    model: ModelSpace,
-    grid: PolarGrid,
-    t_samples: int = 128,
+    prof: LevelSetProfile, fstar: RadialFunction, model: ModelSpace
 ) -> float:
-    """Max relative gap between Vol{f >= t} and Vol{f* >= t} over level t."""
-    prof = level_profile(f, grid)
-    ts = np.linspace(0.0, prof.top, t_samples)
+    """Max relative gap between Vol{f >= t} (from f's profile prof) and
+    Vol{f* >= t} over EQUIMEASURABLE_LEVELS levels t."""
+    ts = np.linspace(0.0, prof.top, EQUIMEASURABLE_LEVELS)
     mu_field = prof.mu(ts)
     # f* is non-increasing on its grid: invert by reversed interpolation
     dec_vals = fstar.values
     rho_of_t = np.interp(ts, dec_vals[::-1], fstar.grid[::-1])
     rho_of_t[ts > dec_vals[0]] = 0.0
-    table_r = np.linspace(0.0, fstar.radius, VOLUME_TABLE_NODES)
-    mu_star = np.interp(rho_of_t, table_r, ball_volume_model(model, table_r))
+    # ts ascends, so rho_of_t descends; the volumes want ascending radii
+    mu_star = ball_volume_model(model, rho_of_t[::-1])[::-1]
     return float(np.max(np.abs(mu_field - mu_star)) / prof.total_volume)
 
 
-def transplant_exit_time(
-    model: ModelSpace, R: float, grid: PolarGrid
-) -> GridField:
-    """Model mean exit time read through the radial coordinate of the grid."""
-    if abs(grid.R - R) > 1e-12 * max(1.0, R):
-        raise ValueError(f"grid radius {grid.R} does not match R={R}")
-    profile = mean_exit_profile(model, R)
+def transplant_exit_time(model: ModelSpace, grid: PolarGrid) -> GridField:
+    """Exit time of the model ball of radius grid.R read through the radial
+    coordinate of the grid."""
+    profile = mean_exit_profile(model, grid.R)
     ring_vals = profile(grid.radii[1:])
     rings = np.tile(ring_vals[:, None], (1, grid.n_theta))
     rings[-1] = 0.0
@@ -156,7 +152,7 @@ def integral_identity_check(
     f: GridField, fstar: RadialFunction, model: ModelSpace
 ) -> tuple[float, float]:
     """Disk integral of f versus the model-ball integral of its
-    symmetrization fstar (``symmetrize_field(f, f.grid, model)``).
+    symmetrization fstar (``symmetrize_field(level_profile(f), model)``).
 
     Equimeasurable functions share all integrals, so the two must match up
     to grid error.
@@ -176,11 +172,7 @@ class ProfileComparison:
 
 
 def symmetrized_profile_comparison(
-    m: PolarMetric2D,
-    model: ModelSpace,
-    R: float,
-    n_r: int = 128,
-    n_theta: int = 128,
+    m: PolarMetric2D, model: ModelSpace, R: float
 ) -> ProfileComparison:
     """Compare the symmetrized transplanted exit time with the exit time of
     the equal-volume model ball.
@@ -188,7 +180,8 @@ def symmetrized_profile_comparison(
     Under sphere mean curvatures of the model below those of the metric the
     rearranged profile must sit below the model profile on [0, s(R)]; the
     inequality reverses with the hypothesis.  Requires a balanced model and
-    a uniform curvature comparison.
+    a uniform curvature comparison.  The exit time is transplanted onto a
+    COMPARISON_N_R x COMPARISON_N_THETA grid.
     """
     s_quad = ball_radius_from_volume(model, ball_area(m, R))
     if not balance_check(model, s_quad).balanced:
@@ -200,9 +193,8 @@ def symmetrized_profile_comparison(
         raise ComparisonPreconditionError(
             "mean-curvature comparison has no uniform direction"
         )
-    grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-    field = transplant_exit_time(model, R, grid)
-    fstar = symmetrize_field(field, grid, model)
+    grid = PolarGrid(metric=m, R=R, n_r=COMPARISON_N_R, n_theta=COMPARISON_N_THETA)
+    fstar = symmetrize_field(level_profile(transplant_exit_time(model, grid)), model)
     s = min(s_quad, fstar.radius)
     rho = np.linspace(0.0, s, PROFILE_NODES)
     model_profile = mean_exit_profile(model, s_quad)

@@ -35,6 +35,7 @@ from .pde import (
     moments_grid,
 )
 from .surface import (
+    LENGTH_REL_TOL,
     HypothesisReport,
     PolarMetric2D,
     _lengths_and_areas,
@@ -104,17 +105,22 @@ def _tol_for(direction: str) -> float:
     return EQUALITY_TOL if direction == "equal" else INEQ_TOL
 
 
-def _entry(name: str, inequality: str, lhs: float, rhs: float, sign: float,
-           scale: float = 1.0, tol: float = INEQ_TOL) -> Entry:
-    """Signed margin sign*(lhs - rhs) normalized by scale."""
-    margin = sign * (lhs - rhs) / max(abs(scale), 1e-300)
+_REVERSED = str.maketrans("<>", "><")
+
+
+def _entry(ctx: VerificationContext, name: str, inequality: str, lhs: float,
+           rhs: float, scale: float) -> Entry:
+    """Margin ctx.sign*(lhs - rhs) normalized by scale, passed at -ctx.tol.
+    inequality is written for the model<=M direction; for model>=M its
+    '<' and '>' are swapped."""
+    margin = ctx.sign * (lhs - rhs) / max(abs(scale), 1e-300)
     return Entry(
         name=name,
-        inequality=inequality,
+        inequality=inequality if ctx.sign > 0 else inequality.translate(_REVERSED),
         lhs=lhs,
         rhs=rhs,
         margin=float(margin),
-        passed=bool(margin >= -tol),
+        passed=bool(margin >= -ctx.tol),
     )
 
 
@@ -133,7 +139,6 @@ class VerificationContext:
     k_max: int
     hypothesis: HypothesisReport
     direction: str
-    grid: PolarGrid
     solver: HierarchySolver
     fields: tuple[GridField, ...]
     model_levels: tuple[RadialFunction, ...]
@@ -161,16 +166,14 @@ class VerificationContext:
             raise ComparisonPreconditionError(
                 "mean-curvature comparison has no uniform direction"
             )
-        grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-        solver = HierarchySolver(grid)
+        solver = HierarchySolver(PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta))
         radii = sorted({R / 4, R / 2, float(R)})
-        lengths, areas = _lengths_and_areas(m, radii, rel_tol=1e-10)
+        lengths, areas = _lengths_and_areas(m, radii, LENGTH_REL_TOL)
         return cls(
             model=model,
             k_max=k_max,
             hypothesis=hyp,
             direction=direction_override or hyp.direction,
-            grid=grid,
             solver=solver,
             fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
             model_levels=tuple(hierarchy_sequence(model, R, k_max, N=4096)),
@@ -189,162 +192,98 @@ class VerificationContext:
 
 def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
                      inequality: str) -> Entry:
-    """Worst signed gap between the transplanted model level v_k and the
-    grid level v_k over the center and the interior rings, normalized by
+    """Worst gap, in the asserted direction, between the transplanted model
+    level v_k and the grid level v_k over the center and the interior
+    rings (the least for model<=M, the largest for model>=M), normalized by
     the model's v_k(0)."""
     level, grid_field = ctx.model_levels[k - 1], ctx.fields[k - 1]
     top = float(level(0.0))
-    gap = ctx.sign * (level(ctx.grid.radii[1:-1])[:, None] - grid_field.rings[:-1])
+    radii = ctx.solver.grid.radii[1:-1]
+    gap = ctx.sign * (level(radii)[:, None] - grid_field.rings[:-1])
     worst = min(float(gap.min()), ctx.sign * (top - grid_field.center))
-    return _entry(name, inequality, worst, 0.0, 1.0, scale=top, tol=ctx.tol)
+    # lhs is the unsigned extreme gap, so that margin = sign * lhs / top
+    return _entry(ctx, name, inequality, ctx.sign * worst, 0.0, scale=top)
 
 
 def verify_mean_exit(ctx: VerificationContext) -> Entry:
     """Transplanted model exit time dominates the metric exit time (per
     the asserted direction), checked pointwise on the grid."""
-    return _pointwise_entry(
-        ctx, 1, "mean_exit_transplant",
-        "transplant >= exit_time" if ctx.sign > 0 else "transplant <= exit_time",
-    )
+    return _pointwise_entry(ctx, 1, "mean_exit_transplant",
+                            "transplant >= exit_time")
 
 
 def verify_isoperimetric_volumes(ctx: VerificationContext) -> list[Entry]:
     """Isoperimetric quotient and volume comparisons at the sampled radii."""
-    s, model, tol = ctx.sign, ctx.model, ctx.tol
     radii = list(ctx.ball_areas)  # sorted
-    vols_ball = ball_volume_model(model, radii).tolist()
-    vols_sphere = sphere_volume_model(model, radii).tolist()
+    vols_ball = ball_volume_model(ctx.model, radii).tolist()
+    vols_sphere = sphere_volume_model(ctx.model, radii).tolist()
     entries = []
     for (r, area), vol_ball, vol_sphere in zip(ctx.ball_areas.items(), vols_ball,
                                                vols_sphere):
         length = ctx.sphere_lengths[r]
         q_model = vol_ball / vol_sphere
-        entries.append(
-            _entry(
-                f"isoperimetric_quotient(r={r})",
-                "q_model >= q_metric" if s > 0 else "q_model <= q_metric",
-                q_model,
-                area / length,
-                s,
-                scale=q_model,
-                tol=tol,
-            )
-        )
-        entries.append(
-            _entry(
-                f"ball_volume(r={r})",
-                "Vol(B_model) <= Vol(B_metric)" if s > 0 else
-                "Vol(B_model) >= Vol(B_metric)",
-                area,
-                vol_ball,
-                s,
-                scale=vol_ball,
-                tol=tol,
-            )
-        )
-        entries.append(
-            _entry(
-                f"sphere_volume(r={r})",
-                "Vol(S_model) <= Vol(S_metric)" if s > 0 else
-                "Vol(S_model) >= Vol(S_metric)",
-                length,
-                vol_sphere,
-                s,
-                scale=vol_sphere,
-                tol=tol,
-            )
-        )
+        entries += [
+            _entry(ctx, f"isoperimetric_quotient(r={r})", "q_model >= q_metric",
+                   q_model, area / length, scale=q_model),
+            _entry(ctx, f"ball_volume(r={r})", "Vol(B_model) <= Vol(B_metric)",
+                   area, vol_ball, scale=vol_ball),
+            _entry(ctx, f"sphere_volume(r={r})", "Vol(S_model) <= Vol(S_metric)",
+                   length, vol_sphere, scale=vol_sphere),
+        ]
     return entries
 
 
 def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
     """Pointwise hierarchy domination and averaged-moment comparison for
     k = 1..ctx.k_max."""
-    s, R, model, k_max, tol = ctx.sign, ctx.grid.R, ctx.model, ctx.k_max, ctx.tol
+    R, model, k_max = ctx.solver.grid.R, ctx.model, ctx.k_max
     entries = [
-        _pointwise_entry(
-            ctx, k, f"hierarchy_pointwise(k={k})",
-            "transplant >= grid" if s > 0 else "transplant <= grid",
-        )
+        _pointwise_entry(ctx, k, f"hierarchy_pointwise(k={k})", "transplant >= grid")
         for k in range(1, k_max + 1)
     ]
     spec_model = moment_spectrum(model, R, k_max, N=4096)
-    spec_grid = moments_grid(ctx.grid, ctx.fields[:k_max])
+    spec_grid = moments_grid(ctx.fields[:k_max])
     vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):
         avg_model = averaged_moment(spec_model, model, k)
-        avg_grid = spec_grid.moment(k) / vol_s_metric
         entries.append(
-            _entry(
-                f"averaged_moment(k={k})",
-                "A_k/VolS model >= metric" if s > 0 else
-                "A_k/VolS model <= metric",
-                avg_model,
-                avg_grid,
-                s,
-                scale=avg_model,
-                tol=tol,
-            )
+            _entry(ctx, f"averaged_moment(k={k})", "A_k/VolS model >= metric",
+                   avg_model, spec_grid.moment(k) / vol_s_metric, scale=avg_model)
         )
     return entries
 
 
 def verify_torsional(ctx: VerificationContext) -> list[Entry]:
     """Torsional rigidity of the equal-volume model ball versus the disk,
-    plus the coarse exit-time bound on the disk rigidity."""
-    s, model, R, tol = ctx.sign, ctx.model, ctx.grid.R, ctx.tol
+    plus, for model<=M, the coarse exit-time bound on the disk rigidity."""
+    model, R = ctx.model, ctx.solver.grid.R
     s_R = ball_radius_from_volume(model, ctx.ball_areas[R])
     if not balance_check(model, max(R, s_R)).balanced:
         raise ComparisonPreconditionError(
             f"model '{model.warping.label}' is not balanced"
         )
-    a1_metric = moments_grid(ctx.grid, ctx.fields[:1]).moment(1)
+    a1_metric = moments_grid(ctx.fields[:1]).moment(1)
     a1_model = moment_spectrum(model, s_R, 1, N=4096).moment(1)
     entries = [
-        _entry(
-            "torsional_rigidity",
-            "A_1(sym ball) >= A_1(disk)" if s > 0 else
-            "A_1(sym ball) <= A_1(disk)",
-            a1_model,
-            a1_metric,
-            s,
-            scale=a1_model,
-            tol=tol,
-        )
+        _entry(ctx, "torsional_rigidity", "A_1(sym ball) >= A_1(disk)",
+               a1_model, a1_metric, scale=a1_model)
     ]
-    if s > 0:
-        e0 = float(mean_exit_profile(model, s_R)(0.0))
-        bound = e0 * ctx.ball_areas[R]
+    if ctx.sign > 0:
+        bound = float(mean_exit_profile(model, s_R)(0.0)) * ctx.ball_areas[R]
         entries.append(
-            _entry(
-                "torsional_coarse_bound",
-                "A_1(disk) <= E_sym(0)*Vol(disk)",
-                bound,
-                a1_metric,
-                1.0,
-                scale=bound,
-                tol=tol,
-            )
+            _entry(ctx, "torsional_coarse_bound", "A_1(disk) <= E_sym(0)*Vol(disk)",
+                   bound, a1_metric, scale=bound)
         )
     return entries
 
 
 def verify_eigenvalue(ctx: VerificationContext) -> Entry:
     """First Dirichlet eigenvalue of the model ball versus the metric disk."""
-    s = ctx.sign
-    lam_model = lambda1_shooting(ctx.model, ctx.grid.R)
+    lam_model = lambda1_shooting(ctx.model, ctx.solver.grid.R)
     fields = ctx.fields[:LAMBDA1_LEVELS]
     lam_metric = lambda1_from_solver(ctx.solver, fields).power_value
-    return _entry(
-        "eigenvalue",
-        "lambda1(model) <= lambda1(metric)" if s > 0 else
-        "lambda1(model) >= lambda1(metric)",
-        lam_metric,
-        lam_model,
-        s,
-        scale=lam_model,
-        tol=ctx.tol,
-    )
+    return _entry(ctx, "eigenvalue", "lambda1(model) <= lambda1(metric)",
+                  lam_metric, lam_model, scale=lam_model)
 
 
 def run_verification(

@@ -155,6 +155,30 @@ def test_cli_symmetrize_symmetrizes_once(tmp_path, monkeypatch):
     assert sorted(calls) == ["grid", "symmetrize"]
 
 
+def test_cli_symmetrize_sorts_and_tabulates_once(tmp_path, monkeypatch):
+    profiles, tables = [], []
+    level_profile = geoball.symmetrize.level_profile
+    volume = geoball.model.ball_volume_model
+
+    def counted_profile(*args):
+        profiles.append(1)
+        return level_profile(*args)
+
+    def counted_volume(m, r):
+        if np.size(r) == geoball.symmetrize.VOLUME_TABLE_NODES:
+            tables.append(1)
+        return volume(m, r)
+
+    for module in (geoball.cli, geoball.symmetrize):
+        monkeypatch.setattr(module, "level_profile", counted_profile, raising=False)
+    for module in (geoball.model, geoball.symmetrize):
+        monkeypatch.setattr(module, "ball_volume_model", counted_volume)
+    rc = main(["symmetrize", "--metric", "example1", "--model", "euclidean",
+               "--radius", "1", "--output", str(tmp_path)])
+    assert rc == 0
+    assert (len(profiles), len(tables)) == (1, 1)
+
+
 def test_cli_symmetrize(tmp_path, capsys):
     code = main([
         "symmetrize", "--metric", "example1", "--model", "euclidean",
@@ -271,6 +295,10 @@ def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if argv[2] == "sphere(1)":
+        # the moment cross-check names the grid it used, which --grid
+        # (the size of the profile table) does not set
+        assert "N=2048" in err and "increase" not in err
 
 
 @pytest.mark.parametrize(

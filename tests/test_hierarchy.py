@@ -109,7 +109,7 @@ def test_ratio_trace_unit_disk():
 def test_moment_cross_check_trips_on_coarse_grid():
     m = make_space_form(0.0, 2)
     with pytest.raises(MomentCrossCheckError):
-        moment_spectrum(m, 1.0, 3, N=16, cross_check_tol=1e-12)
+        moment_spectrum(m, 1.0, 3, N=16)
 
 
 def test_averaged_moment_normalization():

@@ -131,6 +131,16 @@ def test_ball_radius_from_volume_roundtrip():
         assert ball_radius_from_volume(m, V) == pytest.approx(r, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("V", [1e-20, 1e-12, 1e-6])
+def test_ball_radius_round_trips_tiny_volumes(n, V):
+    # the root is a relative, not an absolute, radius tolerance away: at
+    # xtol = 1e-12, n = 2 and V = 1e-20 missed V by 4e-3 relative
+    m = make_space_form(0.0, n)
+    assert ball_volume_model(m, ball_radius_from_volume(m, V)) == pytest.approx(
+        V, rel=1e-12, abs=0)
+
+
 def test_ball_radius_rejects_excess_volume():
     m = make_space_form(1.0, 2)
     for V in (100.0, -1.0, math.nan):

@@ -21,7 +21,6 @@ from geoball.pde import (
     lambda1_grid,
     make_grid,
     moments_grid,
-    solve_hierarchy_grid,
 )
 from geoball.surface import (
     PolarMetric2D,
@@ -56,32 +55,32 @@ def test_grid_requires_even_theta(flat):
         make_grid(flat, 1.0, 32, 31)
 
 
-def test_laplacian_of_r_squared(flat, flat_grid):
+def test_laplacian_of_r_squared(flat_grid):
     f = field_from_function(flat_grid, lambda r, t: np.asarray(r) ** 2
                             + 0.0 * np.asarray(t))
     for form in ("divergence", "expanded"):
-        lap = apply_laplacian(flat, flat_grid, f, form)
+        lap = apply_laplacian(f, form)
         assert np.max(np.abs(lap.rings[:-1] - 4.0)) < 1e-10
         assert lap.center == pytest.approx(4.0, abs=1e-10)
 
 
-def test_laplacian_of_harmonic_polynomial(flat, flat_grid):
+def test_laplacian_of_harmonic_polynomial(flat_grid):
     f = field_from_function(
         flat_grid, lambda r, t: np.asarray(r) ** 2 * np.cos(2 * np.asarray(t))
     )
-    lap = apply_laplacian(flat, flat_grid, f, "divergence")
+    lap = apply_laplacian(f, "divergence")
     assert np.max(np.abs(lap.rings[:-1])) < 5e-3
     assert abs(lap.center) < 1e-12
 
 
-def test_laplacian_forms_agree(flat_grid, flat):
+def test_laplacian_forms_agree(flat_grid):
     f = field_from_function(
         flat_grid,
         lambda r, t: np.sin(np.asarray(r) * np.cos(np.asarray(t)))
         * np.cos(np.asarray(r) * np.sin(np.asarray(t))),
     )
-    a = apply_laplacian(flat, flat_grid, f, "divergence")
-    b = apply_laplacian(flat, flat_grid, f, "expanded")
+    a = apply_laplacian(f, "divergence")
+    b = apply_laplacian(f, "expanded")
     assert np.max(np.abs(a.rings[:-1] - b.rings[:-1])) < 5e-3
 
 
@@ -91,8 +90,8 @@ def test_laplacian_of_transplanted_exit_time_hyperbolic():
     model = make_space_form(-1.0, 2)
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
-    f = transplant_exit_time(model, 1.0, grid)
-    lap = apply_laplacian(m, grid, f, "divergence")
+    f = transplant_exit_time(model, grid)
+    lap = apply_laplacian(f, "divergence")
     assert np.max(np.abs(lap.rings[:-1] + 1.0)) < 1e-3
     assert lap.center == pytest.approx(-1.0, abs=1e-3)
 
@@ -105,7 +104,7 @@ def test_laplacian_convergence_order(flat):
     errs = []
     for n in (64, 128):
         g = make_grid(flat, 1.0, n, n)
-        lap = apply_laplacian(flat, g, field_from_function(g, f), "divergence")
+        lap = apply_laplacian(field_from_function(g, f), "divergence")
         rr, tt = np.meshgrid(g.radii[1:-1], g.thetas, indexing="ij")
         e2 = (lap.rings[:-1] + 2 * f(rr, tt)) ** 2
         errs.append(math.sqrt(np.sum(e2 * g.node_area) / np.sum(g.node_area)))
@@ -113,14 +112,14 @@ def test_laplacian_convergence_order(flat):
     assert order >= 1.8
 
 
-def test_hierarchy_center_oracles(flat, flat_grid):
-    fields = solve_hierarchy_grid(flat, flat_grid, 2)
+def test_hierarchy_center_oracles(flat_grid):
+    fields = HierarchySolver(flat_grid).hierarchy(2)
     assert fields[0].center == pytest.approx(0.25, abs=1e-3)
     assert fields[1].center == pytest.approx(3 / 32 / 2, abs=1e-3)
 
 
-def test_hierarchy_nonnegative_interior_max(flat, flat_grid):
-    for v in solve_hierarchy_grid(flat, flat_grid, 3):
+def test_hierarchy_nonnegative_interior_max(flat_grid):
+    for v in HierarchySolver(flat_grid).hierarchy(3):
         assert v.center >= 0
         assert np.all(v.rings >= -1e-14)
         assert v.max_abs() > np.max(v.rings[-2])  # max away from the boundary
@@ -130,7 +129,7 @@ def test_hierarchy_matches_radial_route():
     model = make_space_form(-1.0, 2)
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
-    fields = solve_hierarchy_grid(m, grid, 5)
+    fields = HierarchySolver(grid).hierarchy(5)
     levels = hierarchy_sequence(model, 1.0, 5)
     for k in range(1, 6):
         ref = levels[k - 1](grid.radii[1:])[:, None]
@@ -141,9 +140,8 @@ def test_hierarchy_matches_radial_route():
         assert err < 1e-3
 
 
-def test_moments_grid_oracles(flat, flat_grid):
-    fields = solve_hierarchy_grid(flat, flat_grid, 2)
-    spec = moments_grid(flat_grid, fields)
+def test_moments_grid_oracles(flat_grid):
+    spec = moments_grid(HierarchySolver(flat_grid).hierarchy(2))
     assert spec.normalized[0] == pytest.approx(math.pi, rel=1e-3)
     assert spec.moment(1) == pytest.approx(math.pi / 8, rel=1e-3)
     assert spec.moment(2) == pytest.approx(math.pi / 24, rel=1e-3)
@@ -293,8 +291,6 @@ def test_lambda1_grid_scaling(flat):
 
 def test_grid_metric_mismatch_rejected(flat_grid):
     ex = builtin_example_metric()
-    with pytest.raises(ValueError):
-        solve_hierarchy_grid(ex, flat_grid, 1)
     with pytest.raises(ValueError):
         lambda1_grid(ex, flat_grid)
 

@@ -50,7 +50,7 @@ def test_level_profile_constant_field(flat, flat_model):
     grid = make_grid(flat, 1.0, 32, 32)
     f = field_from_function(grid, lambda r, t: 3.0 + 0.0 * np.asarray(r)
                             + 0.0 * np.asarray(t))
-    prof = level_profile(f, grid)
+    prof = level_profile(f)
     assert len(prof.values) == 1
     assert prof.values[0] == 3.0
     assert prof.volumes[0] == pytest.approx(prof.total_volume)
@@ -62,29 +62,29 @@ def test_level_profile_rejects_negative(flat):
     f = field_from_function(grid, lambda r, t: np.asarray(r) - 0.5
                             + 0.0 * np.asarray(t))
     with pytest.raises(NegativeFieldError):
-        level_profile(f, grid)
+        level_profile(f)
 
 
 def test_level_profile_exit_time_mu(flat, flat_model):
     # mu(t) = pi*(1 - 4t) for the unit-disk exit time (1 - r^2)/4
     grid = make_grid(flat, 1.0, 128, 128)
-    f = transplant_exit_time(flat_model, 1.0, grid)
-    prof = level_profile(f, grid)
+    f = transplant_exit_time(flat_model, grid)
+    prof = level_profile(f)
     ts = np.linspace(0.0, 0.24, 25)
     assert np.max(np.abs(prof.mu(ts) - math.pi * (1 - 4 * ts))) < 1e-2 * math.pi
 
 
 def test_layer_cake_identity(flat, flat_model):
     grid = make_grid(flat, 1.0, 64, 64)
-    f = transplant_exit_time(flat_model, 1.0, grid)
-    prof = level_profile(f, grid)
+    f = transplant_exit_time(flat_model, grid)
+    prof = level_profile(f)
     assert prof.integral() == pytest.approx(f.integral(), rel=1e-12)
 
 
 def test_symmetrize_self_case(flat, flat_model):
     grid = make_grid(flat, 1.0, 128, 128)
-    f = transplant_exit_time(flat_model, 1.0, grid)
-    fstar = symmetrize_field(f, grid, flat_model)
+    f = transplant_exit_time(flat_model, grid)
+    fstar = symmetrize_field(level_profile(f), flat_model)
     rho = np.linspace(0.0, 0.99, 50)
     assert np.max(np.abs(fstar(rho) - (1 - rho**2) / 4)) < 1e-3
     assert np.all(np.diff(fstar.values) <= 1e-15)
@@ -93,42 +93,48 @@ def test_symmetrize_self_case(flat, flat_model):
 def test_symmetrize_example_structure(flat_model):
     ex = builtin_example_metric()
     grid = make_grid(ex, 1.0, 128, 128)
-    f = transplant_exit_time(flat_model, 1.0, grid)
-    fstar = symmetrize_field(f, grid, flat_model)
+    f = transplant_exit_time(flat_model, grid)
+    fstar = symmetrize_field(level_profile(f), flat_model)
     assert np.all(np.diff(fstar.values) <= 1e-15)
     assert fstar.values[-1] == pytest.approx(0.0, abs=1e-12)
     assert fstar.radius > 1.0  # symmetrized ball is larger than the disk
+
+
+@pytest.mark.parametrize("metric", [radial_metric(euclidean_profile()),
+                                    builtin_example_metric()], ids=["flat", "example1"])
+def test_symmetrized_radius_is_that_of_the_field_grid(metric, flat_model):
+    # the rearrangement reads the disk area from the field's own grid
+    grid = make_grid(metric, 1.0, 64, 64)
+    fstar = symmetrize_field(level_profile(transplant_exit_time(flat_model, grid)),
+                             flat_model)
+    assert fstar.radius == pytest.approx(
+        ball_radius_from_volume(flat_model, grid.total_area()), rel=1e-13, abs=0)
 
 
 def test_equimeasurability_halves_under_refinement(flat, flat_model):
     devs = []
     for n in (128, 256):
         grid = make_grid(flat, 1.0, n, n)
-        f = transplant_exit_time(flat_model, 1.0, grid)
-        fstar = symmetrize_field(f, grid, flat_model)
-        devs.append(check_equimeasurable(f, fstar, flat_model, grid))
+        f = transplant_exit_time(flat_model, grid)
+        prof = level_profile(f)
+        devs.append(check_equimeasurable(prof, symmetrize_field(prof, flat_model),
+                                         flat_model))
     assert devs[0] <= 1e-2
     assert devs[1] <= 0.6 * devs[0]
 
 
 def test_transplant_oracle(flat, flat_model):
     grid = make_grid(flat, 1.0, 128, 128)
-    f = transplant_exit_time(flat_model, 1.0, grid)
+    f = transplant_exit_time(flat_model, grid)
     i = np.argmin(np.abs(grid.radii[1:] - 0.5))
     assert f.rings[i, 0] == pytest.approx(0.1875, abs=1e-6)
     assert np.all(f.rings[-1] == 0.0)
 
 
-def test_transplant_requires_matching_radius(flat, flat_model):
-    grid = make_grid(flat, 1.0, 32, 32)
-    with pytest.raises(ValueError):
-        transplant_exit_time(flat_model, 2.0, grid)
-
-
 def _integral_identity(m, model):
     grid = make_grid(m, 1.0, 128, 128)
-    f = transplant_exit_time(model, 1.0, grid)
-    return integral_identity_check(f, symmetrize_field(f, grid, model), model)
+    f = transplant_exit_time(model, grid)
+    return integral_identity_check(f, symmetrize_field(level_profile(f), model), model)
 
 
 def test_integral_identity_self_case(flat, flat_model):
@@ -171,14 +177,14 @@ def test_profile_comparison_rejects_mixed_hypothesis():
 
 def test_symmetrization_idempotent(flat, flat_model):
     grid = make_grid(flat, 1.0, 128, 128)
-    f = transplant_exit_time(flat_model, 1.0, grid)
-    fstar = symmetrize_field(f, grid, flat_model)
+    f = transplant_exit_time(flat_model, grid)
+    fstar = symmetrize_field(level_profile(f), flat_model)
     # wrap f* back onto a radial grid field and symmetrize again
     grid2 = PolarGrid(metric=flat, R=fstar.radius, n_r=128, n_theta=128)
     f2 = field_from_function(
         grid2, lambda r, t: np.maximum(fstar(np.asarray(r)), 0.0)
         + 0.0 * np.asarray(t)
     )
-    fstar2 = symmetrize_field(f2, grid2, flat_model)
+    fstar2 = symmetrize_field(level_profile(f2), flat_model)
     rho = np.linspace(0.0, fstar.radius * 0.98, 64)
     assert np.max(np.abs(fstar2(rho) - fstar(rho))) < 2e-3

@@ -207,3 +207,45 @@ def test_standalone_checks_match_report(example, flat_model, override):
                *verify_torsional(ctx),
                verify_eigenvalue(ctx)]
     assert tuple(entries) == rep.entries
+
+
+def _volume_text(q, ball, sphere):
+    return [(f"{name}(r={r})", text) for r in (0.25, 0.5, 1.0)
+            for name, text in (("isoperimetric_quotient", q), ("ball_volume", ball),
+                               ("sphere_volume", sphere))]
+
+
+# (name, inequality) of every entry, in report order, as the model<=M and
+# the model>=M reports state them
+_REPORT_TEXT = {
+    "model<=M": [
+        ("mean_exit_transplant", "transplant >= exit_time"),
+        *_volume_text("q_model >= q_metric", "Vol(B_model) <= Vol(B_metric)",
+                      "Vol(S_model) <= Vol(S_metric)"),
+        *[(f"hierarchy_pointwise(k={k})", "transplant >= grid") for k in range(1, 6)],
+        *[(f"averaged_moment(k={k})", "A_k/VolS model >= metric") for k in range(1, 6)],
+        ("torsional_rigidity", "A_1(sym ball) >= A_1(disk)"),
+        ("torsional_coarse_bound", "A_1(disk) <= E_sym(0)*Vol(disk)"),
+        ("eigenvalue", "lambda1(model) <= lambda1(metric)"),
+    ],
+    "model>=M": [
+        ("mean_exit_transplant", "transplant <= exit_time"),
+        *_volume_text("q_model <= q_metric", "Vol(B_model) >= Vol(B_metric)",
+                      "Vol(S_model) >= Vol(S_metric)"),
+        *[(f"hierarchy_pointwise(k={k})", "transplant <= grid") for k in range(1, 6)],
+        *[(f"averaged_moment(k={k})", "A_k/VolS model <= metric") for k in range(1, 6)],
+        ("torsional_rigidity", "A_1(sym ball) <= A_1(disk)"),
+        ("eigenvalue", "lambda1(model) >= lambda1(metric)"),
+    ],
+}
+
+
+@pytest.mark.parametrize("direction", ["model<=M", "model>=M"])
+def test_entry_names_and_inequalities(example, flat_model, direction):
+    rep = run_verification(example, flat_model, 1.0, n_r=32, n_theta=32,
+                           direction_override=direction)
+    assert [(e.name, e.inequality) for e in rep.entries] == _REPORT_TEXT[direction]
+    # every margin is the asserted sign times (lhs - rhs), normalized
+    s = 1.0 if direction == "model<=M" else -1.0
+    for e in rep.entries:
+        assert math.copysign(1.0, e.margin) == math.copysign(1.0, s * (e.lhs - e.rhs))
