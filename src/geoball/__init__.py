@@ -23,12 +23,12 @@ from .hierarchy import (
     EigenvalueEstimate,
     MomentSpectrum,
     RadialFunction,
+    RadialHierarchy,
     averaged_moment,
-    hierarchy_sequence,
     lambda1_from_moments,
     lambda1_shooting,
-    mean_exit_profile,
     moment_spectrum,
+    radial_hierarchy,
 )
 from .surface import (
     HypothesisReport,

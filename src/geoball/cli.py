@@ -15,12 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import (
-    lambda1_from_moments,
-    lambda1_shooting,
-    mean_exit_profile,
-    moment_spectrum,
-)
+from .hierarchy import lambda1_from_moments, lambda1_shooting, radial_hierarchy
 from .model import (
     ModelSpace,
     WarpingProfile,
@@ -129,6 +124,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type of the symmetrization tolerance; NaN is rejected."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"need a number >= 0, got {text}")
+    return value
+
+
 def _output_dir(arg: str | None) -> Path:
     base = arg or os.environ.get(OUTPUT_DIR_ENV) or "."
     path = Path(base)
@@ -146,11 +149,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
     R = args.radius
     out = _output_dir(args.output)
     rs = np.linspace(R / args.grid, R, args.grid)
-    profile = mean_exit_profile(model, R)
+    hier = radial_hierarchy(model, R, args.kmax + 1)
     q = isoperimetric_quotient(model, rs)
     _write_csv(out / "model_profile.csv", ["r", "q", "exit_time"],
-               [rs, q, profile(rs)])
-    spec = moment_spectrum(model, R, args.kmax)
+               [rs, q, hier.level(1)(rs)])
+    spec = hier.spectrum()
     ks = np.arange(spec.k_max + 1, dtype=float)
     _write_csv(out / "model_moments.csv", ["k", "normalized_moment"],
                [ks, spec.normalized])
@@ -285,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--nr", type=_positive_int, default=128)
     p.add_argument("--ntheta", type=_positive_int, default=128)
-    p.add_argument("--tol", type=float, default=1e-2)
+    p.add_argument("--tol", type=_nonnegative_float, default=1e-2)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_symmetrize)
     return parser

@@ -66,7 +66,6 @@ class MomentSpectrum:
 
     normalized: np.ndarray  # index k
     radius: float
-    dim: int
 
     @property
     def k_max(self) -> int:
@@ -91,9 +90,11 @@ class EigenvalueEstimate:
 
 
 def _hierarchy_arrays(
-    m: ModelSpace, R: float, k_max: int, N: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Grid, w^(n-1) samples and normalized hierarchy values v_0..v_k_max."""
+    m: ModelSpace, R: float, depth: int, N: int
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Grid, w^(n-1) samples and normalized hierarchy values v_0..v_depth."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     m._check_radius(R)
     if N < 16:
         raise ValueError("grid size must be >= 16")
@@ -102,7 +103,7 @@ def _hierarchy_arrays(
     dr = grid[1] - grid[0]
     wn = m.warping.w(grid) ** (n - 1)
     levels = [np.ones_like(grid)]
-    for _ in range(k_max):
+    for _ in range(depth):
         inner = cumulative_integral(levels[-1] * wn, dr)
         integrand = np.zeros_like(grid)
         integrand[1:] = inner[1:] / wn[1:]  # limit 0 at r = 0
@@ -116,69 +117,66 @@ def _hierarchy_arrays(
             )
             break
         levels.append(v)
-    return grid, wn, levels
+    return grid, wn, tuple(levels)
 
 
-def mean_exit_profile(m: ModelSpace, R: float) -> RadialFunction:
-    """Mean exit time E(r) = int_r^R q(t) dt on DEFAULT_GRID uniform
-    intervals of [0, R]."""
-    grid, _, levels = _hierarchy_arrays(m, R, 1, DEFAULT_GRID)
-    return RadialFunction(grid=grid, values=levels[1])
+@dataclass(frozen=True)
+class RadialHierarchy:
+    """Normalized Poisson hierarchy v_0 = 1, v_1, .. of a model ball B_R on
+    uniform intervals of [0, R]: each level solves the radial Poisson
+    recursion (Dirichlet at R, v' = 0 at the center) by its nested-integral
+    closed form, and level 1 is the mean exit time E.  Build it with
+    ``radial_hierarchy``."""
+
+    model: ModelSpace
+    grid: np.ndarray
+    wn: np.ndarray  # w^(n-1) at the grid nodes
+    levels: tuple[np.ndarray, ...]  # index k
+    _splines: dict[int, RadialFunction] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
+
+    def level(self, k: int) -> RadialFunction:
+        """v_k as a RadialFunction; its spline is built on the first read."""
+        if not 0 <= k < len(self.levels):
+            raise IndexError(f"k={k} outside 0..{len(self.levels) - 1}")
+        if k not in self._splines:
+            self._splines[k] = RadialFunction(grid=self.grid, values=self.levels[k])
+        return self._splines[k]
+
+    def spectrum(self) -> MomentSpectrum:
+        """Normalized moments A_k/k! = c * int_0^R v_k w^(n-1) of every level
+        but the last, each recomputed from the boundary flux of the next
+        level (divergence theorem; one-sided 4th-order difference at R): a
+        gap beyond CROSS_CHECK_TOL relative raises MomentCrossCheckError."""
+        m, grid, levels = self.model, self.grid, self.levels
+        R, dr = float(grid[-1]), grid[1] - grid[0]
+        vol_sphere = sphere_volume_model(m, R)
+        moments = np.empty(len(levels) - 1)
+        for k in range(len(moments)):
+            bulk = m.sphere_constant * simpson_uniform(levels[k] * self.wn, dr)
+            v = levels[k + 1][-5:]
+            flux = (25 * v[4] - 48 * v[3] + 36 * v[2] - 16 * v[1] + 3 * v[0]) / (12 * dr)
+            boundary = -flux * vol_sphere
+            if abs(bulk - boundary) > CROSS_CHECK_TOL * max(abs(bulk), abs(boundary)):
+                raise MomentCrossCheckError(
+                    f"moment cross-check failed at k={k} with N={len(grid) - 1}: "
+                    f"bulk={bulk}, boundary={boundary}"
+                )
+            moments[k] = bulk
+        return MomentSpectrum(normalized=moments, radius=R)
 
 
-def hierarchy_sequence(
-    m: ModelSpace, R: float, k_max: int, N: int = DEFAULT_GRID
-) -> list[RadialFunction]:
-    """Normalized hierarchy members v_k = u_k/k! for k = 1..k_max.
-
-    Each member solves the radial Poisson recursion with Dirichlet boundary
-    and vanishing derivative at the center, via the nested-integral closed
-    form; members are nonnegative and non-increasing.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    grid, _, levels = _hierarchy_arrays(m, R, k_max, N)
-    return [RadialFunction(grid=grid, values=v) for v in levels[1:]]
+def radial_hierarchy(
+    m: ModelSpace, R: float, depth: int, N: int = DEFAULT_GRID
+) -> RadialHierarchy:
+    """Levels v_0..v_depth of B_R on N uniform intervals, from one pass
+    (fewer after an underflow); the moments A_0..A_k need depth k + 1."""
+    return RadialHierarchy(m, *_hierarchy_arrays(m, R, depth, N))
 
 
-def _boundary_derivative(values: np.ndarray, dr: float) -> float:
-    """One-sided 4th-order finite difference at the last grid node."""
-    v = values[-5:]
-    return float(
-        (25 * v[4] - 48 * v[3] + 36 * v[2] - 16 * v[1] + 3 * v[0]) / (12 * dr)
-    )
-
-
-def moment_spectrum(
-    m: ModelSpace,
-    R: float,
-    k_max: int,
-    N: int = DEFAULT_GRID,
-) -> MomentSpectrum:
-    """Normalized moments A_k/k! = c * int_0^R v_k w^(n-1), k = 0..k_max.
-
-    Each moment is recomputed through the boundary flux of the next
-    hierarchy level (divergence-theorem identity); disagreement beyond
-    CROSS_CHECK_TOL relative raises MomentCrossCheckError.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    grid, wn, levels = _hierarchy_arrays(m, R, k_max + 1, N)
-    dr = grid[1] - grid[0]
-    c = m.sphere_constant
-    vol_sphere = sphere_volume_model(m, R)
-    avail = min(k_max, len(levels) - 2)
-    moments = np.empty(avail + 1)
-    for k in range(avail + 1):
-        bulk = c * simpson_uniform(levels[k] * wn, dr)
-        boundary = -_boundary_derivative(levels[k + 1], dr) * vol_sphere
-        if abs(bulk - boundary) > CROSS_CHECK_TOL * max(abs(bulk), abs(boundary)):
-            raise MomentCrossCheckError(
-                f"moment cross-check failed at k={k} with N={N}: "
-                f"bulk={bulk}, boundary={boundary}"
-            )
-        moments[k] = bulk
-    return MomentSpectrum(normalized=moments, radius=R, dim=m.dim)
+def moment_spectrum(m: ModelSpace, R: float, k_max: int) -> MomentSpectrum:
+    """``radial_hierarchy(m, R, k_max + 1).spectrum()``; the benchmark calls it."""
+    return radial_hierarchy(m, R, k_max + 1).spectrum()
 
 
 def averaged_moment(spec: MomentSpectrum, m: ModelSpace, k: int) -> float:

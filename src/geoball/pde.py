@@ -348,7 +348,7 @@ def moments_grid(fields: Sequence[GridField]) -> MomentSpectrum:
     moments[0] = grid.total_area()
     for k, f in enumerate(fields, start=1):
         moments[k] = f.integral()
-    return MomentSpectrum(normalized=moments, radius=grid.R, dim=2)
+    return MomentSpectrum(normalized=moments, radius=grid.R)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .model import DomainError, ModelSpace, WarpingProfile
 from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 TWO_PI = 2.0 * math.pi
+R_VALID_MAX = 10.0  # largest radius of the built-in metrics' polar charts
+AUDIT_POINTS, AUDIT_TOL = 200, 1e-5  # samples and tolerance of the partials audit
 
 
 class MetricAuditError(ValueError):
@@ -52,15 +54,15 @@ class PolarMetric2D:
             )
 
 
-def _audit_partials(m: PolarMetric2D, n_points: int = 200, tol: float = 1e-5) -> None:
+def _audit_partials(m: PolarMetric2D) -> None:
     rng = np.random.default_rng(20240811)
     top = min(m.R_valid, 5.0)
-    rs = rng.uniform(0.05 * top, 0.95 * top, n_points)
-    ts = rng.uniform(0.0, TWO_PI, n_points)
+    rs = rng.uniform(0.05 * top, 0.95 * top, AUDIT_POINTS)
+    ts = rng.uniform(0.0, TWO_PI, AUDIT_POINTS)
     h = 1e-5
     # the second difference loses about 4*eps/h2^2 to roundoff: 9e-6 at
-    # h = 1e-5, too close to tol, and 9e-8 at h2 = 1e-4, where its
-    # truncation error h2^2 * w_rrrr / 12 is still far below tol
+    # h = 1e-5, too close to AUDIT_TOL, and 9e-8 at h2 = 1e-4, where its
+    # truncation error h2^2 * w_rrrr / 12 is still far below AUDIT_TOL
     h2 = 1e-4
     wr_fd = (m.w(rs + h, ts) - m.w(rs - h, ts)) / (2 * h)
     wrr_fd = (m.w(rs + h2, ts) - 2 * m.w(rs, ts) + m.w(rs - h2, ts)) / h2**2
@@ -72,7 +74,7 @@ def _audit_partials(m: PolarMetric2D, n_points: int = 200, tol: float = 1e-5) ->
         ("w_t", wt_fd, m.w_t(rs, ts)),
     ):
         err = np.max(np.abs(fd - an) / scale)
-        if not err <= tol:  # a NaN sample gives a NaN error, which fails too
+        if not err <= AUDIT_TOL:  # a NaN sample gives a NaN error, which fails too
             raise MetricAuditError(
                 f"metric '{m.label}': analytic {name} deviates from finite "
                 f"differences by {err:.3e}"
@@ -101,7 +103,7 @@ def _audit_pole_and_periodicity(m: PolarMetric2D) -> None:
         )
 
 
-def perturbed_flat_metric(eps: float, mode: int, R_valid: float = 10.0) -> PolarMetric2D:
+def perturbed_flat_metric(eps: float, mode: int) -> PolarMetric2D:
     """Family w = r * (1 + eps*r^2 / (1 + r^2 cos^2(mode*theta))).
 
     With eps = 1, mode = 1 this is the built-in example metric whose sphere
@@ -140,18 +142,17 @@ def perturbed_flat_metric(eps: float, mode: int, R_valid: float = 10.0) -> Polar
         return eps * r**5 * mode * np.sin(2 * mode * t) / d**2
 
     label = "example1" if (eps == 1.0 and mode == 1) else f"perturbed({eps},{mode})"
-    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=R_valid, label=label)
+    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=R_VALID_MAX,
+                         label=label)
 
 
-def builtin_example_metric(R_valid: float = 10.0) -> PolarMetric2D:
+def builtin_example_metric() -> PolarMetric2D:
     """The benchmark metric w(r, theta) = r*(1 + r^2/(1 + r^2 cos^2 theta))."""
-    return perturbed_flat_metric(1.0, 1, R_valid=R_valid)
+    return perturbed_flat_metric(1.0, 1)
 
 
-def radial_metric(profile: WarpingProfile, R_valid: float | None = None) -> PolarMetric2D:
+def radial_metric(profile: WarpingProfile) -> PolarMetric2D:
     """Theta-independent wrapper turning a warping profile into a 2-D metric."""
-    if R_valid is None:
-        R_valid = min(profile.r_max * 0.999, 10.0)
 
     def w(r, t):
         return profile.w(np.asarray(r, dtype=float)) * np.ones_like(
@@ -171,9 +172,9 @@ def radial_metric(profile: WarpingProfile, R_valid: float | None = None) -> Pola
     def w_t(r, t):
         return np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
 
-    return PolarMetric2D(
-        w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=R_valid, label=f"radial({profile.label})"
-    )
+    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t,
+                         R_valid=min(profile.r_max * 0.999, R_VALID_MAX),
+                         label=f"radial({profile.label})")
 
 
 METRIC_REGISTRY = {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import RadialFunction, mean_exit_profile
+from .hierarchy import RadialFunction, radial_hierarchy
 from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
 from .pde import GridField, PolarGrid
 from .quadrature import simpson_uniform
@@ -141,7 +141,7 @@ def check_equimeasurable(
 def transplant_exit_time(model: ModelSpace, grid: PolarGrid) -> GridField:
     """Exit time of the model ball of radius grid.R read through the radial
     coordinate of the grid."""
-    profile = mean_exit_profile(model, grid.R)
+    profile = radial_hierarchy(model, grid.R, 1).level(1)
     ring_vals = profile(grid.radii[1:])
     rings = np.tile(ring_vals[:, None], (1, grid.n_theta))
     rings[-1] = 0.0
@@ -197,7 +197,7 @@ def symmetrized_profile_comparison(
     fstar = symmetrize_field(level_profile(transplant_exit_time(model, grid)), model)
     s = min(s_quad, fstar.radius)
     rho = np.linspace(0.0, s, PROFILE_NODES)
-    model_profile = mean_exit_profile(model, s_quad)
+    model_profile = radial_hierarchy(model, s_quad, 1).level(1)
     gap = model_profile(rho) - fstar(rho)
     if hyp.direction == "model>=M":
         gap = -gap

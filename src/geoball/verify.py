@@ -11,14 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .hierarchy import (
-    RadialFunction,
-    averaged_moment,
-    hierarchy_sequence,
-    lambda1_shooting,
-    mean_exit_profile,
-    moment_spectrum,
-)
+from .hierarchy import RadialHierarchy, averaged_moment, lambda1_shooting, radial_hierarchy
 from .model import (
     ModelSpace,
     balance_check,
@@ -130,8 +123,9 @@ class VerificationContext:
     model, R, grid): the hypothesis scan, the asserted direction (the
     hypothesis direction unless overridden), one factorization, the
     hierarchy fields v_1..v_max(k_max, 24) (the report levels and the
-    eigenvalue estimate are prefixes of the same fields), the model
-    hierarchy v_1..v_k_max on [0, R], and the sphere lengths and ball areas
+    eigenvalue estimate are prefixes of the same fields), one model
+    hierarchy on [0, R] (the pointwise entries read its levels, the
+    averaged moments its spectrum), and the sphere lengths and ball areas
     at the sampled radii R/4, R/2, R, both from one tensor-rule pass.
     Build it with ``VerificationContext.build``."""
 
@@ -141,7 +135,7 @@ class VerificationContext:
     direction: str
     solver: HierarchySolver
     fields: tuple[GridField, ...]
-    model_levels: tuple[RadialFunction, ...]
+    model_hierarchy: RadialHierarchy
     sphere_lengths: dict[float, float]
     ball_areas: dict[float, float]
 
@@ -176,7 +170,7 @@ class VerificationContext:
             direction=direction_override or hyp.direction,
             solver=solver,
             fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
-            model_levels=tuple(hierarchy_sequence(model, R, k_max, N=4096)),
+            model_hierarchy=radial_hierarchy(model, R, k_max + 1, N=4096),
             sphere_lengths=dict(zip(radii, lengths.tolist())),
             ball_areas=dict(zip(radii, areas.tolist())),
         )
@@ -196,7 +190,7 @@ def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
     level v_k and the grid level v_k over the center and the interior
     rings (the least for model<=M, the largest for model>=M), normalized by
     the model's v_k(0)."""
-    level, grid_field = ctx.model_levels[k - 1], ctx.fields[k - 1]
+    level, grid_field = ctx.model_hierarchy.level(k), ctx.fields[k - 1]
     top = float(level(0.0))
     radii = ctx.solver.grid.radii[1:-1]
     gap = ctx.sign * (level(radii)[:, None] - grid_field.rings[:-1])
@@ -241,7 +235,7 @@ def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
         _pointwise_entry(ctx, k, f"hierarchy_pointwise(k={k})", "transplant >= grid")
         for k in range(1, k_max + 1)
     ]
-    spec_model = moment_spectrum(model, R, k_max, N=4096)
+    spec_model = ctx.model_hierarchy.spectrum()
     spec_grid = moments_grid(ctx.fields[:k_max])
     vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):
@@ -263,13 +257,14 @@ def verify_torsional(ctx: VerificationContext) -> list[Entry]:
             f"model '{model.warping.label}' is not balanced"
         )
     a1_metric = moments_grid(ctx.fields[:1]).moment(1)
-    a1_model = moment_spectrum(model, s_R, 1, N=4096).moment(1)
+    hier = radial_hierarchy(model, s_R, 2, N=4096)
+    a1_model = hier.spectrum().moment(1)
     entries = [
         _entry(ctx, "torsional_rigidity", "A_1(sym ball) >= A_1(disk)",
                a1_model, a1_metric, scale=a1_model)
     ]
     if ctx.sign > 0:
-        bound = float(mean_exit_profile(model, s_R)(0.0)) * ctx.ball_areas[R]
+        bound = float(hier.levels[1][0]) * ctx.ball_areas[R]  # E_sym(0) * area
         entries.append(
             _entry(ctx, "torsional_coarse_bound", "A_1(disk) <= E_sym(0)*Vol(disk)",
                    bound, a1_metric, scale=bound)
@@ -313,4 +308,5 @@ def run_verification(
         hypothesis_min_margin=ctx.hypothesis.min_margin,
         entries=tuple(entries),
         grid=(n_r, n_theta),
+        tol=ctx.tol,
     )

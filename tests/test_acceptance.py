@@ -21,8 +21,9 @@ def test_acceptance_1_closed_form_model_oracles():
     t0 = time.time()
     m = gb.make_space_form(0.0, 2)
     q1 = gb.isoperimetric_quotient(m, 1.0)
-    e0 = float(gb.mean_exit_profile(m, 1.0)(0.0))
-    spec = gb.moment_spectrum(m, 1.0, 2)
+    hier = gb.radial_hierarchy(m, 1.0, 3)
+    e0 = float(hier.level(1)(0.0))
+    spec = hier.spectrum()
     ok = (
         abs(q1 - 0.5) < 1e-6 * 0.5
         and abs(e0 - 0.25) < 1e-6 * 0.25
@@ -99,12 +100,12 @@ def test_acceptance_6_pde_consistency():
         model = gb.ModelSpace(warping=profile, dim=2)
         grid = gb.make_grid(metric, 1.0, 128, 128)
         fields = gb.pde.HierarchySolver(grid).hierarchy(2)
-        levels = gb.hierarchy_sequence(model, 1.0, 2)
+        hier = gb.radial_hierarchy(model, 1.0, 2)
         for k in (1, 2):
-            ref = levels[k - 1](grid.radii[1:])[:, None]
+            ref = hier.level(k)(grid.radii[1:])[:, None]
             err = max(
                 float(np.max(np.abs(ref - fields[k - 1].rings))),
-                abs(float(levels[k - 1](0.0)) - fields[k - 1].center),
+                abs(float(hier.level(k)(0.0)) - fields[k - 1].center),
             )
             ok = ok and err < 1e-3
 

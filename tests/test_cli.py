@@ -179,6 +179,22 @@ def test_cli_symmetrize_sorts_and_tabulates_once(tmp_path, monkeypatch):
     assert (len(profiles), len(tables)) == (1, 1)
 
 
+def test_cli_model_builds_one_hierarchy(tmp_path, monkeypatch):
+    calls = []
+    arrays = geoball.hierarchy._hierarchy_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return arrays(*args)
+
+    monkeypatch.setattr(geoball.hierarchy, "_hierarchy_arrays", counted)
+    rc = main(["model", "--warping", "euclidean", "--radius", "1",
+               "--output", str(tmp_path)])
+    assert rc == 0
+    # the exit-time profile and the moment spectrum come from one pass
+    assert len(calls) == 1
+
+
 def test_cli_symmetrize(tmp_path, capsys):
     code = main([
         "symmetrize", "--metric", "example1", "--model", "euclidean",
@@ -318,5 +334,17 @@ def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
 def test_cli_nonpositive_count_exit_code(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-3", "-0.5", "-inf", "x"])
+def test_cli_symmetrize_bad_tol_exit_code(tol, capsys):
+    # a tolerance no comparison can meet is a usage error, not a failed
+    # symmetrization (exit 1); "--tol=" keeps argparse from reading a
+    # negative value as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["symmetrize", "--metric", "example1", "--model", "euclidean",
+              "--radius", "1", f"--tol={tol}"])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err

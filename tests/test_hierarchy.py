@@ -12,11 +12,10 @@ from geoball.hierarchy import (
     MomentCrossCheckError,
     RadialFunction,
     averaged_moment,
-    hierarchy_sequence,
     lambda1_from_moments,
     lambda1_shooting,
-    mean_exit_profile,
     moment_spectrum,
+    radial_hierarchy,
 )
 from geoball.model import (
     ModelSpace,
@@ -61,7 +60,7 @@ def _shoot_reference(m, R):
 
 def test_mean_exit_euclidean_closed_form():
     m = make_space_form(0.0, 2)
-    E = mean_exit_profile(m, 1.0)
+    E = radial_hierarchy(m, 1.0, 1).level(1)
     rs = np.linspace(0.0, 1.0, 33)
     assert np.max(np.abs(E(rs) - (1 - rs**2) / 4)) < 1e-10
 
@@ -69,7 +68,7 @@ def test_mean_exit_euclidean_closed_form():
 def test_mean_exit_hyperbolic_closed_form():
     # E(r) = 2*(log cosh(R/2) - log cosh(r/2)) for constant curvature -1, n=2
     m = make_space_form(-1.0, 2)
-    E = mean_exit_profile(m, 1.0)
+    E = radial_hierarchy(m, 1.0, 1).level(1)
     rs = np.linspace(0.0, 1.0, 17)
     exact = 2 * (np.log(np.cosh(0.5)) - np.log(np.cosh(rs / 2)))
     assert np.max(np.abs(E(rs) - exact)) < 1e-9
@@ -78,7 +77,7 @@ def test_mean_exit_hyperbolic_closed_form():
 def test_hierarchy_second_level_closed_form():
     # v_2 = u_2/2 with u_2(r) = 3/32 - r^2/8 + r^4/32 on the unit disk
     m = make_space_form(0.0, 2)
-    v2 = hierarchy_sequence(m, 1.0, 2)[1]
+    v2 = radial_hierarchy(m, 1.0, 2).level(2)
     rs = np.linspace(0.0, 1.0, 33)
     exact = (3 / 32 - rs**2 / 8 + rs**4 / 32) / 2
     assert np.max(np.abs(v2(rs) - exact)) < 1e-10
@@ -86,9 +85,30 @@ def test_hierarchy_second_level_closed_form():
 
 def test_hierarchy_members_nonincreasing_nonnegative():
     m = make_space_form(-1.0, 3)
-    for v in hierarchy_sequence(m, 1.5, 4):
-        assert np.all(v.values >= -1e-15)
-        assert np.all(np.diff(v.values) <= 1e-12)
+    for v in radial_hierarchy(m, 1.5, 4).levels[1:]:
+        assert np.all(v >= -1e-15)
+        assert np.all(np.diff(v) <= 1e-12)
+
+
+def test_radial_hierarchy_serves_levels_and_moments_from_one_pass():
+    m = make_space_form(-1.0, 3)
+    hier = radial_hierarchy(m, 1.5, 4)
+    assert len(hier.levels) == 5  # v_0..v_4: the moments A_0..A_3 need v_4
+    # a deeper pass only appends levels
+    deeper = radial_hierarchy(m, 1.5, 7)
+    for a, b in zip(hier.levels, deeper.levels):
+        assert np.array_equal(a, b)
+    spec = hier.spectrum()
+    assert spec.k_max == 3 and spec.radius == 1.5
+    assert np.array_equal(spec.normalized, moment_spectrum(m, 1.5, 3).normalized)
+    assert np.array_equal(deeper.spectrum().normalized[:4], spec.normalized)
+    # a level's spline is built once, when it is first read
+    assert hier.level(2) is hier.level(2)
+    assert np.array_equal(hier.level(2).values, hier.levels[2])
+    with pytest.raises(IndexError):
+        hier.level(5)
+    with pytest.raises(ValueError):
+        radial_hierarchy(m, 1.5, 0)
 
 
 def test_moment_oracles_unit_disk():
@@ -109,7 +129,7 @@ def test_ratio_trace_unit_disk():
 def test_moment_cross_check_trips_on_coarse_grid():
     m = make_space_form(0.0, 2)
     with pytest.raises(MomentCrossCheckError):
-        moment_spectrum(m, 1.0, 3, N=16)
+        radial_hierarchy(m, 1.0, 4, N=16).spectrum()
 
 
 def test_averaged_moment_normalization():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from geoball.hierarchy import hierarchy_sequence
+from geoball.hierarchy import radial_hierarchy
 from geoball import pde
 from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import (
@@ -130,12 +130,12 @@ def test_hierarchy_matches_radial_route():
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
     fields = HierarchySolver(grid).hierarchy(5)
-    levels = hierarchy_sequence(model, 1.0, 5)
+    hier = radial_hierarchy(model, 1.0, 5)
     for k in range(1, 6):
-        ref = levels[k - 1](grid.radii[1:])[:, None]
+        ref = hier.level(k)(grid.radii[1:])[:, None]
         err = max(
             float(np.max(np.abs(ref - fields[k - 1].rings))),
-            abs(float(levels[k - 1](0.0)) - fields[k - 1].center),
+            abs(float(hier.level(k)(0.0)) - fields[k - 1].center),
         )
         assert err < 1e-3
 

@@ -109,6 +109,21 @@ def test_self_case_equality_margins(flat_wrapper, flat_model):
         assert abs(e.margin) <= 1e-3, e.name
 
 
+def test_report_records_the_tolerance_it_gated_at(flat_wrapper, flat_model,
+                                                  example_report):
+    # radial(euclidean) against euclidean is an equality case: gated at
+    # EQUALITY_TOL, with some entries passing on small negative margins
+    rep = run_verification(flat_wrapper, flat_model, 1.0, n_r=64, n_theta=64)
+    assert rep.direction == "equal"
+    assert rep.tol == verify.EQUALITY_TOL
+    assert rep.to_dict()["provenance"]["tolerance"] == verify.EQUALITY_TOL
+    assert any(e.passed and e.margin < 0 for e in rep.entries)
+    for report in (rep, example_report):
+        for e in report.entries:
+            assert e.passed == (e.margin >= -report.tol), e.name
+    assert example_report.tol == verify.INEQ_TOL
+
+
 def test_negative_control_fails(example, flat_model):
     rep = run_verification(example, flat_model, 1.0, direction_override="model>=M")
     assert not rep.all_passed
@@ -182,17 +197,16 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
                                                1.0, 16, 16))
     solver.hierarchy(pde.LAMBDA1_LEVELS)
     assert len(solves) == pde.LAMBDA1_LEVELS
-    # the model side is built once, in the context: the model hierarchy
-    # once, and no separate transplanted exit time
-    sequences = _count_calls(monkeypatch, verify, "hierarchy_sequence")
+    # the model side is built once: one hierarchy on [0, R] in the context,
+    # one on [0, s_R] for the torsion entries, and no separate transplanted
+    # exit time
     arrays = _count_calls(monkeypatch, hierarchy, "_hierarchy_arrays")
     transplants = _count_calls(monkeypatch, symmetrize, "transplant_exit_time")
     # a call through either module's binding counts
     monkeypatch.setattr(verify, "transplant_exit_time",
                         symmetrize.transplant_exit_time, raising=False)
     run_verification(example, flat_model, 1.0, n_r=32, n_theta=32)
-    # model levels, the moment spectrum, and the torsion spectrum and profile
-    assert (len(sequences), len(arrays), len(transplants)) == (1, 4, 0)
+    assert (len(arrays), len(transplants)) == (2, 0)
 
 
 @pytest.mark.parametrize("override", [None, "model>=M"])
