@@ -11,9 +11,13 @@ matrix is circulant in theta: a real FFT along theta splits it into
 n_theta/2 + 1 independent tridiagonal radial systems, the classical fast
 Poisson solver on a disk (Buzbee, Golub & Nielson 1970; Swarztrauber &
 Sweet 1973).  That factorization solves the very same discrete system as a
-sparse LU of the flux matrix, so only the cost changes.  Any other metric
-takes the general sparse LU.  Each hierarchy level is one direct solve,
-checked by its normwise backward error against the flux matrix.
+sparse LU of the flux matrix, so only the cost changes.  A right-hand
+side that is constant in theta on every ring excites mode 0 alone, which
+is one tridiagonal system over the center and the rings: on a radial grid
+every hierarchy level is such a solve, since the cell areas, the constant
+v_0 = 1 and each mode-0 solution are all constant in theta.  Any other
+metric takes the general sparse LU.  Each hierarchy level is one direct
+solve, checked by its normwise backward error against the flux matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import SuperLU, splu
 
 from .hierarchy import EigenvalueEstimate, MomentSpectrum, lambda1_from_moments
-from .surface import PolarMetric2D
+from .surface import MetricAuditError, PolarMetric2D
 
 TWO_PI = 2.0 * math.pi
 # hierarchy depth behind the moment-ratio eigenvalue estimate
@@ -70,15 +74,26 @@ class PolarGrid:
         radii = np.linspace(0.0, self.R, self.n_r + 1)
         thetas = np.arange(self.n_theta) * (TWO_PI / self.n_theta)
         dr, dt = radii[1], thetas[1] if self.n_theta > 1 else TWO_PI
-        rr, tt = np.meshgrid(radii[1:-1], thetas, indexing="ij")
-        w = self.metric.w(rr, tt)
+        w = self._sample_w(radii[1:-1], thetas)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "node_area", w * dr * dt)
-        wb = self.metric.w(np.full(self.n_theta, self.R), thetas)
+        wb = self._sample_w(np.array([self.R]), thetas)[0]
         object.__setattr__(self, "boundary_area", wb * (dr / 2) * dt)
-        wc = self.metric.w(np.full(self.n_theta, dr / 2), thetas)
+        wc = self._sample_w(np.array([dr / 2]), thetas)[0]
         object.__setattr__(self, "center_area", float(np.sum(wc) * dr / 4 * dt))
+
+    def _sample_w(self, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """w on the (radius, theta) mesh; a non-finite sample raises."""
+        rr, tt = np.meshgrid(radii, thetas, indexing="ij")
+        w = self.metric.w(rr, tt)
+        bad = ~np.isfinite(w)
+        if bad.any():
+            raise MetricAuditError(
+                f"metric '{self.metric.label}': w is {w[bad][0]} at "
+                f"r = {float(rr[bad][0])!r}, theta = {float(tt[bad][0])!r}"
+            )
+        return w
 
     @property
     def dr(self) -> float:
@@ -131,12 +146,10 @@ def field_from_function(grid: PolarGrid, fn) -> GridField:
 
 def _face_weights(grid: PolarGrid):
     """Metric factor at radial faces (i+1/2) and angular faces (j+1/2)."""
-    m, radii, thetas = grid.metric, grid.radii, grid.thetas
+    radii, thetas = grid.radii, grid.thetas
     r_half = radii[:-1] + grid.dr / 2  # faces 1/2 .. n_r-1/2
-    rr, tt = np.meshgrid(r_half, thetas, indexing="ij")
-    w_face_r = m.w(rr, tt)  # (n_r, n_theta)
-    rr2, tt2 = np.meshgrid(radii[1:-1], thetas + grid.dtheta / 2, indexing="ij")
-    w_face_t = m.w(rr2, tt2)  # (n_r-1, n_theta)
+    w_face_r = grid._sample_w(r_half, thetas)  # (n_r, n_theta)
+    w_face_t = grid._sample_w(radii[1:-1], thetas + grid.dtheta / 2)  # (n_r-1, n_theta)
     return w_face_r, w_face_t
 
 
@@ -177,10 +190,12 @@ def _theta_independent(c_radial: np.ndarray, c_angular: np.ndarray) -> bool:
                 and np.all(c_angular == c_angular[:, :1]))
 
 
-def _factor_fourier_modes(c: np.ndarray, a: np.ndarray, n_theta: int) -> SuperLU:
+def _factor_fourier_modes(
+    c: np.ndarray, a: np.ndarray, n_theta: int
+) -> tuple[SuperLU, SuperLU]:
     """LU of the block-diagonal matrix of the theta-Fourier modes of a
     circulant flux matrix with radial conductances c (n_r) and angular
-    conductances a (n_r-1).
+    conductances a (n_r-1), and LU of its block 0 alone.
 
     Block k = 0..n_theta/2 is tridiagonal over rings 1..n_r-1 with diagonal
     -(c[i] + c[i+1]) - 2 a[i] (1 - cos(2 pi k / n_theta)) and off-diagonal
@@ -193,12 +208,29 @@ def _factor_fourier_modes(c: np.ndarray, a: np.ndarray, n_theta: int) -> SuperLU
     # coupling of unknown n to n+1: none across a block boundary
     off = np.concatenate([[c[0]], np.tile(np.append(c[1:-1], 0.0), n_modes)[:-1]])
     blocks = diags([off, diagonal, off], [-1, 0, 1], format="csc")
-    return splu(blocks, permc_spec="NATURAL")
+    n0 = len(c)  # block 0: the center and rings 1..n_r-1
+    return (splu(blocks, permc_spec="NATURAL"),
+            splu(blocks[:n0, :n0], permc_spec="NATURAL"))
 
 
-def _fourier_solve(lu: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
+def _fourier_solve(lu: SuperLU, lu0: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
     """A^{-1} b for the circulant flux matrix A whose Fourier-mode blocks
-    lu factors (``_factor_fourier_modes``)."""
+    lu factors, and whose block 0 lu0 factors (``_factor_fourier_modes``).
+
+    A right-hand side whose rings are constant in theta excites mode 0
+    alone, so one solve of block 0 gives the solution: the center is
+    y_0 / n_theta and ring i is y_i / n_theta all along theta.
+    """
+    rings = b[1:].reshape(-1, n_theta)
+    if np.all(rings == rings[:, :1]):
+        y = lu0.solve(np.concatenate([b[:1], n_theta * rings[:, 0]])) / n_theta
+        return np.concatenate([y[:1], np.repeat(y[1:], n_theta)])
+    return _fourier_solve_all_modes(lu, n_theta, b)
+
+
+def _fourier_solve_all_modes(lu: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
+    """``_fourier_solve`` through every Fourier mode: rfft, the block
+    solves and the inverse rfft."""
     b_hat = np.fft.rfft(b[1:].reshape(-1, n_theta), axis=1).T.ravel()
     rhs = np.empty((len(b_hat) + 1, 2))
     rhs[0] = b[0], 0.0
@@ -273,7 +305,10 @@ class HierarchySolver:
     factorization is that of its n_theta/2 + 1 tridiagonal Fourier-mode
     blocks, applied between a real FFT and its inverse along theta; this
     is an exact block diagonalization of the same A, so it solves the same
-    discrete system as a sparse LU would.  Otherwise A is factored by
+    discrete system as a sparse LU would.  Block 0 is also factored on its
+    own, and a right-hand side constant in theta on every ring (each
+    hierarchy level) is solved by it alone, without the FFT; ``_lu`` is
+    the factor of all the blocks.  Otherwise A is factored by
     SuperLU in a minimum-degree ordering of A^T + A, which suits its
     symmetric 5-point pattern.  A solve is one direct solve; ``hierarchy``
     checks each level's normwise backward error against A.
@@ -285,11 +320,11 @@ class HierarchySolver:
         self.areas = _unknown_areas(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         if _theta_independent(c_radial, c_angular):
-            self._lu = _factor_fourier_modes(
+            self._lu, lu0 = _factor_fourier_modes(
                 c_radial[:, 0], c_angular[:, 0], grid.n_theta)
-            # bound to the factor, not to self: a cycle through self
+            # bound to the factors, not to self: a cycle through self
             # would keep every solver alive until the cyclic collector runs
-            self._flux_solve = partial(_fourier_solve, self._lu, grid.n_theta)
+            self._flux_solve = partial(_fourier_solve, self._lu, lu0, grid.n_theta)
         else:
             self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
             self._flux_solve = self._lu.solve
@@ -373,6 +408,8 @@ def lambda1_from_solver(
 ) -> GridEigenvalue:
     """lambda1_grid on an existing factorization and its hierarchy fields
     (``solver.hierarchy(k)``, or a prefix of a deeper one)."""
+    if any(f.grid is not solver.grid for f in fields):
+        raise ValueError("hierarchy fields were computed on another grid")
     est = lambda1_from_moments(moments_grid(fields))
     power = solver.smallest_eigenvalue()
     if abs(est.value - power) > AGREEMENT_TOL * power:

@@ -23,6 +23,7 @@ from geoball.pde import (
     moments_grid,
 )
 from geoball.surface import (
+    MetricAuditError,
     PolarMetric2D,
     ball_area,
     builtin_example_metric,
@@ -252,6 +253,84 @@ def test_fourier_route_only_for_theta_independent_grids(flat):
         assert solver._lu.shape == solver.flux.shape
 
 
+class _CountingFactor:
+    """A sparse LU factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+def _counting_solver(monkeypatch, grid):
+    """HierarchySolver(grid) whose factors count their solves, and the
+    factors: on a radial grid the full block factor, then block 0's."""
+    factors = []
+
+    def counting_splu(*args, **kwargs):
+        factors.append(_CountingFactor(splu(*args, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(pde, "splu", counting_splu)
+    solver = HierarchySolver(grid)
+    assert solver._lu is factors[0]
+    return solver, factors
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("n_r,n_theta", [(4, 2), (17, 12), (64, 64)])
+def test_mode0_route_matches_full_route_and_sparse_lu(curvature, n_r, n_theta):
+    m = radial_metric(space_form_profile(curvature))
+    solver = HierarchySolver(make_grid(m, 1.0, n_r, n_theta))
+    rng = np.random.default_rng(5)
+    rhs = np.concatenate([rng.standard_normal(1),
+                          np.repeat(rng.standard_normal(n_r - 1), n_theta)])
+    x = solver.solve_poisson(rhs)
+    rings = x[1:].reshape(n_r - 1, n_theta)
+    assert np.all(rings == rings[:, :1])
+    full = pde._fourier_solve_all_modes(solver._lu, n_theta, solver.areas * rhs)
+    assert _rel_err(x, full) <= 1e-12
+    assert _rel_err(x, _splu_reference(solver).solve_poisson(rhs)) <= 1e-12
+
+
+def test_rhs_one_ulp_off_theta_constant_takes_full_route(flat, monkeypatch):
+    solver, (full, mode0) = _counting_solver(monkeypatch,
+                                             make_grid(flat, 1.0, 17, 12))
+    b = solver.areas.copy()
+    solver._flux_solve(b)
+    assert (full.solves, mode0.solves) == (0, 1)
+    b[40] = np.nextafter(b[40], np.inf)
+    x = solver._flux_solve(b)
+    assert (full.solves, mode0.solves) == (1, 1)
+    assert np.array_equal(x, pde._fourier_solve_all_modes(solver._lu, 12, b))
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0])
+def test_radial_hierarchy_solves_mode0_only(curvature, monkeypatch):
+    m = radial_metric(space_form_profile(curvature))
+    solver, (full, mode0) = _counting_solver(monkeypatch, make_grid(m, 1.0, 32, 32))
+    solver.hierarchy(pde.LAMBDA1_LEVELS)
+    assert (full.solves, mode0.solves) == (0, pde.LAMBDA1_LEVELS)
+    # inverse power iteration starts from a random vector: every mode
+    solver.smallest_eigenvalue()
+    assert full.solves > 0 and mode0.solves == pde.LAMBDA1_LEVELS
+
+
+@pytest.mark.parametrize("radial", [True, False])
+def test_factor_fill_readable_on_both_routes(flat, radial):
+    # the benchmark's layer trace reads the fill as _lu.L.nnz + _lu.U.nnz
+    m = flat if radial else builtin_example_metric()
+    solver = HierarchySolver(make_grid(m, 1.0, 16, 12))
+    n = 1 + 7 * 15 if radial else solver.flux.shape[0]
+    assert solver._lu.shape == (n, n)
+    assert solver._lu.L.nnz + solver._lu.U.nnz >= 2 * n
+
+
 def test_solver_freed_by_reference_counting(flat):
     # a reference cycle would hold every solver's flux matrix and factor
     # until the cyclic collector happens to run
@@ -287,6 +366,42 @@ def test_lambda1_grid_scaling(flat):
     grid = make_grid(flat, 2.0, 128, 128)
     est = lambda1_grid(flat, grid)
     assert est.power_value == pytest.approx(J01SQ / 4, rel=0.02)
+
+
+def test_lambda1_from_solver_rejects_fields_of_another_grid(flat):
+    solver = HierarchySolver(make_grid(flat, 1.0, 32, 32))
+    other = HierarchySolver(make_grid(flat, 1.02, 32, 32))
+    with pytest.raises(ValueError, match="another grid"):
+        pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
+
+
+def _nan_where(bad):
+    """The plane with w = NaN where bad(r, theta) holds; the set is too
+    thin for the metric audits' samples to hit."""
+    plane = radial_metric(euclidean_profile())
+
+    def w(r, t):
+        r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
+        return np.where(bad(r, t), np.nan, r)
+
+    return PolarMetric2D(w=w, w_r=plane.w_r, w_rr=plane.w_rr, w_t=plane.w_t,
+                         R_valid=10.0, label="nan-sample")
+
+
+# 16 x 12 grid of radius 1: dr = 1/16, angular faces at theta = dtheta/2;
+# the grid samples its nodes when it is built and its faces when the
+# solver assembles the flux matrix
+@pytest.mark.parametrize("radius,bad", [
+    (0.3125, lambda r, t: r == 0.3125),
+    (1.0, lambda r, t: r == 1.0),
+    (0.03125, lambda r, t: r == 0.03125),
+    (0.34375, lambda r, t: r == 0.34375),
+    (0.0625, lambda r, t: t == math.pi / 12),
+], ids=["node", "boundary", "center", "radial-face", "angular-face"])
+def test_grid_rejects_non_finite_w(radius, bad):
+    m = _nan_where(bad)
+    with pytest.raises(MetricAuditError, match=f"r = {radius!r},"):
+        HierarchySolver(make_grid(m, 1.0, 16, 12))
 
 
 def test_grid_metric_mismatch_rejected(flat_grid):
