@@ -28,7 +28,6 @@ from .model import (
 )
 from .pde import PolarGrid
 from .surface import (
-    LENGTH_REL_TOL,
     METRIC_REGISTRY,
     PolarMetric2D,
     _lengths_and_areas,
@@ -182,7 +181,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
                [rr.ravel(), tt.ravel(),
                 sphere_mean_curvature(m, rr, tt).ravel(),
                 gauss_curvature(m, rr, tt).ravel()])
-    lengths, areas = _lengths_and_areas(m, rs, LENGTH_REL_TOL)
+    lengths, areas = _lengths_and_areas(m, rs)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])
     print(f"metric {m.label} R={R}")

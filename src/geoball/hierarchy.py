@@ -1,5 +1,7 @@
 """Radial Poisson hierarchy, moment spectrum and first Dirichlet eigenvalue
-on geodesic balls of a model space.
+on geodesic balls of a model space, all from one discretization: the radial
+operator u'' + (n-1)(w'/w) u' collocated on a parity-folded Chebyshev grid
+(``_folded_operator``; Trefethen, Spectral Methods in MATLAB, 2000).
 
 Hierarchy members are kept in the normalized form v_k = u_k / k!, which
 reads the eigenvalue ratio directly off consecutive moments and avoids
@@ -13,21 +15,24 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BarycentricInterpolator, CubicSpline
+from scipy.linalg import lu_factor, lu_solve
 
 from .model import ModelSpace, sphere_volume_model
-from .quadrature import cumulative_integral, simpson_uniform
+from .quadrature import GaussPanels
 
-DEFAULT_GRID = 2048
+# Chebyshev sizes tried in turn (N -> 2N - 1): 17, 33, 65, ..., 1025
+CHEBYSHEV_N = tuple(2**j + 1 for j in range(4, 11))
 # largest relative gap between the bulk and boundary routes of a moment
 CROSS_CHECK_TOL = 1e-6
+# relative change of A_1 from one N to the next at which the hierarchy settles
+HIERARCHY_REL_TOL = 1e-11
 UNDERFLOW_FLOOR = 1e-300
 LAMBDA1_REL_TOL = 1e-10
-LAMBDA1_N_MAX = 1025
 
 
 class MomentCrossCheckError(RuntimeError):
-    """Bulk and boundary moment routes disagree beyond tolerance."""
+    """Moment routes or resolutions disagree beyond tolerance."""
 
 
 class EigenvalueConvergenceError(RuntimeError):
@@ -89,89 +94,109 @@ class EigenvalueEstimate:
     converged: bool
 
 
-def _hierarchy_arrays(
-    m: ModelSpace, R: float, depth: int, N: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """Grid, w^(n-1) samples and normalized hierarchy values v_0..v_depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    m._check_radius(R)
-    if N < 16:
-        raise ValueError("grid size must be >= 16")
-    n = m.dim
-    grid = np.linspace(0.0, R, N + 1)
-    dr = grid[1] - grid[0]
-    wn = m.warping.w(grid) ** (n - 1)
-    levels = [np.ones_like(grid)]
-    for _ in range(depth):
-        inner = cumulative_integral(levels[-1] * wn, dr)
-        integrand = np.zeros_like(grid)
-        integrand[1:] = inner[1:] / wn[1:]  # limit 0 at r = 0
-        cum = cumulative_integral(integrand, dr)
-        v = cum[-1] - cum
-        v[-1] = 0.0
-        if v.max() < UNDERFLOW_FLOOR:
-            warnings.warn(
-                f"hierarchy underflow at level {len(levels)}; truncating",
-                RuntimeWarning,
-            )
-            break
-        levels.append(v)
-    return grid, wn, tuple(levels)
+def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
+    """Chebyshev nodes x_j = cos(j pi/N), j = 0..N, d/dr at r = R x_j, and
+    u'' + (n-1)(w'/w) u' collocated on the even extension of u to [-R, R]
+    (N odd: no node at r = 0), folded onto the M = (N-1)/2 nodes in (0, R)
+    with u(+-R) = 0: an M x M matrix.  A non-finite w'/w raises
+    EigenvalueConvergenceError."""
+    j = np.arange(N + 1)
+    x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(j pi/N); x[N-j] == -x[j]
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1 / c) / (R * (x[:, None] - x[None, :] + np.eye(N + 1)))
+    D -= np.diag(D.sum(axis=1))  # d/dr at the nodes (Trefethen's cheb.m)
+    M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
+    eta = m.warping.dw(R * x[1 : M + 1]) / m.warping.w(R * x[1 : M + 1])
+    if not np.all(np.isfinite(eta)):
+        raise EigenvalueConvergenceError(f"non-finite w'/w in '{m.warping.label}'")
+    L = D[1 : M + 1] @ D + ((m.dim - 1) * eta)[:, None] * D[1 : M + 1]
+    # columns 0 and N drop out with u(+-R) = 0; u(-r) = u(r) folds the rest
+    return x, D, L[:, 1 : M + 1] + L[:, N - 1 : M : -1]
+
+
+def _next_level(lu: tuple, v: np.ndarray) -> np.ndarray:
+    """v_(k+1) at the N + 1 nodes from v_k: L v_(k+1) = -v_k, unfolded."""
+    u = lu_solve(lu, -v[1 : len(v) // 2])
+    return np.concatenate(([0.0], u, u[::-1], [0.0]))
 
 
 @dataclass(frozen=True)
 class RadialHierarchy:
-    """Normalized Poisson hierarchy v_0 = 1, v_1, .. of a model ball B_R on
-    uniform intervals of [0, R]: each level solves the radial Poisson
-    recursion (Dirichlet at R, v' = 0 at the center) by its nested-integral
-    closed form, and level 1 is the mean exit time E.  Build it with
-    ``radial_hierarchy``."""
+    """Normalized Poisson hierarchy v_0 = 1, v_1, .. of a model ball B_R at
+    the Chebyshev nodes of ``_folded_operator``: each level solves the
+    collocated radial Poisson recursion with v_k(R) = 0, and level 1 is the
+    mean exit time E.  Build it with ``radial_hierarchy``."""
 
     model: ModelSpace
-    grid: np.ndarray
-    wn: np.ndarray  # w^(n-1) at the grid nodes
-    levels: tuple[np.ndarray, ...]  # index k
-    _splines: dict[int, RadialFunction] = field(default_factory=dict, init=False,
-                                                repr=False, compare=False)
+    nodes: np.ndarray  # R cos(j pi/N), j = 0..N: from R down to -R
+    flux: np.ndarray  # row 0 of the differentiation matrix: d/dr at r = R
+    levels: tuple[np.ndarray, ...]  # index k: v_k at the nodes, even in r
 
-    def level(self, k: int) -> RadialFunction:
-        """v_k as a RadialFunction; its spline is built on the first read."""
+    def level(self, k: int) -> BarycentricInterpolator:
+        """v_k as a callable of r: the polynomial through its node values,
+        with the closed-form Chebyshev weights (-1)^j, halved at both ends."""
         if not 0 <= k < len(self.levels):
             raise IndexError(f"k={k} outside 0..{len(self.levels) - 1}")
-        if k not in self._splines:
-            self._splines[k] = RadialFunction(grid=self.grid, values=self.levels[k])
-        return self._splines[k]
+        wi = (-1.0) ** np.arange(len(self.nodes))
+        wi[[0, -1]] *= 0.5
+        return BarycentricInterpolator(self.nodes, self.levels[k], wi=wi)
 
     def spectrum(self) -> MomentSpectrum:
         """Normalized moments A_k/k! = c * int_0^R v_k w^(n-1) of every level
-        but the last, each recomputed from the boundary flux of the next
-        level (divergence theorem; one-sided 4th-order difference at R): a
-        gap beyond CROSS_CHECK_TOL relative raises MomentCrossCheckError."""
-        m, grid, levels = self.model, self.grid, self.levels
-        R, dr = float(grid[-1]), grid[1] - grid[0]
+        but the last, by N-point Gauss-Legendre on [0, R], each recomputed
+        from the spectral boundary flux of the next level (divergence
+        theorem): a gap beyond CROSS_CHECK_TOL relative raises
+        MomentCrossCheckError."""
+        m, R, N = self.model, float(self.nodes[0]), len(self.nodes) - 1
+        panels = GaussPanels(R)
+        r = panels.nodes(N)
+        density = m.sphere_constant * m.warping.w(r) ** (m.dim - 1)
         vol_sphere = sphere_volume_model(m, R)
-        moments = np.empty(len(levels) - 1)
+        moments = np.empty(len(self.levels) - 1)
         for k in range(len(moments)):
-            bulk = m.sphere_constant * simpson_uniform(levels[k] * self.wn, dr)
-            v = levels[k + 1][-5:]
-            flux = (25 * v[4] - 48 * v[3] + 36 * v[2] - 16 * v[1] + 3 * v[0]) / (12 * dr)
-            boundary = -flux * vol_sphere
+            bulk = float(panels.cumulative(self.level(k)(r) * density, N)[-1])
+            boundary = -float(self.flux @ self.levels[k + 1]) * vol_sphere
             if abs(bulk - boundary) > CROSS_CHECK_TOL * max(abs(bulk), abs(boundary)):
                 raise MomentCrossCheckError(
-                    f"moment cross-check failed at k={k} with N={len(grid) - 1}: "
+                    f"moment cross-check failed at k={k} with N={N}: "
                     f"bulk={bulk}, boundary={boundary}"
                 )
             moments[k] = bulk
         return MomentSpectrum(normalized=moments, radius=R)
 
 
-def radial_hierarchy(
-    m: ModelSpace, R: float, depth: int, N: int = DEFAULT_GRID
-) -> RadialHierarchy:
-    """Levels v_0..v_depth of B_R on N uniform intervals, from one pass
-    (fewer after an underflow); the moments A_0..A_k need depth k + 1."""
-    return RadialHierarchy(m, *_hierarchy_arrays(m, R, depth, N))
+def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
+    """Levels v_0..v_depth of B_R from one pass (fewer after an underflow);
+    the moments A_0..A_k need depth k + 1.  The matrix L of
+    ``_folded_operator`` is LU-factored once, and v_k solves L v_k = -v_(k-1).
+    N runs through CHEBYSHEV_N until A_1, from the boundary flux of v_2,
+    moves by at most HIERARCHY_REL_TOL relative: that does not depend on
+    depth, so a deeper pass only appends levels.  MomentCrossCheckError is
+    raised when nothing settles (near a sphere's cut locus)."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    m._check_radius(R)
+    prev = math.nan
+    for N in CHEBYSHEV_N:
+        x, D, A = _folded_operator(m, R, N)
+        lu = lu_factor(A)
+        # A_1 up to the factor -Vol(S_R), which the relative change ignores
+        a1 = float(D[0] @ _next_level(lu, _next_level(lu, np.ones(N + 1))))
+        if abs(a1 - prev) <= HIERARCHY_REL_TOL * abs(a1):  # a NaN never settles
+            break
+        prev = a1
+    else:
+        raise MomentCrossCheckError(
+            f"moment A_1 of '{m.warping.label}' on B_{R} unsettled at N={N}")
+    levels = [np.ones(N + 1)]
+    for _ in range(depth):
+        v = _next_level(lu, levels[-1])
+        if v.max() < UNDERFLOW_FLOOR:
+            warnings.warn(f"hierarchy underflow at level {len(levels)}; truncating",
+                          RuntimeWarning)
+            break
+        levels.append(v)
+    return RadialHierarchy(m, R * x, D[0], tuple(levels))
 
 
 def moment_spectrum(m: ModelSpace, R: float, k_max: int) -> MomentSpectrum:
@@ -206,38 +231,22 @@ def lambda1_from_moments(spec: MomentSpectrum) -> EigenvalueEstimate:
 
 
 def lambda1_shooting(m: ModelSpace, R: float) -> float:
-    """First Dirichlet eigenvalue of the model ball B_R by Chebyshev collocation.
-
-    u'' + (n-1)(w'/w) u' = -lambda u is collocated at R cos(j pi/N), j = 0..N,
-    on the even extension to [-R, R] (N odd: no node at r = 0), and folded
-    onto the (N-1)/2 nodes in (0, R) with u(R) = 0 (Trefethen, Spectral
-    Methods in MATLAB, 2000).  lambda_1 is the smallest positive real
-    eigenvalue of that matrix.  N goes 17, 33, 65, ... (N -> 2N-1) until two
-    consecutive values agree to LAMBDA1_REL_TOL.  EigenvalueConvergenceError
-    is raised at once on a non-finite w'/w, and when nothing settles by
-    N = LAMBDA1_N_MAX: the O(N^4) roundoff of D^2 does that near a sphere's
-    cut locus (n = 3, R = 0.999 pi) and on large hyperbolic balls (n = 3,
-    R = 20).  The name predates the method; callers and the benchmark use it.
-    """
+    """First Dirichlet eigenvalue of the model ball B_R by Chebyshev collocation:
+    the smallest positive real eigenvalue of -L, L the matrix of
+    ``_folded_operator`` that ``radial_hierarchy`` inverts.  N runs through
+    CHEBYSHEV_N until two consecutive values agree to LAMBDA1_REL_TOL.
+    EigenvalueConvergenceError is raised when nothing settles: the O(N^4)
+    roundoff of D^2 does that near a sphere's cut locus (n = 3, R = 0.999 pi)
+    and on large hyperbolic balls (n = 3, R = 20).  The name predates the
+    method; callers and the benchmark use it."""
     m._check_radius(R)
-    N, prev = 17, math.nan
-    while N <= LAMBDA1_N_MAX:
-        j = np.arange(N + 1)
-        x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(j pi/N); x[N-j] == -x[j]
-        c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
-        D = np.outer(c, 1 / c) / (R * (x[:, None] - x[None, :] + np.eye(N + 1)))
-        D -= np.diag(D.sum(axis=1))  # d/dr at the nodes (Trefethen's cheb.m)
-        M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
-        eta = m.warping.dw(R * x[1 : M + 1]) / m.warping.w(R * x[1 : M + 1])
-        if not np.all(np.isfinite(eta)):
-            raise EigenvalueConvergenceError(f"non-finite w'/w in '{m.warping.label}'")
-        L = D[1 : M + 1] @ D + ((m.dim - 1) * eta)[:, None] * D[1 : M + 1]
-        # columns 0 and N drop out with u(+-R) = 0; u(-r) = u(r) folds the rest
-        ev = -np.linalg.eigvals(L[:, 1 : M + 1] + L[:, N - 1 : M : -1])
+    prev = math.nan
+    for N in CHEBYSHEV_N:
+        ev = -np.linalg.eigvals(_folded_operator(m, R, N)[2])
         positive = ev.real[(ev.imag == 0) & (ev.real > 0)]
         lam = float(positive.min()) if positive.size else math.nan
         if abs(lam - prev) <= LAMBDA1_REL_TOL * lam:  # a NaN never settles
             return lam
-        N, prev = 2 * N - 1, lam
+        prev = lam
     raise EigenvalueConvergenceError(
-        f"lambda1 of '{m.warping.label}' on B_{R} unsettled at N = {LAMBDA1_N_MAX}")
+        f"lambda1 of '{m.warping.label}' on B_{R} unsettled at N = {N}")

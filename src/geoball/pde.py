@@ -66,14 +66,14 @@ class PolarGrid:
     center_area: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n_theta % 2 != 0:
-            raise ValueError("n_theta must be even")
+        if self.n_theta < 2 or self.n_theta % 2 != 0:
+            raise ValueError(f"n_theta must be even and >= 2, got {self.n_theta}")
         if self.n_r < 4:
             raise ValueError("n_r must be >= 4")
         self.metric._check_radius(self.R)
         radii = np.linspace(0.0, self.R, self.n_r + 1)
         thetas = np.arange(self.n_theta) * (TWO_PI / self.n_theta)
-        dr, dt = radii[1], thetas[1] if self.n_theta > 1 else TWO_PI
+        dr, dt = radii[1], thetas[1]
         w = self._sample_w(radii[1:-1], thetas)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "thetas", thetas)

@@ -7,7 +7,7 @@ import functools
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import simpson
 
 
 class QuadratureError(RuntimeError):
@@ -55,11 +55,6 @@ class GaussPanels:
 def simpson_uniform(values: np.ndarray, dx: float) -> float:
     """Composite Simpson integral of uniformly sampled values."""
     return float(simpson(values, dx=dx))
-
-
-def cumulative_integral(values: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative integral F(r_i) = int_0^{r_i} f, Simpson-based, F(0) = 0."""
-    return cumulative_simpson(values, dx=dx, initial=0.0)
 
 
 def integrate(

@@ -209,15 +209,14 @@ def gauss_curvature(
 # Starting and largest angle counts of the tensor rule: its theta budget.
 _THETA_NODES, _THETA_NODES_MAX = 16, 16 << 10
 # relative accuracy of sphere_length and of ball_area
-LENGTH_REL_TOL = 1e-10
-AREA_REL_TOL = 1e-9
+POLAR_REL_TOL = 1e-10
 # hypothesis_report: scan grid (radii, angles) and the |gap| counted as zero
 HYPOTHESIS_N_R = HYPOTHESIS_N_THETA = 256
 HYPOTHESIS_TOL = 1e-9
 
 
 def _lengths_and_areas(
-    m: PolarMetric2D, radii: float | np.ndarray, rel_tol: float
+    m: PolarMetric2D, radii: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lengths int_0^{2pi} w(r, theta) dtheta and areas int_0^r length at
     sorted radii, from one tensor rule per refinement level.
@@ -227,8 +226,8 @@ def _lengths_and_areas(
     rule on every other angle estimates its error at no extra cost.
     r: GaussPanels, so every area comes out of the same pass.  Each level
     evaluates w once on the (r, theta) mesh, then doubles n while the
-    trapezoid error estimate exceeds rel_tol, otherwise n_g until the areas
-    move by at most rel_tol from n_g/2 to n_g nodes.
+    trapezoid error estimate exceeds POLAR_REL_TOL, otherwise n_g until the
+    areas move by at most POLAR_REL_TOL from n_g/2 to n_g nodes.
     Raises QuadratureError when that does not happen within the doubling
     budget, or at once on a non-finite sample, which could never settle.
     """
@@ -248,17 +247,17 @@ def _lengths_and_areas(
         areas = panels.cumulative(fine[k:], n_g)
         # "not <=" so that a NaN change counts as unsettled; areas are only
         # compared between n_g and 2*n_g at the same n
-        if not np.max(np.abs(fine - coarse) / np.abs(fine)) <= rel_tol:
+        if not np.max(np.abs(fine - coarse) / np.abs(fine)) <= POLAR_REL_TOL:
             n, prev_areas = 2 * n, None
         elif prev_areas is None or not (
-            np.max(np.abs(areas - prev_areas) / np.abs(areas)) <= rel_tol
+            np.max(np.abs(areas - prev_areas) / np.abs(areas)) <= POLAR_REL_TOL
         ):
             n_g, prev_areas = 2 * n_g, areas
         else:
             return fine[:k], areas
     raise QuadratureError(
         f"lengths and areas of metric '{m.label}' did not converge to "
-        f"rel_tol={rel_tol} on (0, {rs[-1]}]"
+        f"rel_tol={POLAR_REL_TOL} on (0, {rs[-1]}]"
     )
 
 
@@ -266,7 +265,7 @@ def sphere_length(m: PolarMetric2D, r: float | np.ndarray) -> float | np.ndarray
     """Length of the distance circle: int_0^{2pi} w(r, theta) dtheta.
 
     r is a radius or a sorted 1-D array of radii; a radius gives a float."""
-    lengths = _lengths_and_areas(m, r, LENGTH_REL_TOL)[0]
+    lengths = _lengths_and_areas(m, r)[0]
     return float(lengths[0]) if np.ndim(r) == 0 else lengths
 
 
@@ -274,7 +273,7 @@ def ball_area(m: PolarMetric2D, r: float | np.ndarray) -> float | np.ndarray:
     """Area of the geodesic disk: int_0^r length(t) dt.
 
     r is a radius or a sorted 1-D array of radii; a radius gives a float."""
-    areas = _lengths_and_areas(m, r, AREA_REL_TOL)[1]
+    areas = _lengths_and_areas(m, r)[1]
     return float(areas[0]) if np.ndim(r) == 0 else areas
 
 

@@ -28,7 +28,6 @@ from .pde import (
     moments_grid,
 )
 from .surface import (
-    LENGTH_REL_TOL,
     HypothesisReport,
     PolarMetric2D,
     _lengths_and_areas,
@@ -91,11 +90,6 @@ def _sign(direction: str) -> float:
     raise ComparisonPreconditionError(
         "mean-curvature comparison has no uniform direction"
     )
-
-
-def _tol_for(direction: str) -> float:
-    """Equality cases are grid-limited and get the looser threshold."""
-    return EQUALITY_TOL if direction == "equal" else INEQ_TOL
 
 
 _REVERSED = str.maketrans("<>", "><")
@@ -162,7 +156,7 @@ class VerificationContext:
             )
         solver = HierarchySolver(PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta))
         radii = sorted({R / 4, R / 2, float(R)})
-        lengths, areas = _lengths_and_areas(m, radii, LENGTH_REL_TOL)
+        lengths, areas = _lengths_and_areas(m, radii)
         return cls(
             model=model,
             k_max=k_max,
@@ -170,7 +164,7 @@ class VerificationContext:
             direction=direction_override or hyp.direction,
             solver=solver,
             fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
-            model_hierarchy=radial_hierarchy(model, R, k_max + 1, N=4096),
+            model_hierarchy=radial_hierarchy(model, R, k_max + 1),
             sphere_lengths=dict(zip(radii, lengths.tolist())),
             ball_areas=dict(zip(radii, areas.tolist())),
         )
@@ -181,7 +175,8 @@ class VerificationContext:
 
     @property
     def tol(self) -> float:
-        return _tol_for(self.hypothesis.direction)
+        """Equality cases are grid-limited and get the looser threshold."""
+        return EQUALITY_TOL if self.hypothesis.direction == "equal" else INEQ_TOL
 
 
 def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
@@ -257,14 +252,14 @@ def verify_torsional(ctx: VerificationContext) -> list[Entry]:
             f"model '{model.warping.label}' is not balanced"
         )
     a1_metric = moments_grid(ctx.fields[:1]).moment(1)
-    hier = radial_hierarchy(model, s_R, 2, N=4096)
+    hier = radial_hierarchy(model, s_R, 2)
     a1_model = hier.spectrum().moment(1)
     entries = [
         _entry(ctx, "torsional_rigidity", "A_1(sym ball) >= A_1(disk)",
                a1_model, a1_metric, scale=a1_model)
     ]
     if ctx.sign > 0:
-        bound = float(hier.levels[1][0]) * ctx.ball_areas[R]  # E_sym(0) * area
+        bound = float(hier.level(1)(0.0)) * ctx.ball_areas[R]  # E_sym(0) * area
         entries.append(
             _entry(ctx, "torsional_coarse_bound", "A_1(disk) <= E_sym(0)*Vol(disk)",
                    bound, a1_metric, scale=bound)

@@ -181,13 +181,13 @@ def test_cli_symmetrize_sorts_and_tabulates_once(tmp_path, monkeypatch):
 
 def test_cli_model_builds_one_hierarchy(tmp_path, monkeypatch):
     calls = []
-    arrays = geoball.hierarchy._hierarchy_arrays
+    build = geoball.cli.radial_hierarchy
 
     def counted(*args):
         calls.append(1)
-        return arrays(*args)
+        return build(*args)
 
-    monkeypatch.setattr(geoball.hierarchy, "_hierarchy_arrays", counted)
+    monkeypatch.setattr(geoball.cli, "radial_hierarchy", counted)
     rc = main(["model", "--warping", "euclidean", "--radius", "1",
                "--output", str(tmp_path)])
     assert rc == 0
@@ -312,9 +312,12 @@ def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     if argv[2] == "sphere(1)":
-        # the moment cross-check names the grid it used, which --grid
-        # (the size of the profile table) does not set
-        assert "N=2048" in err and "increase" not in err
+        # A_1 names the largest Chebyshev size it tried, which --grid (the
+        # size of the profile table) does not set
+        assert "N=1025" in err and "increase" not in err
+    else:
+        # the moments are written before the model eigenvalue fails
+        assert (tmp_path / "model_moments.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize(

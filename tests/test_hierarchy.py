@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from geoball import hierarchy
 from geoball.hierarchy import (
     EigenvalueConvergenceError,
     MomentCrossCheckError,
@@ -83,9 +84,28 @@ def test_hierarchy_second_level_closed_form():
     assert np.max(np.abs(v2(rs) - exact)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flat_exit_time_closed_form(n):
+    # E(r) = (R^2 - r^2) / (2n) on the flat n-ball
+    R = 1.0
+    E = radial_hierarchy(make_space_form(0.0, n), R, 1).level(1)
+    rs = np.linspace(0.0, R, 101)
+    assert np.max(np.abs(E(rs) - (R**2 - rs**2) / (2 * n))) < 1e-12
+
+
+def test_flat_disk_second_level_closed_form_to_roundoff():
+    v2 = radial_hierarchy(make_space_form(0.0, 2), 1.0, 2).level(2)
+    rs = np.linspace(0.0, 1.0, 101)
+    exact = (3 / 32 - rs**2 / 8 + rs**4 / 32) / 2
+    assert np.max(np.abs(v2(rs) - exact)) < 1e-12
+
+
 def test_hierarchy_members_nonincreasing_nonnegative():
     m = make_space_form(-1.0, 3)
-    for v in radial_hierarchy(m, 1.5, 4).levels[1:]:
+    hier = radial_hierarchy(m, 1.5, 4)
+    half = hier.nodes >= 0  # the nodes run from R down to -R
+    for v in hier.levels[1:]:
+        v = v[half][::-1]  # in increasing r on [0, R]
         assert np.all(v >= -1e-15)
         assert np.all(np.diff(v) <= 1e-12)
 
@@ -102,9 +122,6 @@ def test_radial_hierarchy_serves_levels_and_moments_from_one_pass():
     assert spec.k_max == 3 and spec.radius == 1.5
     assert np.array_equal(spec.normalized, moment_spectrum(m, 1.5, 3).normalized)
     assert np.array_equal(deeper.spectrum().normalized[:4], spec.normalized)
-    # a level's spline is built once, when it is first read
-    assert hier.level(2) is hier.level(2)
-    assert np.array_equal(hier.level(2).values, hier.levels[2])
     with pytest.raises(IndexError):
         hier.level(5)
     with pytest.raises(ValueError):
@@ -126,10 +143,21 @@ def test_ratio_trace_unit_disk():
     assert rho[1] == pytest.approx(6.0, rel=1e-8)
 
 
-def test_moment_cross_check_trips_on_coarse_grid():
+def test_moment_cross_check_trips_on_coarse_grid(monkeypatch):
+    # A_1 settles at N = 9, which holds the flat disk's v_0..v_4 (even
+    # polynomials of degree <= 8) but not v_5
+    monkeypatch.setattr(hierarchy, "CHEBYSHEV_N", (5, 9))
     m = make_space_form(0.0, 2)
-    with pytest.raises(MomentCrossCheckError):
-        radial_hierarchy(m, 1.0, 4, N=16).spectrum()
+    with pytest.raises(MomentCrossCheckError, match="k=4 with N=9"):
+        radial_hierarchy(m, 1.0, 6).spectrum()
+
+
+def test_hierarchy_underflow_truncates_with_one_warning():
+    m = make_space_form(0.0, 2)
+    with pytest.warns(RuntimeWarning, match="underflow") as caught:
+        spec = radial_hierarchy(m, 1e-5, 80).spectrum()
+    assert len(caught) == 1
+    assert spec.k_max + 1 == 27
 
 
 def test_averaged_moment_normalization():

@@ -56,6 +56,14 @@ def test_grid_requires_even_theta(flat):
         make_grid(flat, 1.0, 32, 31)
 
 
+@pytest.mark.parametrize("n_theta", [0, -2])
+def test_grid_requires_two_or_more_angles(flat, n_theta):
+    # even, so the parity check alone let them through: 0 divided by zero
+    # and -2 gave an empty grid of zero area
+    with pytest.raises(ValueError, match="n_theta"):
+        make_grid(flat, 1.0, 16, n_theta)
+
+
 def test_laplacian_of_r_squared(flat_grid):
     f = field_from_function(flat_grid, lambda r, t: np.asarray(r) ** 2
                             + 0.0 * np.asarray(t))

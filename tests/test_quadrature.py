@@ -10,7 +10,6 @@ from geoball.model import ball_volume_model, make_space_form
 from geoball.quadrature import (
     GaussPanels,
     QuadratureError,
-    cumulative_integral,
     integrate,
     simpson_uniform,
 )
@@ -19,12 +18,6 @@ from geoball.quadrature import (
 def test_simpson_polynomial_exact():
     x = np.linspace(0.0, 1.0, 9)
     assert simpson_uniform(x**3, x[1]) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_cumulative_matches_antiderivative():
-    x = np.linspace(0.0, 2.0, 401)
-    cum = cumulative_integral(np.exp(x), x[1])
-    assert np.max(np.abs(cum - (np.exp(x) - 1.0))) < 1e-9
 
 
 def test_integrate_smooth():
