@@ -22,7 +22,6 @@ from .model import (
 from .hierarchy import (
     EigenvalueEstimate,
     MomentSpectrum,
-    RadialFunction,
     RadialHierarchy,
     averaged_moment,
     lambda1_from_moments,
@@ -52,6 +51,7 @@ from .pde import (
 )
 from .symmetrize import (
     LevelSetProfile,
+    RadialFunction,
     check_equimeasurable,
     integral_identity_check,
     level_profile,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import lambda1_from_moments, lambda1_shooting, radial_hierarchy
+from .hierarchy import lambda1_from_moments, radial_hierarchy
 from .model import (
     ModelSpace,
     WarpingProfile,
@@ -161,11 +161,11 @@ def _cmd_model(args: argparse.Namespace) -> int:
                [np.arange(1, len(rhos) + 1, dtype=float), rhos])
     bal = balance_check(model, R)
     est = lambda1_from_moments(spec)
-    lam_shoot = lambda1_shooting(model, R)
+    lam_model = hier.lambda1()
     print(f"model {model.warping.label} dim={model.dim} R={R}")
     print(f"balanced={bal.balanced} min_margin={FLOAT_FMT % bal.min_margin}")
     print(f"lambda1_moments={FLOAT_FMT % est.value}")
-    print(f"lambda1_shooting={FLOAT_FMT % lam_shoot}")
+    print(f"lambda1_shooting={FLOAT_FMT % lam_model}")
     print(f"wrote model_profile.csv model_moments.csv model_ratios.csv to {out}")
     return 0
 

@@ -1,7 +1,10 @@
 """Radial Poisson hierarchy, moment spectrum and first Dirichlet eigenvalue
-on geodesic balls of a model space, all from one discretization: the radial
-operator u'' + (n-1)(w'/w) u' collocated on a parity-folded Chebyshev grid
-(``_folded_operator``; Trefethen, Spectral Methods in MATLAB, 2000).
+on geodesic balls of a model space, all from one pass of one
+discretization: the radial operator u'' + (n-1)(w'/w) u' collocated on a
+parity-folded Chebyshev grid (``_folded_operator``; Trefethen, Spectral
+Methods in MATLAB, 2000).  ``radial_hierarchy`` settles the resolution once
+per ball, and the ``RadialHierarchy`` it returns serves the levels, the
+moments and lambda_1 at that resolution.
 
 Hierarchy members are kept in the normalized form v_k = u_k / k!, which
 reads the eigenvalue ratio directly off consecutive moments and avoids
@@ -12,10 +15,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, CubicSpline
+from scipy.interpolate import BarycentricInterpolator
 from scipy.linalg import lu_factor, lu_solve
 
 from .model import ModelSpace, sphere_volume_model
@@ -37,32 +40,6 @@ class MomentCrossCheckError(RuntimeError):
 
 class EigenvalueConvergenceError(RuntimeError):
     """The collocated model-ball eigenvalue did not settle."""
-
-
-@dataclass(frozen=True)
-class RadialFunction:
-    """Function of the radius sampled on a uniform grid with cubic interpolation."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.grid) < 16:
-            raise ValueError("radial grid must have at least 16 nodes")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("radial grid must be strictly increasing")
-        object.__setattr__(self, "_spline", CubicSpline(self.grid, self.values))
-
-    def __call__(self, r):
-        return self._spline(r)
-
-    def derivative(self, r):
-        return self._spline(r, 1)
-
-    @property
-    def radius(self) -> float:
-        return float(self.grid[-1])
 
 
 @dataclass(frozen=True)
@@ -120,49 +97,82 @@ def _next_level(lu: tuple, v: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], u, u[::-1], [0.0]))
 
 
+def _smallest_positive_eigenvalue(L: np.ndarray) -> float:
+    """Smallest positive real eigenvalue of -L, NaN when there is none."""
+    ev = -np.linalg.eigvals(L)
+    positive = ev.real[(ev.imag == 0) & (ev.real > 0)]
+    return float(positive.min()) if positive.size else math.nan
+
+
 @dataclass(frozen=True)
 class RadialHierarchy:
     """Normalized Poisson hierarchy v_0 = 1, v_1, .. of a model ball B_R at
     the Chebyshev nodes of ``_folded_operator``: each level solves the
     collocated radial Poisson recursion with v_k(R) = 0, and level 1 is the
-    mean exit time E.  Build it with ``radial_hierarchy``."""
+    mean exit time E.  It also keeps the folded matrices of the settled N
+    and of the rung before it, from which ``lambda1`` reads the first
+    eigenvalue, so that levels, moments and lambda_1 share one resolution.
+    Build it with ``radial_hierarchy``."""
 
     model: ModelSpace
     nodes: np.ndarray  # R cos(j pi/N), j = 0..N: from R down to -R
     flux: np.ndarray  # row 0 of the differentiation matrix: d/dr at r = R
     levels: tuple[np.ndarray, ...]  # index k: v_k at the nodes, even in r
+    operators: tuple[np.ndarray, np.ndarray]  # folded L at the previous, settled N
 
-    def level(self, k: int) -> BarycentricInterpolator:
-        """v_k as a callable of r: the polynomial through its node values,
+    def _interpolant(self, values: np.ndarray) -> BarycentricInterpolator:
+        """The polynomial through node values (one column per function),
         with the closed-form Chebyshev weights (-1)^j, halved at both ends."""
-        if not 0 <= k < len(self.levels):
-            raise IndexError(f"k={k} outside 0..{len(self.levels) - 1}")
         wi = (-1.0) ** np.arange(len(self.nodes))
         wi[[0, -1]] *= 0.5
-        return BarycentricInterpolator(self.nodes, self.levels[k], wi=wi)
+        return BarycentricInterpolator(self.nodes, values, wi=wi)
+
+    def level(self, k: int) -> BarycentricInterpolator:
+        """v_k as a callable of r."""
+        if not 0 <= k < len(self.levels):
+            raise IndexError(f"k={k} outside 0..{len(self.levels) - 1}")
+        return self._interpolant(self.levels[k])
 
     def spectrum(self) -> MomentSpectrum:
         """Normalized moments A_k/k! = c * int_0^R v_k w^(n-1) of every level
-        but the last, by N-point Gauss-Legendre on [0, R], each recomputed
-        from the spectral boundary flux of the next level (divergence
-        theorem): a gap beyond CROSS_CHECK_TOL relative raises
-        MomentCrossCheckError."""
+        but the last, by N-point Gauss-Legendre on [0, R] carried to the
+        nodes: one weight per node, the rule applied to each Lagrange basis
+        polynomial (one interpolant of the identity), so that a moment reads
+        its own level only.  Each is recomputed from the spectral boundary
+        flux of the next level (divergence theorem): a gap beyond
+        CROSS_CHECK_TOL relative raises MomentCrossCheckError at the first
+        such k."""
         m, R, N = self.model, float(self.nodes[0]), len(self.nodes) - 1
         panels = GaussPanels(R)
         r = panels.nodes(N)
         density = m.sphere_constant * m.warping.w(r) ** (m.dim - 1)
-        vol_sphere = sphere_volume_model(m, R)
-        moments = np.empty(len(self.levels) - 1)
-        for k in range(len(moments)):
-            bulk = float(panels.cumulative(self.level(k)(r) * density, N)[-1])
-            boundary = -float(self.flux @ self.levels[k + 1]) * vol_sphere
-            if abs(bulk - boundary) > CROSS_CHECK_TOL * max(abs(bulk), abs(boundary)):
-                raise MomentCrossCheckError(
-                    f"moment cross-check failed at k={k} with N={N}: "
-                    f"bulk={bulk}, boundary={boundary}"
-                )
-            moments[k] = bulk
-        return MomentSpectrum(normalized=moments, radius=R)
+        lagrange = self._interpolant(np.eye(N + 1))(r)  # column j: l_j at r
+        weights = panels.cumulative(lagrange.T * density, N)[:, -1]
+        levels = np.stack(self.levels)
+        bulk = (levels[:-1] * weights).sum(axis=1)
+        boundary = -(levels[1:] * self.flux).sum(axis=1) * sphere_volume_model(m, R)
+        bad = np.flatnonzero(np.abs(bulk - boundary)
+                             > CROSS_CHECK_TOL * np.maximum(abs(bulk), abs(boundary)))
+        if bad.size:
+            k = bad[0]
+            raise MomentCrossCheckError(
+                f"moment cross-check failed at k={k} with N={N}: "
+                f"bulk={bulk[k]}, boundary={boundary[k]}"
+            )
+        return MomentSpectrum(normalized=bulk, radius=R)
+
+    def lambda1(self) -> float:
+        """First Dirichlet eigenvalue of B_R: the smallest positive real
+        eigenvalue of -L at the settled N.  EigenvalueConvergenceError is
+        raised unless it agrees with the previous rung's value to
+        LAMBDA1_REL_TOL relative; the O(N^4) roundoff of the collocated D^2
+        does that on large hyperbolic balls (n = 3, R = 20)."""
+        coarse, fine = map(_smallest_positive_eigenvalue, self.operators)
+        if not abs(fine - coarse) <= LAMBDA1_REL_TOL * fine:  # NaN fails too
+            raise EigenvalueConvergenceError(
+                f"lambda1 of '{self.model.warping.label}' on B_{self.nodes[0]} "
+                f"unsettled at N = {len(self.nodes) - 1}: {coarse} then {fine}")
+        return fine
 
 
 def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
@@ -176,15 +186,15 @@ def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m._check_radius(R)
-    prev = math.nan
+    prev, coarse = math.nan, None
     for N in CHEBYSHEV_N:
-        x, D, A = _folded_operator(m, R, N)
-        lu = lu_factor(A)
+        x, D, L = _folded_operator(m, R, N)
+        lu = lu_factor(L)
         # A_1 up to the factor -Vol(S_R), which the relative change ignores
         a1 = float(D[0] @ _next_level(lu, _next_level(lu, np.ones(N + 1))))
         if abs(a1 - prev) <= HIERARCHY_REL_TOL * abs(a1):  # a NaN never settles
             break
-        prev = a1
+        prev, coarse = a1, L
     else:
         raise MomentCrossCheckError(
             f"moment A_1 of '{m.warping.label}' on B_{R} unsettled at N={N}")
@@ -196,7 +206,7 @@ def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
                           RuntimeWarning)
             break
         levels.append(v)
-    return RadialHierarchy(m, R * x, D[0], tuple(levels))
+    return RadialHierarchy(m, R * x, D[0], tuple(levels), (coarse, L))
 
 
 def moment_spectrum(m: ModelSpace, R: float, k_max: int) -> MomentSpectrum:
@@ -231,22 +241,6 @@ def lambda1_from_moments(spec: MomentSpectrum) -> EigenvalueEstimate:
 
 
 def lambda1_shooting(m: ModelSpace, R: float) -> float:
-    """First Dirichlet eigenvalue of the model ball B_R by Chebyshev collocation:
-    the smallest positive real eigenvalue of -L, L the matrix of
-    ``_folded_operator`` that ``radial_hierarchy`` inverts.  N runs through
-    CHEBYSHEV_N until two consecutive values agree to LAMBDA1_REL_TOL.
-    EigenvalueConvergenceError is raised when nothing settles: the O(N^4)
-    roundoff of D^2 does that near a sphere's cut locus (n = 3, R = 0.999 pi)
-    and on large hyperbolic balls (n = 3, R = 20).  The name predates the
-    method; callers and the benchmark use it."""
-    m._check_radius(R)
-    prev = math.nan
-    for N in CHEBYSHEV_N:
-        ev = -np.linalg.eigvals(_folded_operator(m, R, N)[2])
-        positive = ev.real[(ev.imag == 0) & (ev.real > 0)]
-        lam = float(positive.min()) if positive.size else math.nan
-        if abs(lam - prev) <= LAMBDA1_REL_TOL * lam:  # a NaN never settles
-            return lam
-        prev = lam
-    raise EigenvalueConvergenceError(
-        f"lambda1 of '{m.warping.label}' on B_{R} unsettled at N = {N}")
+    """``radial_hierarchy(m, R, 1).lambda1()``; the benchmark calls it.  The
+    name predates the Chebyshev collocation that replaced shooting."""
+    return radial_hierarchy(m, R, 1).lambda1()

@@ -22,7 +22,6 @@ solve, checked by its normwise backward error against the flux matrix.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -32,10 +31,9 @@ import numpy as np
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import SuperLU, splu
 
-from .hierarchy import EigenvalueEstimate, MomentSpectrum, lambda1_from_moments
-from .surface import MetricAuditError, PolarMetric2D
+from .hierarchy import MomentSpectrum, lambda1_from_moments
+from .surface import TWO_PI, MetricAuditError, PolarMetric2D
 
-TWO_PI = 2.0 * math.pi
 # hierarchy depth behind the moment-ratio eigenvalue estimate
 LAMBDA1_LEVELS = 24
 # largest normwise backward error of a hierarchy solve
@@ -390,7 +388,6 @@ def moments_grid(fields: Sequence[GridField]) -> MomentSpectrum:
 class GridEigenvalue:
     moment_value: float
     power_value: float
-    moment_estimate: EigenvalueEstimate
 
 
 def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
@@ -416,4 +413,4 @@ def lambda1_from_solver(
         raise ResolutionError(
             f"eigenvalue routes disagree: moments={est.value}, power={power}"
         )
-    return GridEigenvalue(moment_value=est.value, power_value=power, moment_estimate=est)
+    return GridEigenvalue(moment_value=est.value, power_value=power)

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import simpson
 
-from .hierarchy import RadialFunction, radial_hierarchy
+from .hierarchy import radial_hierarchy
 from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
 from .pde import GridField, PolarGrid
-from .quadrature import simpson_uniform
 from .surface import PolarMetric2D, ball_area, hypothesis_report
 
 PROFILE_NODES = 1025
@@ -31,6 +31,30 @@ class ComparisonPreconditionError(RuntimeError):
 
 class NegativeFieldError(ValueError):
     """Symmetrization requires a nonnegative field."""
+
+
+@dataclass(frozen=True)
+class RadialFunction:
+    """Function of the radius sampled on a strictly increasing grid of at
+    least 16 nodes, evaluated by linear interpolation between its samples:
+    a piecewise-linear profile is evaluated the way it is built, so a
+    non-negative, non-increasing one stays so between the nodes."""
+
+    grid: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.grid) < 16:
+            raise ValueError("radial grid must have at least 16 nodes")
+        if np.any(np.diff(self.grid) <= 0):
+            raise ValueError("radial grid must be strictly increasing")
+
+    def __call__(self, r):
+        return np.interp(r, self.grid, self.values)
+
+    @property
+    def radius(self) -> float:
+        return float(self.grid[-1])
 
 
 @dataclass(frozen=True)
@@ -158,8 +182,8 @@ def integral_identity_check(
     to grid error.
     """
     wn = model.warping.w(fstar.grid) ** (model.dim - 1)
-    rhs = model.sphere_constant * simpson_uniform(
-        fstar.values * wn, fstar.grid[1] - fstar.grid[0]
+    rhs = model.sphere_constant * float(
+        simpson(fstar.values * wn, dx=fstar.grid[1] - fstar.grid[0])
     )
     return f.integral(), rhs
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .hierarchy import RadialHierarchy, averaged_moment, lambda1_shooting, radial_hierarchy
+from .hierarchy import RadialHierarchy, averaged_moment, radial_hierarchy
 from .model import (
     ModelSpace,
     balance_check,
@@ -268,8 +268,9 @@ def verify_torsional(ctx: VerificationContext) -> list[Entry]:
 
 
 def verify_eigenvalue(ctx: VerificationContext) -> Entry:
-    """First Dirichlet eigenvalue of the model ball versus the metric disk."""
-    lam_model = lambda1_shooting(ctx.model, ctx.solver.grid.R)
+    """First Dirichlet eigenvalue of the model ball, read from the context's
+    model hierarchy at its settled resolution, versus the metric disk."""
+    lam_model = ctx.model_hierarchy.lambda1()
     fields = ctx.fields[:LAMBDA1_LEVELS]
     lam_metric = lambda1_from_solver(ctx.solver, fields).power_value
     return _entry(ctx, "eigenvalue", "lambda1(model) <= lambda1(metric)",

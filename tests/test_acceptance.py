@@ -4,7 +4,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import geoball as gb
 

@@ -11,7 +11,6 @@ from geoball import hierarchy
 from geoball.hierarchy import (
     EigenvalueConvergenceError,
     MomentCrossCheckError,
-    RadialFunction,
     averaged_moment,
     lambda1_from_moments,
     lambda1_shooting,
@@ -25,6 +24,7 @@ from geoball.model import (
     polynomial_profile,
     space_form_profile,
 )
+from geoball.symmetrize import RadialFunction
 
 J01 = 2.404825557695773  # first zero of the Bessel function J_0
 J11 = 3.831705970207512  # first positive zero of the Bessel function J_1
@@ -261,17 +261,32 @@ def test_lambda1_nonfinite_warping_ratio_raises_at_once():
 
 
 def test_lambda1_unsettled_near_the_cut_locus_raises():
-    # the O(N^4) roundoff of the collocated second derivative keeps the value
-    # from settling to 1e-10 before the largest N
-    with pytest.raises(EigenvalueConvergenceError):
+    # the O(N^4) roundoff of the collocated second derivative keeps A_1 from
+    # settling to 1e-11 before the largest N, so the hierarchy that lambda1
+    # is read from is never built
+    with pytest.raises(MomentCrossCheckError, match="N=1025"):
         lambda1_shooting(make_space_form(1.0, 3), 0.999 * math.pi)
 
 
+def test_lambda1_is_checked_against_the_previous_rung():
+    # the moments settle at N = 513, where the roundoff of D^2 already moves
+    # lambda1 by more than 1e-10 from one rung to the next
+    hier = radial_hierarchy(make_space_form(-1.0, 3), 20.0, 6)
+    assert hier.spectrum().k_max == 5
+    with pytest.raises(EigenvalueConvergenceError, match="N = 513"):
+        hier.lambda1()
+
+
 def test_radial_function_interpolation():
+    # linear between the samples: exact on linear data, and a
+    # piecewise-linear profile is reproduced without overshoot
     grid = np.linspace(0.0, 1.0, 64)
-    f = RadialFunction(grid=grid, values=grid**2)
-    assert f(0.5) == pytest.approx(0.25, abs=1e-10)
-    assert f.derivative(0.5) == pytest.approx(1.0, abs=1e-8)
+    f = RadialFunction(grid=grid, values=1.0 - 2.0 * grid)
+    rs = np.linspace(0.0, 1.0, 1001)
+    np.testing.assert_allclose(f(rs), 1.0 - 2.0 * rs, rtol=0, atol=1e-15)
+    assert f(0.5) == pytest.approx(0.0, abs=1e-15)
+    step = RadialFunction(grid=grid, values=np.where(grid < 0.5, 1.0, 0.0))
+    assert step(rs).min() == 0.0 and step(rs).max() == 1.0
     assert f.radius == 1.0
 
 

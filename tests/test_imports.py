@@ -1,13 +1,16 @@
-"""Every module-level import of a library module is used by that module."""
+"""Every module-level import of a library or test module is used by that
+module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "geoball"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "geoball"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -25,7 +28,7 @@ def _unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path.read_text()) == []
 

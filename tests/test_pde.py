@@ -15,7 +15,6 @@ from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import (
     GridField,
     HierarchySolver,
-    PolarGrid,
     apply_laplacian,
     field_from_function,
     lambda1_grid,

@@ -1,47 +1,11 @@
-"""Tests for the Gauss-Legendre panels and the composite-Simpson helpers."""
-
-import math
+"""Tests for the Gauss-Legendre panels."""
 
 import numpy as np
 import pytest
 
 from geoball import quadrature
 from geoball.model import ball_volume_model, make_space_form
-from geoball.quadrature import (
-    GaussPanels,
-    QuadratureError,
-    integrate,
-    simpson_uniform,
-)
-
-
-def test_simpson_polynomial_exact():
-    x = np.linspace(0.0, 1.0, 9)
-    assert simpson_uniform(x**3, x[1]) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_integrate_smooth():
-    val = integrate(np.sin, 0.0, math.pi, rel_tol=1e-12)
-    assert val == pytest.approx(2.0, rel=1e-12)
-
-
-def test_integrate_empty_interval():
-    assert integrate(np.sin, 1.0, 1.0) == 0.0
-
-
-def test_integrate_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        integrate(np.sin, 1.0, 0.0)
-
-
-def test_integrate_reports_nonconvergence():
-    rng = np.random.default_rng(3)
-
-    def noisy(x):
-        return rng.standard_normal(len(np.atleast_1d(x)))
-
-    with pytest.raises(QuadratureError):
-        integrate(noisy, 0.0, 1.0, rel_tol=1e-12, max_doublings=3)
+from geoball.quadrature import GaussPanels
 
 
 def test_gauss_panels_exact_for_polynomials():

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad, quad
 
 from geoball.model import DomainError, euclidean_profile, make_space_form, space_form_profile
-from geoball.quadrature import QuadratureError, integrate
+from geoball.quadrature import QuadratureError
 from geoball.surface import (
     TWO_PI,
     MetricAuditError,
@@ -208,24 +209,16 @@ def test_curvatures_broadcast_and_keep_scalar_contract():
         np.testing.assert_allclose(table, scalar, rtol=1e-14, atol=0)
 
 
-def _nested_sphere_length(m, r, rel_tol=1e-10):
-    """The adaptive Simpson circle length that the tensor rule replaced."""
-    m._check_radius(r)
-    return integrate(lambda t: m.w(np.full_like(t, r), t), 0.0, TWO_PI, rel_tol=rel_tol)
+def _quad_sphere_length(m, r):
+    """int_0^2pi w(r, t) dt by adaptive Gauss-Kronrod: the independent reference."""
+    f = lambda t: float(m.w(np.array(r), np.array(t)))
+    return quad(f, 0.0, TWO_PI, epsabs=0.0, epsrel=1e-13)[0]
 
 
-def _nested_ball_area(m, r, rel_tol=1e-9):
-    """The nested adaptive Simpson area that the tensor rule replaced: one
-    adaptive theta-integral per node of an adaptive r-integral."""
-    m._check_radius(r)
-
-    def lengths(ts):
-        out = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            out[i] = _nested_sphere_length(m, t, rel_tol=rel_tol * 0.1) if t > 0 else 0.0
-        return out
-
-    return integrate(lengths, 0.0, r, rel_tol=rel_tol, initial_points=129)
+def _quad_ball_area(m, r):
+    """int_0^r int_0^2pi w(s, t) dt ds by nested adaptive Gauss-Kronrod."""
+    f = lambda t, s: float(m.w(np.array(s), np.array(t)))
+    return dblquad(f, 0.0, r, 0.0, TWO_PI, epsabs=0.0, epsrel=1e-13)[0]
 
 
 @pytest.mark.parametrize(
@@ -237,8 +230,8 @@ def test_tensor_rule_matches_nested_reference(metric):
     rs = np.array([0.25, 0.5, 1.0])
     lengths, areas = sphere_length(metric, rs), ball_area(metric, rs)
     for r, length, area in zip(rs, lengths, areas):
-        assert length == pytest.approx(_nested_sphere_length(metric, r), rel=1e-10)
-        assert area == pytest.approx(_nested_ball_area(metric, r), rel=1e-10)
+        assert length == pytest.approx(_quad_sphere_length(metric, r), rel=1e-10)
+        assert area == pytest.approx(_quad_ball_area(metric, r), rel=1e-10)
 
 
 @pytest.mark.parametrize(

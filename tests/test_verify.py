@@ -210,6 +210,21 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
     assert (sum(map(len, builds)), len(transplants)) == (2, 0)
 
 
+def test_one_folded_operator_per_rung_per_model_ball(example, flat_model, monkeypatch):
+    # N = 17 and 33 for the hierarchy on [0, R] and again for the one on
+    # [0, s_R]; the eigenvalue entry reads the operators the first one kept
+    folded = _count_calls(monkeypatch, hierarchy, "_folded_operator")
+    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32)
+    assert len(folded) == 4
+
+
+def test_model_eigenvalue_from_the_report_hierarchy(example, flat_model):
+    # both the hierarchy and a separate Chebyshev ladder for lambda1 settle
+    # at N = 33 here, so the value is the ladder's to the last bit
+    ctx = VerificationContext.build(example, flat_model, 1.0, n_r=256, n_theta=256)
+    assert ctx.model_hierarchy.lambda1() == 5.783185962946771
+
+
 @pytest.mark.parametrize("override", [None, "model>=M"])
 def test_standalone_checks_match_report(example, flat_model, override):
     rep = run_verification(example, flat_model, 1.0, n_r=32, n_theta=32,
