@@ -5,19 +5,19 @@ symmetric in the area-weighted inner product; the expanded coordinate form
 is kept as an audit route.  A single factorization is reused across all
 hierarchy levels and the inverse power iteration.
 
-When the face conductances of the flux matrix are constant in theta (every
+When the face conductances and cell areas are constant in theta (every
 ``radial(...)`` metric, the model balls of the comparison theorems), the
-matrix is circulant in theta: a real FFT along theta splits it into
-n_theta/2 + 1 independent tridiagonal radial systems, the classical fast
-Poisson solver on a disk (Buzbee, Golub & Nielson 1970; Swarztrauber &
-Sweet 1973).  That factorization solves the very same discrete system as a
-sparse LU of the flux matrix, so only the cost changes.  A right-hand
-side that is constant in theta on every ring excites mode 0 alone, which
-is one tridiagonal system over the center and the rings: on a radial grid
-every hierarchy level is such a solve, since the cell areas, the constant
-v_0 = 1 and each mode-0 solution are all constant in theta.  Any other
-metric takes the general sparse LU.  Each hierarchy level is one direct
-solve, checked by its normwise backward error against the flux matrix.
+flux matrix is circulant in theta, and everything the solver is asked for
+lives in its Fourier mode 0: the cell areas, the constant v_0 = 1 and each
+hierarchy level are constant in theta, and so is the first Dirichlet
+eigenfunction, as on a rotationally symmetric ball (block k >= 1 is block 0
+on the rings plus a nonnegative diagonal, so by Courant-Fischer its
+smallest eigenvalue is no lower).  Mode 0 is one tridiagonal system over
+the center and the rings, the k = 0 system of the classical fast Poisson
+solver on a disk (Buzbee, Golub & Nielson 1970), and that is all such a
+grid factors.  Any other metric takes the general sparse LU.  Each
+hierarchy level is one direct solve, checked by its normwise backward
+error against the flux matrix.
 """
 
 from __future__ import annotations
@@ -128,9 +128,6 @@ class GridField:
             + self.center * g.center_area
         )
 
-    def max_abs(self) -> float:
-        return max(abs(self.center), float(np.max(np.abs(self.rings))))
-
 
 def make_grid(m: PolarMetric2D, R: float, n_r: int = 128, n_theta: int = 128) -> PolarGrid:
     return PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
@@ -181,62 +178,35 @@ def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray, np.ndarray]
     return flux, c_radial, c_angular
 
 
-def _theta_independent(c_radial: np.ndarray, c_angular: np.ndarray) -> bool:
-    """True iff every ring's conductances are equal across theta, i.e. the
-    flux matrix is circulant in theta."""
-    return bool(np.all(c_radial == c_radial[:, :1])
-                and np.all(c_angular == c_angular[:, :1]))
+def _theta_independent(*per_ring: np.ndarray) -> bool:
+    """True iff every row (one ring) of every array is constant in theta."""
+    return all(bool(np.all(a == a[:, :1])) for a in per_ring)
 
 
-def _factor_fourier_modes(
-    c: np.ndarray, a: np.ndarray, n_theta: int
-) -> tuple[SuperLU, SuperLU]:
-    """LU of the block-diagonal matrix of the theta-Fourier modes of a
-    circulant flux matrix with radial conductances c (n_r) and angular
-    conductances a (n_r-1), and LU of its block 0 alone.
+def _factor_mode0(c: np.ndarray) -> SuperLU:
+    """LU of block 0 of a flux matrix that is circulant in theta, with
+    radial conductances c (n_r): the system the ring values of a solution
+    constant in theta satisfy.
 
-    Block k = 0..n_theta/2 is tridiagonal over rings 1..n_r-1 with diagonal
-    -(c[i] + c[i+1]) - 2 a[i] (1 - cos(2 pi k / n_theta)) and off-diagonal
-    c[i+1].  Block 0 is bordered in front by the center unknown, scaled as
-    y = n_theta * x_center so that the block stays symmetric.
+    It is tridiagonal over the center and rings 1..n_r-1, with diagonal
+    -c[0], -(c[i] + c[i+1]) and off-diagonal c[i].  The center unknown is
+    scaled as y = n_theta * x_center so that the block stays symmetric.
     """
-    n_modes = n_theta // 2 + 1
-    eig = 2.0 * (1.0 - np.cos(TWO_PI / n_theta * np.arange(n_modes)))
-    diagonal = np.concatenate([[-c[0]], (-(c[:-1] + c[1:]) - np.outer(eig, a)).ravel()])
-    # coupling of unknown n to n+1: none across a block boundary
-    off = np.concatenate([[c[0]], np.tile(np.append(c[1:-1], 0.0), n_modes)[:-1]])
-    blocks = diags([off, diagonal, off], [-1, 0, 1], format="csc")
-    n0 = len(c)  # block 0: the center and rings 1..n_r-1
-    return (splu(blocks, permc_spec="NATURAL"),
-            splu(blocks[:n0, :n0], permc_spec="NATURAL"))
+    diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
+    block = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
+    return splu(block, permc_spec="NATURAL")
 
 
-def _fourier_solve(lu: SuperLU, lu0: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b for the circulant flux matrix A whose Fourier-mode blocks
-    lu factors, and whose block 0 lu0 factors (``_factor_fourier_modes``).
-
-    A right-hand side whose rings are constant in theta excites mode 0
-    alone, so one solve of block 0 gives the solution: the center is
-    y_0 / n_theta and ring i is y_i / n_theta all along theta.
-    """
+def _mode0_solve(lu0: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
+    """A^{-1} b for the circulant flux matrix A whose block 0 lu0 factors
+    (``_factor_mode0``), for b constant in theta on every ring: the center
+    is y_0 / n_theta and ring i is y_i / n_theta all along theta.  Any
+    other b raises ``ValueError``."""
     rings = b[1:].reshape(-1, n_theta)
-    if np.all(rings == rings[:, :1]):
-        y = lu0.solve(np.concatenate([b[:1], n_theta * rings[:, 0]])) / n_theta
-        return np.concatenate([y[:1], np.repeat(y[1:], n_theta)])
-    return _fourier_solve_all_modes(lu, n_theta, b)
-
-
-def _fourier_solve_all_modes(lu: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
-    """``_fourier_solve`` through every Fourier mode: rfft, the block
-    solves and the inverse rfft."""
-    b_hat = np.fft.rfft(b[1:].reshape(-1, n_theta), axis=1).T.ravel()
-    rhs = np.empty((len(b_hat) + 1, 2))
-    rhs[0] = b[0], 0.0
-    rhs[1:, 0], rhs[1:, 1] = b_hat.real, b_hat.imag
-    y = lu.solve(rhs)
-    x_hat = (y[1:, 0] + 1j * y[1:, 1]).reshape(n_theta // 2 + 1, -1).T
-    x = np.fft.irfft(x_hat, n_theta, axis=1).ravel()
-    return np.concatenate([[y[0, 0] / n_theta], x])
+    if not np.all(rings == rings[:, :1]):
+        raise ValueError("right-hand side is not constant in theta on every ring")
+    y = lu0.solve(np.concatenate([b[:1], n_theta * rings[:, 0]])) / n_theta
+    return np.concatenate([y[:1], np.repeat(y[1:], n_theta)])
 
 
 def _unknown_areas(grid: PolarGrid) -> np.ndarray:
@@ -298,18 +268,24 @@ class HierarchySolver:
 
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
-    diag(1/area) @ A.  A is factored once.  If its conductances are
-    constant in theta (any radial metric), A is circulant in theta and the
-    factorization is that of its n_theta/2 + 1 tridiagonal Fourier-mode
-    blocks, applied between a real FFT and its inverse along theta; this
-    is an exact block diagonalization of the same A, so it solves the same
-    discrete system as a sparse LU would.  Block 0 is also factored on its
-    own, and a right-hand side constant in theta on every ring (each
-    hierarchy level) is solved by it alone, without the FFT; ``_lu`` is
-    the factor of all the blocks.  Otherwise A is factored by
-    SuperLU in a minimum-degree ordering of A^T + A, which suits its
-    symmetric 5-point pattern.  A solve is one direct solve; ``hierarchy``
-    checks each level's normwise backward error against A.
+    diag(1/area) @ A.  A is factored once.
+
+    On a rotationally symmetric grid (conductances and cell areas constant
+    in theta: any radial metric) A is circulant in theta.  Its Fourier
+    block k >= 1 is block 0 restricted to the rings plus the nonnegative
+    diagonal 2 a_i (1 - cos(2 pi k / n_theta)), so by Courant-Fischer its
+    smallest eigenvalue is no lower than block 0's: lambda_1 lives in mode
+    0, as the first Dirichlet eigenfunction of a rotationally symmetric
+    ball is radial.  Every hierarchy level is constant in theta too (the
+    areas, v_0 = 1 and each mode-0 solution are).  So the solver factors
+    the tridiagonal block 0 alone (``_lu`` is its n_r x n_r SuperLU), its
+    solves accept only right-hand sides constant in theta on every ring,
+    and inverse power iteration starts from ring means.
+
+    Otherwise A is factored by SuperLU in a minimum-degree ordering of
+    A^T + A, which suits its symmetric 5-point pattern.  A solve is one
+    direct solve; ``hierarchy`` checks each level's normwise backward error
+    against A.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -317,12 +293,12 @@ class HierarchySolver:
         self.flux, c_radial, c_angular = _assemble_flux(grid)
         self.areas = _unknown_areas(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
-        if _theta_independent(c_radial, c_angular):
-            self._lu, lu0 = _factor_fourier_modes(
-                c_radial[:, 0], c_angular[:, 0], grid.n_theta)
-            # bound to the factors, not to self: a cycle through self
+        self._mode0 = _theta_independent(c_radial, c_angular, grid.node_area)
+        if self._mode0:
+            self._lu = _factor_mode0(c_radial[:, 0])
+            # bound to the factor, not to self: a cycle through self
             # would keep every solver alive until the cyclic collector runs
-            self._flux_solve = partial(_fourier_solve, self._lu, lu0, grid.n_theta)
+            self._flux_solve = partial(_mode0_solve, self._lu, grid.n_theta)
         else:
             self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
             self._flux_solve = self._lu.solve
@@ -360,6 +336,9 @@ class HierarchySolver:
         area-weighted pencil (-flux, areas)."""
         rng = np.random.default_rng(7)
         x = rng.standard_normal(len(self.areas))
+        if self._mode0:  # start from ring means: every iterate stays in mode 0
+            nt = self.grid.n_theta
+            x[1:] = np.repeat(x[1:].reshape(-1, nt).mean(axis=1), nt)
         lam_prev = 0.0
         for _ in range(POWER_MAX_ITER):
             y = self._flux_solve(self.areas * x)

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from geoball.hierarchy import radial_hierarchy
@@ -130,7 +131,8 @@ def test_hierarchy_nonnegative_interior_max(flat_grid):
     for v in HierarchySolver(flat_grid).hierarchy(3):
         assert v.center >= 0
         assert np.all(v.rings >= -1e-14)
-        assert v.max_abs() > np.max(v.rings[-2])  # max away from the boundary
+        # max away from the boundary
+        assert max(v.center, np.max(v.rings)) > np.max(v.rings[-2])
 
 
 def test_hierarchy_matches_radial_route():
@@ -222,15 +224,25 @@ def _rel_err(a, b):
 def test_fourier_route_matches_sparse_lu(curvature, n_r, n_theta):
     m = radial_metric(space_form_profile(curvature))
     solver = HierarchySolver(make_grid(m, 1.0, n_r, n_theta))
-    assert solver._lu.shape == (1 + (n_theta // 2 + 1) * (n_r - 1),) * 2
+    assert solver._lu.shape == (n_r, n_r)
     ref = _splu_reference(solver)
-    rhs = np.random.default_rng(3).standard_normal(len(solver.areas))
-    assert _rel_err(solver.solve_poisson(rhs), ref.solve_poisson(rhs)) <= 1e-12
     for v, v_ref in zip(solver.hierarchy(24), ref.hierarchy(24)):
         assert _rel_err(np.append(v.rings, v.center),
                         np.append(v_ref.rings, v_ref.center)) <= 1e-10
     assert solver.smallest_eigenvalue() == pytest.approx(
         ref.smallest_eigenvalue(), rel=1e-10)
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("n_r,n_theta", [(4, 2), (17, 12), (32, 32)])
+def test_radial_eigenvalue_is_the_full_pencils(curvature, n_r, n_theta):
+    # the solver iterates in Fourier mode 0 alone; the smallest eigenvalue
+    # of the whole pencil (-flux, areas) must live there
+    m = radial_metric(space_form_profile(curvature))
+    solver = HierarchySolver(make_grid(m, 1.0, n_r, n_theta))
+    lam = eigh(-solver.flux.toarray(), np.diag(solver.areas), eigvals_only=True,
+               subset_by_index=[0, 0])[0]
+    assert solver.smallest_eigenvalue() == pytest.approx(lam, rel=pde.POWER_TOL)
 
 
 def _almost_flat_metric():
@@ -252,9 +264,45 @@ def _almost_flat_metric():
                          label="almost-flat")
 
 
+def _node_only_metric():
+    """The plane with w perturbed by 1e-12 r^3 cos^2(16 pi r) cos(6 theta).
+    On a 16 x 12 grid of radius 1 the perturbation is below roundoff at
+    every face (cos^2 vanishes at the radial faces, cos(6 theta) at the
+    angular ones), but not at the nodes."""
+    eps, k = 1e-12, 32 * np.pi
+
+    def p(r):  # r^3 (1 + cos(k r)) / 2 and its first two derivatives
+        r = np.asarray(r, float)
+        c, s = np.cos(k * r), np.sin(k * r)
+        return (r**3 * (1 + c) / 2,
+                1.5 * r**2 * (1 + c) - r**3 * k * s / 2,
+                3 * r * (1 + c) - 3 * r**2 * k * s - r**3 * k**2 * c / 2)
+
+    return PolarMetric2D(
+        w=lambda r, t: np.asarray(r, float) + eps * np.cos(6 * t) * p(r)[0],
+        w_r=lambda r, t: 1 + eps * np.cos(6 * t) * p(r)[1],
+        w_rr=lambda r, t: eps * np.cos(6 * t) * p(r)[2],
+        w_t=lambda r, t: -6 * eps * np.sin(6 * t) * p(r)[0],
+        R_valid=10.0, label="node-only")
+
+
+def test_theta_varying_areas_take_the_sparse_lu():
+    # circulant conductances alone do not make a grid rotationally
+    # symmetric: the areas weight every hierarchy level and the pencil
+    grid = make_grid(_node_only_metric(), 1.0, 16, 12)
+    solver = HierarchySolver(grid)
+    _, c_radial, c_angular = pde._assemble_flux(grid)
+    assert pde._theta_independent(c_radial, c_angular)
+    assert not pde._theta_independent(grid.node_area)
+    assert solver._lu.shape == solver.flux.shape
+    ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
+    for v, v_ref in zip(solver.hierarchy(3), ref.hierarchy(3)):
+        assert _rel_err(v.rings, v_ref.rings) <= 1e-10
+
+
 def test_fourier_route_only_for_theta_independent_grids(flat):
     radial = HierarchySolver(make_grid(flat, 1.0, 16, 12))
-    assert radial._lu.shape == (1 + 7 * 15,) * 2
+    assert radial._lu.shape == (16, 16)
     for m in (builtin_example_metric(), _almost_flat_metric()):
         solver = HierarchySolver(make_grid(m, 1.0, 16, 12))
         assert solver._lu.shape == solver.flux.shape
@@ -276,7 +324,7 @@ class _CountingFactor:
 
 def _counting_solver(monkeypatch, grid):
     """HierarchySolver(grid) whose factors count their solves, and the
-    factors: on a radial grid the full block factor, then block 0's."""
+    factors it made."""
     factors = []
 
     def counting_splu(*args, **kwargs):
@@ -292,6 +340,8 @@ def _counting_solver(monkeypatch, grid):
 @pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
 @pytest.mark.parametrize("n_r,n_theta", [(4, 2), (17, 12), (64, 64)])
 def test_mode0_route_matches_full_route_and_sparse_lu(curvature, n_r, n_theta):
+    # a theta-constant rhs: the mode-0 solve against the full flux system,
+    # by its normwise backward error and by a sparse LU of the whole matrix
     m = radial_metric(space_form_profile(curvature))
     solver = HierarchySolver(make_grid(m, 1.0, n_r, n_theta))
     rng = np.random.default_rng(5)
@@ -300,32 +350,31 @@ def test_mode0_route_matches_full_route_and_sparse_lu(curvature, n_r, n_theta):
     x = solver.solve_poisson(rhs)
     rings = x[1:].reshape(n_r - 1, n_theta)
     assert np.all(rings == rings[:, :1])
-    full = pde._fourier_solve_all_modes(solver._lu, n_theta, solver.areas * rhs)
-    assert _rel_err(x, full) <= 1e-12
+    b = solver.areas * rhs
+    backward = np.max(np.abs(solver.flux @ x - b)) / (
+        solver._flux_norm * np.max(np.abs(x)) + np.max(np.abs(b)))
+    assert backward <= 1e-12
     assert _rel_err(x, _splu_reference(solver).solve_poisson(rhs)) <= 1e-12
 
 
-def test_rhs_one_ulp_off_theta_constant_takes_full_route(flat, monkeypatch):
-    solver, (full, mode0) = _counting_solver(monkeypatch,
-                                             make_grid(flat, 1.0, 17, 12))
-    b = solver.areas.copy()
-    solver._flux_solve(b)
-    assert (full.solves, mode0.solves) == (0, 1)
-    b[40] = np.nextafter(b[40], np.inf)
-    x = solver._flux_solve(b)
-    assert (full.solves, mode0.solves) == (1, 1)
-    assert np.array_equal(x, pde._fourier_solve_all_modes(solver._lu, 12, b))
+def test_rhs_one_ulp_off_theta_constant_raises(flat):
+    solver = HierarchySolver(make_grid(flat, 1.0, 17, 12))
+    rhs = np.ones(len(solver.areas))
+    solver.solve_poisson(rhs)
+    rhs[40] = np.nextafter(rhs[40], np.inf)
+    with pytest.raises(ValueError, match="constant in theta"):
+        solver.solve_poisson(rhs)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
 def test_radial_hierarchy_solves_mode0_only(curvature, monkeypatch):
     m = radial_metric(space_form_profile(curvature))
-    solver, (full, mode0) = _counting_solver(monkeypatch, make_grid(m, 1.0, 32, 32))
+    solver, (mode0,) = _counting_solver(monkeypatch, make_grid(m, 1.0, 32, 32))
     solver.hierarchy(pde.LAMBDA1_LEVELS)
-    assert (full.solves, mode0.solves) == (0, pde.LAMBDA1_LEVELS)
-    # inverse power iteration starts from a random vector: every mode
+    assert mode0.solves == pde.LAMBDA1_LEVELS
+    # inverse power iteration starts from ring means: block 0 again
     solver.smallest_eigenvalue()
-    assert full.solves > 0 and mode0.solves == pde.LAMBDA1_LEVELS
+    assert mode0.solves > pde.LAMBDA1_LEVELS
 
 
 @pytest.mark.parametrize("radial", [True, False])
@@ -333,7 +382,7 @@ def test_factor_fill_readable_on_both_routes(flat, radial):
     # the benchmark's layer trace reads the fill as _lu.L.nnz + _lu.U.nnz
     m = flat if radial else builtin_example_metric()
     solver = HierarchySolver(make_grid(m, 1.0, 16, 12))
-    n = 1 + 7 * 15 if radial else solver.flux.shape[0]
+    n = 16 if radial else solver.flux.shape[0]
     assert solver._lu.shape == (n, n)
     assert solver._lu.L.nnz + solver._lu.U.nnz >= 2 * n
 
@@ -353,7 +402,14 @@ def test_solver_freed_by_reference_counting(flat):
 def test_fourier_route_report_matches_sparse_lu(flat, monkeypatch):
     model = make_space_form(0.0, 2)
     fast = run_verification(flat, model, 1.0, n_r=64, n_theta=64)
-    monkeypatch.setattr(pde, "_theta_independent", lambda *conductances: False)
+    init = HierarchySolver.__init__
+
+    def init_with_sparse_lu(self, grid):
+        # same solver, start vector included; a sparse LU of its flux matrix
+        init(self, grid)
+        self._flux_solve = splu(self.flux, permc_spec="MMD_AT_PLUS_A").solve
+
+    monkeypatch.setattr(HierarchySolver, "__init__", init_with_sparse_lu)
     general = run_verification(flat, model, 1.0, n_r=64, n_theta=64)
     assert len(fast.entries) == len(general.entries)
     for e, g in zip(fast.entries, general.entries):

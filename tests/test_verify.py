@@ -191,8 +191,8 @@ def test_one_factorization_and_one_scan_per_report(example, flat_model, monkeypa
 
 def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch):
     # one direct solve per hierarchy level (radial grids solve through
-    # _fourier_solve, which the solver binds when it is built)
-    solves = _count_calls(monkeypatch, pde, "_fourier_solve")
+    # _mode0_solve, which the solver binds when it is built)
+    solves = _count_calls(monkeypatch, pde, "_mode0_solve")
     solver = pde.HierarchySolver(pde.make_grid(radial_metric(euclidean_profile()),
                                                1.0, 16, 16))
     solver.hierarchy(pde.LAMBDA1_LEVELS)
