@@ -1,9 +1,9 @@
 """Finite-difference Poisson hierarchy, moments and eigenvalue on polar disks.
 
 The Laplacian is discretized in divergence form, which makes the operator
-symmetric in the area-weighted inner product; the expanded coordinate form
-is kept as an audit route.  A single factorization is reused across all
-hierarchy levels and the inverse power iteration.
+symmetric in the area-weighted inner product; the tests keep the expanded
+coordinate form as its reference.  A single factorization is reused across
+all hierarchy levels and the inverse power iteration.
 
 When the face conductances and cell areas are constant in theta (every
 ``radial(...)`` metric, the model balls of the comparison theorems), the
@@ -219,48 +219,15 @@ def _vec_to_field(grid: PolarGrid, x: np.ndarray) -> GridField:
     return GridField(grid=grid, center=float(x[0]), rings=rings)
 
 
-def apply_laplacian(f: GridField, form: str = "divergence") -> GridField:
-    """Discrete Laplacian of f on its grid; the boundary ring of the result
-    is zeroed.
-
-    'divergence' is the flux-balanced second-order scheme used by the
-    solver (its flux matrix, applied); 'expanded' discretizes the
-    coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t and
-    exists as an independent audit.
-    """
+def apply_laplacian(f: GridField) -> GridField:
+    """Discrete Laplacian of f on its grid: the flux-balanced second-order
+    scheme of the solver (its flux matrix, applied).  The boundary ring of
+    the result is zeroed."""
     grid = f.grid
-    if form == "divergence":
-        flux, c_radial, _ = _assemble_flux(grid)
-        y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
-        y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
-        return _vec_to_field(grid, y / _unknown_areas(grid))
-    if form != "expanded":
-        raise ValueError(f"unknown form '{form}'")
-    m, dr, dt = grid.metric, grid.dr, grid.dtheta
-    ntheta = grid.n_theta
-    vals = f.rings  # (n_r, n_theta)
-    rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
-    w = m.w(rr, tt)
-    # rows 0..n_r-2 of `interior` are interior rings 1..n_r-1
-    below = np.vstack([np.full((1, ntheta), f.center), vals[:-2]])
-    above = vals[1:]
-    here = vals[:-1]
-    f_r = (above - below) / (2 * dr)
-    f_rr = (above - 2 * here + below) / dr**2
-    f_t = (np.roll(here, -1, axis=1) - np.roll(here, 1, axis=1)) / (2 * dt)
-    f_tt = (np.roll(here, -1, axis=1) - 2 * here + np.roll(here, 1, axis=1)) / dt**2
-    interior = (
-        f_rr
-        + m.w_r(rr, tt) / w * f_r
-        + f_tt / w**2
-        - m.w_t(rr, tt) / w**3 * f_t
-    )
-    w_face_r, _ = _face_weights(grid)
-    center = float(
-        np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
-    )
-    rings = np.vstack([interior, np.zeros((1, ntheta))])
-    return GridField(grid=grid, center=center, rings=rings)
+    flux, c_radial, _ = _assemble_flux(grid)
+    y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
+    y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
+    return _vec_to_field(grid, y / _unknown_areas(grid))
 
 
 class HierarchySolver:

@@ -1,7 +1,9 @@
 """Geometry of 2-D polar metrics g = dr^2 + w^2(r, theta) dtheta^2.
 
-Metrics carry analytic partial derivatives; a construction-time
-finite-difference audit rejects inconsistent evaluators.
+A metric is written once, as w: its partials w_r, w_rr and w_t evaluate w
+on jets (``model._Jet``), so they cannot disagree with it.  A
+construction-time audit checks the smooth pole, 2*pi-periodicity and that w
+is finite and positive inside the chart.
 """
 
 from __future__ import annotations
@@ -12,36 +14,53 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DomainError, ModelSpace, WarpingProfile
+from .model import DomainError, ModelSpace, WarpingProfile, _Jet
 from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 R_VALID_MAX = 10.0  # largest radius of the built-in metrics' polar charts
-AUDIT_POINTS, AUDIT_TOL = 200, 1e-5  # samples and tolerance of the partials audit
 
 
 class MetricAuditError(ValueError):
-    """Analytic partials disagree with finite differences at build time."""
+    """A metric fails its construction-time audit, or w is not finite
+    where it is sampled."""
 
 
 @dataclass(frozen=True)
 class PolarMetric2D:
-    """Metric evaluator w(r, theta) with partials w_r, w_rr, w_theta.
+    """Metric evaluator w(r, theta), vectorized and broadcast over (r, theta)
+    arrays; its partials w_r, w_rr and w_t evaluate w on jets, so w must be
+    written with the operations that ``model._Jet`` carries.
 
-    All evaluators are vectorized and broadcast over (r, theta) arrays.
     R_valid bounds the radii on which the polar chart is declared valid.
     """
 
     w: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    w_r: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    w_rr: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    w_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
     R_valid: float
     label: str
 
     def __post_init__(self) -> None:
-        _audit_partials(self)
         _audit_pole_and_periodicity(self)
+
+    def _jet(self, r: np.ndarray, t: np.ndarray) -> tuple[_Jet, tuple[int, ...]]:
+        """w on jets seeded at (r, t), and the broadcast shape of r and t."""
+        r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
+        return self.w(_Jet(r, 1.0), _Jet(t, t=1.0)), np.broadcast_shapes(r.shape, t.shape)
+
+    def w_r(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """dw/dr, from w on jets."""
+        jet, shape = self._jet(r, t)
+        return np.full(shape, jet.r)
+
+    def w_rr(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """d2w/dr2, from w on jets."""
+        jet, shape = self._jet(r, t)
+        return np.full(shape, jet.rr)
+
+    def w_t(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """dw/dtheta, from w on jets."""
+        jet, shape = self._jet(r, t)
+        return np.full(shape, jet.t)
 
     def _check_radius(self, t: float | np.ndarray) -> None:
         """Raise DomainError unless every radius in t lies in (0, R_valid]."""
@@ -51,33 +70,6 @@ class PolarMetric2D:
             raise DomainError(
                 f"radius {float(t[bad].flat[0])} outside (0, {self.R_valid}] "
                 f"for metric '{self.label}'"
-            )
-
-
-def _audit_partials(m: PolarMetric2D) -> None:
-    rng = np.random.default_rng(20240811)
-    top = min(m.R_valid, 5.0)
-    rs = rng.uniform(0.05 * top, 0.95 * top, AUDIT_POINTS)
-    ts = rng.uniform(0.0, TWO_PI, AUDIT_POINTS)
-    h = 1e-5
-    # the second difference loses about 4*eps/h2^2 to roundoff: 9e-6 at
-    # h = 1e-5, too close to AUDIT_TOL, and 9e-8 at h2 = 1e-4, where its
-    # truncation error h2^2 * w_rrrr / 12 is still far below AUDIT_TOL
-    h2 = 1e-4
-    wr_fd = (m.w(rs + h, ts) - m.w(rs - h, ts)) / (2 * h)
-    wrr_fd = (m.w(rs + h2, ts) - 2 * m.w(rs, ts) + m.w(rs - h2, ts)) / h2**2
-    wt_fd = (m.w(rs, ts + h) - m.w(rs, ts - h)) / (2 * h)
-    scale = np.maximum(1.0, np.abs(m.w(rs, ts)))
-    for name, fd, an in (
-        ("w_r", wr_fd, m.w_r(rs, ts)),
-        ("w_rr", wrr_fd, m.w_rr(rs, ts)),
-        ("w_t", wt_fd, m.w_t(rs, ts)),
-    ):
-        err = np.max(np.abs(fd - an) / scale)
-        if not err <= AUDIT_TOL:  # a NaN sample gives a NaN error, which fails too
-            raise MetricAuditError(
-                f"metric '{m.label}': analytic {name} deviates from finite "
-                f"differences by {err:.3e}"
             )
 
 
@@ -115,35 +107,12 @@ def perturbed_flat_metric(eps: float, mode: int) -> PolarMetric2D:
     if mode < 1:
         raise ValueError("mode must be a positive integer")
 
-    def cs2(t):
-        return np.cos(mode * np.asarray(t, dtype=float)) ** 2
-
     def w(r, t):
-        r = np.asarray(r, dtype=float)
-        d = 1.0 + r**2 * cs2(t)
+        d = 1.0 + r**2 * np.cos(mode * t) ** 2
         return r + eps * r**3 / d
 
-    def w_r(r, t):
-        r = np.asarray(r, dtype=float)
-        c = cs2(t)
-        d = 1.0 + r**2 * c
-        return 1.0 + eps * (3 * r**2 + r**4 * c) / d**2
-
-    def w_rr(r, t):
-        r = np.asarray(r, dtype=float)
-        c = cs2(t)
-        d = 1.0 + r**2 * c
-        return eps * 2 * r * (3.0 - r**2 * c) / d**3
-
-    def w_t(r, t):
-        r = np.asarray(r, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d = 1.0 + r**2 * cs2(t)
-        return eps * r**5 * mode * np.sin(2 * mode * t) / d**2
-
     label = "example1" if (eps == 1.0 and mode == 1) else f"perturbed({eps},{mode})"
-    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=R_VALID_MAX,
-                         label=label)
+    return PolarMetric2D(w=w, R_valid=R_VALID_MAX, label=label)
 
 
 def builtin_example_metric() -> PolarMetric2D:
@@ -153,26 +122,7 @@ def builtin_example_metric() -> PolarMetric2D:
 
 def radial_metric(profile: WarpingProfile) -> PolarMetric2D:
     """Theta-independent wrapper turning a warping profile into a 2-D metric."""
-
-    def w(r, t):
-        return profile.w(np.asarray(r, dtype=float)) * np.ones_like(
-            np.asarray(t, dtype=float)
-        )
-
-    def w_r(r, t):
-        return profile.dw(np.asarray(r, dtype=float)) * np.ones_like(
-            np.asarray(t, dtype=float)
-        )
-
-    def w_rr(r, t):
-        return profile.ddw(np.asarray(r, dtype=float)) * np.ones_like(
-            np.asarray(t, dtype=float)
-        )
-
-    def w_t(r, t):
-        return np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
-
-    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t,
+    return PolarMetric2D(w=lambda r, t: profile.w(r) + 0.0 * t,
                          R_valid=min(profile.r_max * 0.999, R_VALID_MAX),
                          label=f"radial({profile.label})")
 

@@ -19,7 +19,7 @@ from geoball.hierarchy import (
 )
 from geoball.model import (
     ModelSpace,
-    WarpingProfile,
+    euclidean_profile,
     make_space_form,
     polynomial_profile,
     space_form_profile,
@@ -242,22 +242,20 @@ def test_lambda1_matches_shooting_reference():
 def test_lambda1_nonfinite_warping_ratio_raises_at_once():
     calls = []
 
-    def dw(r):
+    def w(r):
+        # w = r, and w' = 1, up to r = 0.505, NaN past it: (2r)^65536
+        # underflows to 0 below r = 1/2 and overflows past 0.5054
         calls.append(1)
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 0.5, 1.0, np.nan)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return r + 0.0 * (2.0 * r) ** 65536
 
-    profile = WarpingProfile(
-        w=lambda r: np.asarray(r, dtype=float) + 0.0,
-        dw=dw,
-        ddw=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        r_max=math.inf,
-        label="nan-tail",
-    )
-    calls.clear()  # the profile's own audit samples dw
+    # swapped in after the axiom audit: a NaN tail is no valid warping, and
+    # the audit's positivity probe reaches it
+    profile = euclidean_profile()
+    object.__setattr__(profile, "w", w)
     with pytest.raises(EigenvalueConvergenceError):
         lambda1_shooting(ModelSpace(warping=profile, dim=3), 1.0)
-    assert len(calls) == 1
+    assert len(calls) == 2  # w' (w on jets) and w at the first rung's nodes
 
 
 def test_lambda1_unsettled_near_the_cut_locus_raises():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from geoball.model import (
+    BALANCE_TOL,
     DomainError,
     ModelSpace,
     WarpingProfile,
@@ -29,13 +30,7 @@ from geoball.quadrature import QuadratureError
 
 def test_profile_axioms_rejected():
     with pytest.raises(ValueError):
-        WarpingProfile(
-            w=lambda r: np.asarray(r) + 1.0,
-            dw=lambda r: np.ones_like(np.asarray(r)),
-            ddw=lambda r: np.zeros_like(np.asarray(r)),
-            r_max=math.inf,
-            label="shifted",
-        )
+        WarpingProfile(w=lambda r: r + 1.0, r_max=math.inf, label="shifted")
 
 
 def test_profile_positivity_rejected():
@@ -228,6 +223,19 @@ def test_balance_margin_matches_quad_reference():
     assert balance_check(m, R).min_margin == pytest.approx(ref, rel=0, abs=1e-12)
 
 
+def test_balance_closed_form_gated_at_its_own_scale():
+    # the closed-form margin is (n - 1) times the quotient margin: here
+    # -1.4e-9 against -7.0e-10, so one gate for both called them inconsistent
+    profile = WarpingProfile(w=lambda r: np.sinh(r) - 0.0443770161013417 * r**3,
+                             r_max=math.inf, label="sinh-cubic")
+    n = 3
+    rep = balance_check(ModelSpace(warping=profile, dim=n), 3.0)
+    assert rep.balanced
+    assert -BALANCE_TOL < rep.min_margin < -0.5 * BALANCE_TOL
+    assert rep.closed_form_min < -BALANCE_TOL
+    assert rep.closed_form_min == pytest.approx((n - 1) * rep.min_margin, rel=1e-6)
+
+
 def test_ball_volume_array_matches_scalar():
     m = make_space_form(-1.0, 3)
     rs = np.array([0.0, 0.0, 0.2, 0.2, 0.9, 1.7])
@@ -264,14 +272,10 @@ def test_ball_volume_raises_when_unconverged():
     object.__setattr__(nan_profile, "w", lambda r: np.full(np.shape(r), np.nan))
     with pytest.raises(QuadratureError):
         ball_volume_model(ModelSpace(warping=nan_profile, dim=3), 1.0)
-    # a kink in w' at r = 0.5: Gauss-Legendre converges only algebraically,
-    # so the doubling budget runs out
-    kink = WarpingProfile(
-        w=lambda r: np.asarray(r, dtype=float) + 0.2 * np.maximum(r - 0.5, 0.0),
-        dw=lambda r: 1.0 + 0.2 * (np.asarray(r, dtype=float) > 0.5),
-        ddw=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        r_max=math.inf,
-        label="kink",
-    )
+    # a spike of w at r = 0.5, of width 1e-3 (poles at 0.5 +- 1e-3 i):
+    # Gauss-Legendre on [0, 1] gains only a factor of about 1 - 4e-3 per
+    # node, so the doubling budget runs out
+    spike = WarpingProfile(w=lambda r: r + 1e-6 * r**3 / ((r - 0.5) ** 2 + 1e-6),
+                           r_max=math.inf, label="spike")
     with pytest.raises(QuadratureError):
-        ball_volume_model(ModelSpace(warping=kink, dim=2), 1.0)
+        ball_volume_model(ModelSpace(warping=spike, dim=2), 1.0)

@@ -64,11 +64,44 @@ def test_grid_requires_two_or_more_angles(flat, n_theta):
         make_grid(flat, 1.0, 16, n_theta)
 
 
+def _expanded_laplacian(f):
+    """The reference for apply_laplacian: central differences of the
+    coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t on the
+    interior rings, and the flux balance of the center cell; the boundary
+    ring of the result is zeroed."""
+    grid = f.grid
+    m, dr, dt = grid.metric, grid.dr, grid.dtheta
+    ntheta = grid.n_theta
+    vals = f.rings  # (n_r, n_theta)
+    rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
+    w = m.w(rr, tt)
+    # rows 0..n_r-2 of `interior` are interior rings 1..n_r-1
+    below = np.vstack([np.full((1, ntheta), f.center), vals[:-2]])
+    above = vals[1:]
+    here = vals[:-1]
+    f_r = (above - below) / (2 * dr)
+    f_rr = (above - 2 * here + below) / dr**2
+    f_t = (np.roll(here, -1, axis=1) - np.roll(here, 1, axis=1)) / (2 * dt)
+    f_tt = (np.roll(here, -1, axis=1) - 2 * here + np.roll(here, 1, axis=1)) / dt**2
+    interior = (
+        f_rr
+        + m.w_r(rr, tt) / w * f_r
+        + f_tt / w**2
+        - m.w_t(rr, tt) / w**3 * f_t
+    )
+    w_face_r, _ = pde._face_weights(grid)
+    center = float(
+        np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
+    )
+    rings = np.vstack([interior, np.zeros((1, ntheta))])
+    return GridField(grid=grid, center=center, rings=rings)
+
+
 def test_laplacian_of_r_squared(flat_grid):
     f = field_from_function(flat_grid, lambda r, t: np.asarray(r) ** 2
                             + 0.0 * np.asarray(t))
-    for form in ("divergence", "expanded"):
-        lap = apply_laplacian(f, form)
+    for laplacian in (apply_laplacian, _expanded_laplacian):
+        lap = laplacian(f)
         assert np.max(np.abs(lap.rings[:-1] - 4.0)) < 1e-10
         assert lap.center == pytest.approx(4.0, abs=1e-10)
 
@@ -77,7 +110,7 @@ def test_laplacian_of_harmonic_polynomial(flat_grid):
     f = field_from_function(
         flat_grid, lambda r, t: np.asarray(r) ** 2 * np.cos(2 * np.asarray(t))
     )
-    lap = apply_laplacian(f, "divergence")
+    lap = apply_laplacian(f)
     assert np.max(np.abs(lap.rings[:-1])) < 5e-3
     assert abs(lap.center) < 1e-12
 
@@ -88,8 +121,8 @@ def test_laplacian_forms_agree(flat_grid):
         lambda r, t: np.sin(np.asarray(r) * np.cos(np.asarray(t)))
         * np.cos(np.asarray(r) * np.sin(np.asarray(t))),
     )
-    a = apply_laplacian(f, "divergence")
-    b = apply_laplacian(f, "expanded")
+    a = apply_laplacian(f)
+    b = _expanded_laplacian(f)
     assert np.max(np.abs(a.rings[:-1] - b.rings[:-1])) < 5e-3
 
 
@@ -100,7 +133,7 @@ def test_laplacian_of_transplanted_exit_time_hyperbolic():
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
     f = transplant_exit_time(model, grid)
-    lap = apply_laplacian(f, "divergence")
+    lap = apply_laplacian(f)
     assert np.max(np.abs(lap.rings[:-1] + 1.0)) < 1e-3
     assert lap.center == pytest.approx(-1.0, abs=1e-3)
 
@@ -113,7 +146,7 @@ def test_laplacian_convergence_order(flat):
     errs = []
     for n in (64, 128):
         g = make_grid(flat, 1.0, n, n)
-        lap = apply_laplacian(field_from_function(g, f), "divergence")
+        lap = apply_laplacian(field_from_function(g, f))
         rr, tt = np.meshgrid(g.radii[1:-1], g.thetas, indexing="ij")
         e2 = (lap.rings[:-1] + 2 * f(rr, tt)) ** 2
         errs.append(math.sqrt(np.sum(e2 * g.node_area) / np.sum(g.node_area)))
@@ -247,20 +280,7 @@ def test_radial_eigenvalue_is_the_full_pencils(curvature, n_r, n_theta):
 
 def _almost_flat_metric():
     """The plane with w perturbed by 1e-15 * r * sin(theta): a few ulps."""
-
-    def w(r, t):
-        return np.asarray(r, float) * (1.0 + 1e-15 * np.sin(t))
-
-    def w_r(r, t):
-        return np.ones_like(np.asarray(r, float)) + 1e-15 * np.sin(t)
-
-    def w_rr(r, t):
-        return np.zeros(np.broadcast(np.asarray(r), np.asarray(t)).shape)
-
-    def w_t(r, t):
-        return 1e-15 * np.asarray(r, float) * np.cos(t)
-
-    return PolarMetric2D(w=w, w_r=w_r, w_rr=w_rr, w_t=w_t, R_valid=10.0,
+    return PolarMetric2D(w=lambda r, t: r * (1.0 + 1e-15 * np.sin(t)), R_valid=10.0,
                          label="almost-flat")
 
 
@@ -270,19 +290,8 @@ def _node_only_metric():
     every face (cos^2 vanishes at the radial faces, cos(6 theta) at the
     angular ones), but not at the nodes."""
     eps, k = 1e-12, 32 * np.pi
-
-    def p(r):  # r^3 (1 + cos(k r)) / 2 and its first two derivatives
-        r = np.asarray(r, float)
-        c, s = np.cos(k * r), np.sin(k * r)
-        return (r**3 * (1 + c) / 2,
-                1.5 * r**2 * (1 + c) - r**3 * k * s / 2,
-                3 * r * (1 + c) - 3 * r**2 * k * s - r**3 * k**2 * c / 2)
-
     return PolarMetric2D(
-        w=lambda r, t: np.asarray(r, float) + eps * np.cos(6 * t) * p(r)[0],
-        w_r=lambda r, t: 1 + eps * np.cos(6 * t) * p(r)[1],
-        w_rr=lambda r, t: eps * np.cos(6 * t) * p(r)[2],
-        w_t=lambda r, t: -6 * eps * np.sin(6 * t) * p(r)[0],
+        w=lambda r, t: r + eps * np.cos(6 * t) * (r**3 * (1 + np.cos(k * r)) / 2),
         R_valid=10.0, label="node-only")
 
 
@@ -440,15 +449,13 @@ def test_lambda1_from_solver_rejects_fields_of_another_grid(flat):
 
 def _nan_where(bad):
     """The plane with w = NaN where bad(r, theta) holds; the set is too
-    thin for the metric audits' samples to hit."""
-    plane = radial_metric(euclidean_profile())
+    thin for the metric audit's samples to hit."""
 
     def w(r, t):
         r, t = np.broadcast_arrays(np.asarray(r, float), np.asarray(t, float))
         return np.where(bad(r, t), np.nan, r)
 
-    return PolarMetric2D(w=w, w_r=plane.w_r, w_rr=plane.w_rr, w_t=plane.w_t,
-                         R_valid=10.0, label="nan-sample")
+    return PolarMetric2D(w=w, R_valid=10.0, label="nan-sample")
 
 
 # 16 x 12 grid of radius 1: dr = 1/16, angular faces at theta = dtheta/2;
