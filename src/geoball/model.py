@@ -153,14 +153,15 @@ class WarpingProfile:
         eps = 1e-7
         w0 = float(self.w(np.array(eps)))
         dw0 = float(self.dw(np.array(eps)))
-        if abs(w0 - eps) > 1e-6 * max(1.0, eps) or abs(dw0 - 1.0) > 1e-5:
+        # every test is written as "not ok" so that a NaN sample fails it
+        if not (abs(w0 - eps) <= 1e-6 * max(1.0, eps) and abs(dw0 - 1.0) <= 1e-5):
             raise ValueError(
                 f"warping '{self.label}' violates w(0)=0, w'(0)=1: "
                 f"w({eps})={w0}, w'({eps})={dw0}"
             )
         probe_top = min(self.r_max * (1 - 1e-9), 20.0)
         rs = np.linspace(1e-6, probe_top, 257)
-        if np.any(self.w(rs) <= 0):
+        if not np.all(self.w(rs) > 0):
             raise ValueError(f"warping '{self.label}' is not positive on (0, r_max)")
 
     def dw(self, r: np.ndarray) -> np.ndarray:

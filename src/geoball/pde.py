@@ -14,10 +14,11 @@ eigenfunction, as on a rotationally symmetric ball (block k >= 1 is block 0
 on the rings plus a nonnegative diagonal, so by Courant-Fischer its
 smallest eigenvalue is no lower).  Mode 0 is one tridiagonal system over
 the center and the rings, the k = 0 system of the classical fast Poisson
-solver on a disk (Buzbee, Golub & Nielson 1970), and that is all such a
-grid factors.  Any other metric takes the general sparse LU.  Each
+solver on a disk (Buzbee, Golub & Nielson 1970), and it is such a grid's
+whole pencil: the solver holds one value per ring and never assembles the
+2-D matrix.  Any other metric takes the general sparse LU.  Each
 hierarchy level is one direct solve, checked by its normwise backward
-error against the flux matrix.
+error against the solver's flux matrix.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csc_matrix, diags
-from scipy.sparse.linalg import SuperLU, splu
+from scipy.sparse.linalg import splu
 
 from .hierarchy import MomentSpectrum, lambda1_from_moments
 from .surface import TWO_PI, MetricAuditError, PolarMetric2D
@@ -139,26 +139,22 @@ def field_from_function(grid: PolarGrid, fn) -> GridField:
     return GridField(grid=grid, center=float(fn(0.0, 0.0)), rings=np.asarray(fn(rr, tt)))
 
 
-def _face_weights(grid: PolarGrid):
-    """Metric factor at radial faces (i+1/2) and angular faces (j+1/2)."""
-    radii, thetas = grid.radii, grid.thetas
-    r_half = radii[:-1] + grid.dr / 2  # faces 1/2 .. n_r-1/2
-    w_face_r = grid._sample_w(r_half, thetas)  # (n_r, n_theta)
-    w_face_t = grid._sample_w(radii[1:-1], thetas + grid.dtheta / 2)  # (n_r-1, n_theta)
-    return w_face_r, w_face_t
+def _conductances(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Radial face conductances (n_r, n_theta; row i couples ring i to ring
+    i+1, the last row couples to the r = R ring values) and angular ones
+    (n_r-1, n_theta; face j+1/2 of ring i+1): the metric factor at each
+    face times dtheta/dr, and dr/dtheta over it."""
+    radii, thetas, dr, dt = grid.radii, grid.thetas, grid.dr, grid.dtheta
+    w_face_r = grid._sample_w(radii[:-1] + dr / 2, thetas)  # faces 1/2 .. n_r-1/2
+    w_face_t = grid._sample_w(radii[1:-1], thetas + dt / 2)
+    return w_face_r * (dt / dr), dr / dt / w_face_t
 
 
-def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray, np.ndarray]:
-    """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1),
-    the radial face conductances (n_r, n_theta; row i couples ring i to
-    ring i+1, the last row couples to the r = R ring values) and the
-    angular ones (n_r-1, n_theta; face j+1/2 of ring i+1).  The discrete
+def _assemble_flux(c_radial: np.ndarray, c_angular: np.ndarray) -> csc_matrix:
+    """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
+    from the face conductances of ``_conductances``.  The discrete
     Laplacian is (A x + c_radial[-1] * boundary) / areas."""
-    nr, nt = grid.n_r, grid.n_theta
-    dr, dt = grid.dr, grid.dtheta
-    w_face_r, w_face_t = _face_weights(grid)
-    c_radial = w_face_r * (dt / dr)  # row i: face between rings i and i+1
-    c_angular = dr / dt / w_face_t
+    nr, nt = c_radial.shape
     ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
     # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
     p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
@@ -170,12 +166,11 @@ def _assemble_flux(grid: PolarGrid) -> tuple[csc_matrix, np.ndarray, np.ndarray]
     diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
     diag[ring[-1]] -= c_radial[-1]  # face to the Dirichlet ring
     idx = np.arange(n_unknowns)
-    flux = csc_matrix(
+    return csc_matrix(
         (np.concatenate([c, c, diag]),
          (np.concatenate([p, q, idx]), np.concatenate([q, p, idx]))),
         shape=(n_unknowns, n_unknowns),
     )
-    return flux, c_radial, c_angular
 
 
 def _theta_independent(*per_ring: np.ndarray) -> bool:
@@ -183,30 +178,21 @@ def _theta_independent(*per_ring: np.ndarray) -> bool:
     return all(bool(np.all(a == a[:, :1])) for a in per_ring)
 
 
-def _factor_mode0(c: np.ndarray) -> SuperLU:
-    """LU of block 0 of a flux matrix that is circulant in theta, with
-    radial conductances c (n_r): the system the ring values of a solution
-    constant in theta satisfy.
+def _mode0_pencil(grid: PolarGrid, c_radial: np.ndarray) -> tuple[csc_matrix, np.ndarray]:
+    """P^T A P and P^T D P for the flux matrix A and cell areas D of a grid
+    whose conductances and areas are constant in theta, with P the
+    expansion of ring values along theta; c_radial (n_r, n_theta) as from
+    ``_conductances``.
 
-    It is tridiagonal over the center and rings 1..n_r-1, with diagonal
-    -c[0], -(c[i] + c[i+1]) and off-diagonal c[i].  The center unknown is
-    scaled as y = n_theta * x_center so that the block stays symmetric.
+    The flux block is tridiagonal over the center and rings 1..n_r-1, with
+    each ring's radial conductances summed around it, C_i = n_theta c_i:
+    diagonal -C_0, -(C_{i-1} + C_i) and off-diagonal C_i.
     """
+    c = grid.n_theta * c_radial[:, 0]
     diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
-    block = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
-    return splu(block, permc_spec="NATURAL")
-
-
-def _mode0_solve(lu0: SuperLU, n_theta: int, b: np.ndarray) -> np.ndarray:
-    """A^{-1} b for the circulant flux matrix A whose block 0 lu0 factors
-    (``_factor_mode0``), for b constant in theta on every ring: the center
-    is y_0 / n_theta and ring i is y_i / n_theta all along theta.  Any
-    other b raises ``ValueError``."""
-    rings = b[1:].reshape(-1, n_theta)
-    if not np.all(rings == rings[:, :1]):
-        raise ValueError("right-hand side is not constant in theta on every ring")
-    y = lu0.solve(np.concatenate([b[:1], n_theta * rings[:, 0]])) / n_theta
-    return np.concatenate([y[:1], np.repeat(y[1:], n_theta)])
+    flux = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
+    areas = np.concatenate([[grid.center_area], grid.n_theta * grid.node_area[:, 0]])
+    return flux, areas
 
 
 def _unknown_areas(grid: PolarGrid) -> np.ndarray:
@@ -214,8 +200,10 @@ def _unknown_areas(grid: PolarGrid) -> np.ndarray:
 
 
 def _vec_to_field(grid: PolarGrid, x: np.ndarray) -> GridField:
-    nr, nt = grid.n_r, grid.n_theta
-    rings = np.vstack([x[1:].reshape(nr - 1, nt), np.zeros((1, nt))])
+    """The field of the unknowns x: center and rings 1..n_r-1, given at
+    every node or by one value per ring (broadcast along theta)."""
+    rings = np.zeros((grid.n_r, grid.n_theta))
+    rings[:-1] = x[1:].reshape(grid.n_r - 1, -1)
     return GridField(grid=grid, center=float(x[0]), rings=rings)
 
 
@@ -224,7 +212,8 @@ def apply_laplacian(f: GridField) -> GridField:
     scheme of the solver (its flux matrix, applied).  The boundary ring of
     the result is zeroed."""
     grid = f.grid
-    flux, c_radial, _ = _assemble_flux(grid)
+    c_radial, c_angular = _conductances(grid)
+    flux = _assemble_flux(c_radial, c_angular)
     y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
     y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
     return _vec_to_field(grid, y / _unknown_areas(grid))
@@ -235,7 +224,8 @@ class HierarchySolver:
 
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
-    diag(1/area) @ A.  A is factored once.
+    diag(1/area) @ A.  ``flux`` is factored once, and ``hierarchy`` checks
+    each level's normwise backward error against it.
 
     On a rotationally symmetric grid (conductances and cell areas constant
     in theta: any radial metric) A is circulant in theta.  Its Fourier
@@ -244,35 +234,33 @@ class HierarchySolver:
     smallest eigenvalue is no lower than block 0's: lambda_1 lives in mode
     0, as the first Dirichlet eigenfunction of a rotationally symmetric
     ball is radial.  Every hierarchy level is constant in theta too (the
-    areas, v_0 = 1 and each mode-0 solution are).  So the solver factors
-    the tridiagonal block 0 alone (``_lu`` is its n_r x n_r SuperLU), its
-    solves accept only right-hand sides constant in theta on every ring,
-    and inverse power iteration starts from ring means.
+    areas, v_0 = 1 and each mode-0 solution are).  So mode 0 is the
+    solver's pencil: ``flux`` and ``areas`` are the n_r x n_r tridiagonal
+    block and the ring areas of ``_mode0_pencil``, every vector holds one
+    value per ring, and a level becomes a field by broadcasting its ring
+    values along theta.
 
-    Otherwise A is factored by SuperLU in a minimum-degree ordering of
-    A^T + A, which suits its symmetric 5-point pattern.  A solve is one
-    direct solve; ``hierarchy`` checks each level's normwise backward error
-    against A.
+    Otherwise ``flux`` is A over every node, factored by SuperLU in a
+    minimum-degree ordering of A^T + A, which suits its symmetric 5-point
+    pattern.
     """
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
-        self.flux, c_radial, c_angular = _assemble_flux(grid)
-        self.areas = _unknown_areas(grid)
-        self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
-        self._mode0 = _theta_independent(c_radial, c_angular, grid.node_area)
-        if self._mode0:
-            self._lu = _factor_mode0(c_radial[:, 0])
-            # bound to the factor, not to self: a cycle through self
-            # would keep every solver alive until the cyclic collector runs
-            self._flux_solve = partial(_mode0_solve, self._lu, grid.n_theta)
+        c_radial, c_angular = _conductances(grid)
+        if _theta_independent(c_radial, c_angular, grid.node_area):
+            self.flux, self.areas = _mode0_pencil(grid, c_radial)
+            order = "NATURAL"  # tridiagonal: no fill
         else:
-            self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
-            self._flux_solve = self._lu.solve
+            self.flux = _assemble_flux(c_radial, c_angular)
+            self.areas = _unknown_areas(grid)
+            order = "MMD_AT_PLUS_A"
+        self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
+        self._lu = splu(self.flux, permc_spec=order)
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L v = rhs by one direct solve of the flux system."""
-        return self._flux_solve(self.areas * rhs)
+        return self._lu.solve(self.areas * rhs)
 
     def hierarchy(self, k_max: int) -> list[GridField]:
         """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
@@ -303,12 +291,9 @@ class HierarchySolver:
         area-weighted pencil (-flux, areas)."""
         rng = np.random.default_rng(7)
         x = rng.standard_normal(len(self.areas))
-        if self._mode0:  # start from ring means: every iterate stays in mode 0
-            nt = self.grid.n_theta
-            x[1:] = np.repeat(x[1:].reshape(-1, nt).mean(axis=1), nt)
         lam_prev = 0.0
         for _ in range(POWER_MAX_ITER):
-            y = self._flux_solve(self.areas * x)
+            y = self._lu.solve(self.areas * x)
             y /= np.linalg.norm(y)
             lam = -float(y @ (self.flux @ y)) / float(y @ (self.areas * y))
             if abs(lam - lam_prev) <= POWER_TOL * abs(lam):

@@ -2,8 +2,8 @@
 
 A metric is written once, as w: its partials w_r, w_rr and w_t evaluate w
 on jets (``model._Jet``), so they cannot disagree with it.  A
-construction-time audit checks the smooth pole, 2*pi-periodicity and that w
-is finite and positive inside the chart.
+construction-time audit checks the smooth pole, 2*pi-periodicity, that w
+is finite and positive inside the chart and that it evaluates on jets.
 """
 
 from __future__ import annotations
@@ -87,12 +87,20 @@ def _audit_pole_and_periodicity(m: PolarMetric2D) -> None:
     if not np.max(seam) <= 1e-12:
         raise MetricAuditError(f"metric '{m.label}' is not 2*pi-periodic in theta")
     probe_r = np.linspace(1e-3, min(m.R_valid, 5.0), 64)
-    pr, pt = np.meshgrid(probe_r, np.linspace(0, TWO_PI, 64, endpoint=False))
-    probe = m.w(pr, pt)
+    probe_t = np.linspace(0, TWO_PI, 64, endpoint=False)
+    probe = m.w(*np.meshgrid(probe_r, probe_t))
     if not np.all(np.isfinite(probe) & (probe > 0)):
         raise MetricAuditError(
             f"metric '{m.label}' is not finite and positive inside R_valid"
         )
+    try:
+        # an operation jets lack fails at any point: every probe radius
+        # and angle once is enough
+        m._jet(probe_r, probe_t)
+    except TypeError as exc:
+        raise MetricAuditError(
+            f"metric '{m.label}': w uses an operation that jets do not carry ({exc})"
+        ) from exc
 
 
 def perturbed_flat_metric(eps: float, mode: int) -> PolarMetric2D:

@@ -33,6 +33,14 @@ def test_profile_axioms_rejected():
         WarpingProfile(w=lambda r: r + 1.0, r_max=math.inf, label="shifted")
 
 
+def test_profile_nan_everywhere_rejected():
+    # sinh overflows and 0 * inf is NaN at every radius: NaN compares False,
+    # so each axiom must be written to fail on it
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        WarpingProfile(w=lambda r: r * (0.0 * np.sinh(1e3 + 0.0 * r) ** 2),
+                       r_max=math.inf, label="nan")
+
+
 def test_profile_positivity_rejected():
     with pytest.raises(ValueError):
         polynomial_profile((-1.0,))  # r - r^3 turns negative past r = 1

@@ -44,6 +44,14 @@ def test_metric_audit_rejects_nan_samples():
             PolarMetric2D(w=nan_where(mask), R_valid=5.0, label=label)
 
 
+def test_metric_audit_rejects_w_that_jets_do_not_carry():
+    # np.abs is no jet operation: the partials would raise TypeError at
+    # their first use, so the audit names the metric instead
+    with pytest.raises(MetricAuditError, match="'kink'.*jets"):
+        PolarMetric2D(w=lambda r, t: r + r**3 * np.abs(np.sin(t)), R_valid=5.0,
+                      label="kink")
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda b=b: radial_metric(space_form_profile(-b)) for b in (1, 1.5, 2, 3, 9)]
@@ -260,12 +268,14 @@ def test_lengths_and_areas_raise_when_unconverged():
         sphere_length(m, np.array([0.5, 1.0]))
     assert len(calls) == 2
 
-    # a kink in theta: the trapezoid rule converges only like 1/n^2, so the
-    # doubling budget runs out
+    # a kink in theta (swapped in after the audit, which rejects np.abs):
+    # the trapezoid rule converges only like 1/n^2, so the doubling budget
+    # runs out
     def w(r, t):
         r = np.asarray(r, dtype=float)
         return r + r**3 * np.abs(np.sin(t))
 
-    m = PolarMetric2D(w=w, R_valid=5.0, label="kink")
+    m = builtin_example_metric()
+    object.__setattr__(m, "w", w)
     with pytest.raises(QuadratureError):
         sphere_length(m, 1.0)

@@ -17,6 +17,7 @@ from geoball.verify import (
     verify_moment_spectrum,
     verify_torsional,
 )
+from test_pde import _counting_solver
 
 
 @pytest.fixture(scope="module")
@@ -190,13 +191,11 @@ def test_one_factorization_and_one_scan_per_report(example, flat_model, monkeypa
 
 
 def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch):
-    # one direct solve per hierarchy level (radial grids solve through
-    # _mode0_solve, which the solver binds when it is built)
-    solves = _count_calls(monkeypatch, pde, "_mode0_solve")
-    solver = pde.HierarchySolver(pde.make_grid(radial_metric(euclidean_profile()),
-                                               1.0, 16, 16))
+    # one direct solve per hierarchy level, counted on the solver's factor
+    solver, (factor,) = _counting_solver(
+        monkeypatch, pde.make_grid(radial_metric(euclidean_profile()), 1.0, 16, 16))
     solver.hierarchy(pde.LAMBDA1_LEVELS)
-    assert len(solves) == pde.LAMBDA1_LEVELS
+    assert factor.solves == pde.LAMBDA1_LEVELS
     # the model side is built once: one hierarchy on [0, R] in the context,
     # one on [0, s_R] for the torsion entries, and no separate transplanted
     # exit time
