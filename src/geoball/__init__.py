@@ -47,7 +47,6 @@ from .pde import (
     apply_laplacian,
     lambda1_grid,
     make_grid,
-    moments_grid,
 )
 from .symmetrize import (
     LevelSetProfile,

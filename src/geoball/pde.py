@@ -18,13 +18,14 @@ solver on a disk (Buzbee, Golub & Nielson 1970), and it is such a grid's
 whole pencil: the solver holds one value per ring and never assembles the
 2-D matrix.  Any other metric takes the general sparse LU.  Each
 hierarchy level is one direct solve, checked by its normwise backward
-error against the solver's flux matrix.
+error against the solver's flux matrix.  Levels stay solver vectors:
+their moments are one product with the areas, and a level becomes a 2-D
+field only where a caller reads its rings.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,14 +200,6 @@ def _unknown_areas(grid: PolarGrid) -> np.ndarray:
     return np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
 
 
-def _vec_to_field(grid: PolarGrid, x: np.ndarray) -> GridField:
-    """The field of the unknowns x: center and rings 1..n_r-1, given at
-    every node or by one value per ring (broadcast along theta)."""
-    rings = np.zeros((grid.n_r, grid.n_theta))
-    rings[:-1] = x[1:].reshape(grid.n_r - 1, -1)
-    return GridField(grid=grid, center=float(x[0]), rings=rings)
-
-
 def apply_laplacian(f: GridField) -> GridField:
     """Discrete Laplacian of f on its grid: the flux-balanced second-order
     scheme of the solver (its flux matrix, applied).  The boundary ring of
@@ -216,7 +209,10 @@ def apply_laplacian(f: GridField) -> GridField:
     flux = _assemble_flux(c_radial, c_angular)
     y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
     y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
-    return _vec_to_field(grid, y / _unknown_areas(grid))
+    y /= _unknown_areas(grid)
+    rings = np.zeros((grid.n_r, grid.n_theta))
+    rings[:-1] = y[1:].reshape(grid.n_r - 1, grid.n_theta)
+    return GridField(grid=grid, center=float(y[0]), rings=rings)
 
 
 class HierarchySolver:
@@ -236,13 +232,13 @@ class HierarchySolver:
     ball is radial.  Every hierarchy level is constant in theta too (the
     areas, v_0 = 1 and each mode-0 solution are).  So mode 0 is the
     solver's pencil: ``flux`` and ``areas`` are the n_r x n_r tridiagonal
-    block and the ring areas of ``_mode0_pencil``, every vector holds one
-    value per ring, and a level becomes a field by broadcasting its ring
-    values along theta.
+    block and the ring areas of ``_mode0_pencil``, and every vector holds
+    one value per ring.
 
     Otherwise ``flux`` is A over every node, factored by SuperLU in a
     minimum-degree ordering of A^T + A, which suits its symmetric 5-point
-    pattern.
+    pattern.  Either way a level's moment is ``areas @ level``, and
+    ``field`` expands a level to a ``GridField``.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -262,16 +258,16 @@ class HierarchySolver:
         """Solve L v = rhs by one direct solve of the flux system."""
         return self._lu.solve(self.areas * rhs)
 
-    def hierarchy(self, k_max: int) -> list[GridField]:
+    def hierarchy(self, k_max: int) -> np.ndarray:
         """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
-        solve per level."""
+        solve per level, as the rows of a (k_max, len(areas)) block."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if k_max > 64:
             warnings.warn("k_max > 64: deep hierarchy may lose accuracy", RuntimeWarning)
-        levels = []
+        levels = np.empty((k_max, len(self.areas)))
         v = np.ones(len(self.areas))
-        for _ in range(k_max):
+        for k in range(k_max):
             v_next = self.solve_poisson(-v)
             # normwise backward error of the linear system; dividing
             # elementwise by the near-pole cell areas would only amplify
@@ -282,9 +278,24 @@ class HierarchySolver:
             )
             if res > RESIDUAL_TOL:
                 raise ResolutionError(f"Poisson solve residual {res} too large")
-            levels.append(_vec_to_field(self.grid, v_next))
-            v = v_next
+            levels[k] = v = v_next
         return levels
+
+    def moments(self, levels: np.ndarray) -> MomentSpectrum:
+        """Normalized moments of rows of ``hierarchy(k)``: the disk's area,
+        then A_k = areas @ v_k (the Dirichlet ring is zero)."""
+        if np.ndim(levels) != 2 or np.shape(levels)[1] != len(self.areas):
+            raise ValueError("hierarchy levels were computed on another grid")
+        moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
+        return MomentSpectrum(normalized=moments, radius=self.grid.R)
+
+    def field(self, v: np.ndarray) -> GridField:
+        """The field of a solver vector v: center, rings 1..n_r-1 (one
+        value per ring is broadcast along theta) and the zero r = R ring."""
+        g = self.grid
+        rings = np.zeros((g.n_r, g.n_theta))
+        rings[:-1] = v[1:].reshape(g.n_r - 1, -1)
+        return GridField(grid=g, center=float(v[0]), rings=rings)
 
     def smallest_eigenvalue(self) -> float:
         """Smallest Dirichlet eigenvalue by inverse power iteration on the
@@ -300,19 +311,6 @@ class HierarchySolver:
                 return lam
             lam_prev, x = lam, y
         raise ResolutionError("inverse power iteration did not converge")
-
-
-def moments_grid(fields: Sequence[GridField]) -> MomentSpectrum:
-    """Normalized moments from hierarchy grid fields; index 0 is the area
-    of their disk."""
-    if not fields:
-        raise ValueError("need at least one hierarchy field")
-    grid = fields[0].grid
-    moments = np.empty(len(fields) + 1)
-    moments[0] = grid.total_area()
-    for k, f in enumerate(fields, start=1):
-        moments[k] = f.integral()
-    return MomentSpectrum(normalized=moments, radius=grid.R)
 
 
 @dataclass(frozen=True)
@@ -331,14 +329,15 @@ def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
     return lambda1_from_solver(solver, solver.hierarchy(LAMBDA1_LEVELS))
 
 
-def lambda1_from_solver(
-    solver: HierarchySolver, fields: Sequence[GridField]
-) -> GridEigenvalue:
-    """lambda1_grid on an existing factorization and its hierarchy fields
-    (``solver.hierarchy(k)``, or a prefix of a deeper one)."""
-    if any(f.grid is not solver.grid for f in fields):
-        raise ValueError("hierarchy fields were computed on another grid")
-    est = lambda1_from_moments(moments_grid(fields))
+def lambda1_from_solver(solver: HierarchySolver, levels: np.ndarray) -> GridEigenvalue:
+    """lambda1_grid on an existing factorization and rows of its
+    ``hierarchy(k)``; levels that are not the solver's raise ValueError."""
+    return _lambda1_from_spectrum(solver, solver.moments(levels))
+
+
+def _lambda1_from_spectrum(solver: HierarchySolver, spec: MomentSpectrum) -> GridEigenvalue:
+    """lambda1_from_solver on the solver's grid moments spec."""
+    est = lambda1_from_moments(spec)
     power = solver.smallest_eigenvalue()
     if abs(est.value - power) > AGREEMENT_TOL * power:
         raise ResolutionError(

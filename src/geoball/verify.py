@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .hierarchy import RadialHierarchy, averaged_moment, radial_hierarchy
+from .hierarchy import MomentSpectrum, RadialHierarchy, averaged_moment, radial_hierarchy
 from .model import (
     ModelSpace,
     balance_check,
@@ -24,8 +24,7 @@ from .pde import (
     GridField,
     HierarchySolver,
     PolarGrid,
-    lambda1_from_solver,
-    moments_grid,
+    _lambda1_from_spectrum,
 )
 from .surface import (
     HypothesisReport,
@@ -116,12 +115,13 @@ class VerificationContext:
     """What the report's checks share, computed once for one (metric,
     model, R, grid): the hypothesis scan, the asserted direction (the
     hypothesis direction unless overridden), one factorization, the
-    hierarchy fields v_1..v_max(k_max, 24) (the report levels and the
-    eigenvalue estimate are prefixes of the same fields), one model
-    hierarchy on [0, R] (the pointwise entries read its levels, the
-    averaged moments its spectrum), and the sphere lengths and ball areas
-    at the sampled radii R/4, R/2, R, both from one tensor-rule pass.
-    Build it with ``VerificationContext.build``."""
+    moments of its hierarchy levels v_1..v_max(k_max, 24) (one product for
+    the averaged moments, the rigidity and the eigenvalue estimate), the
+    levels v_1..v_k_max as fields, one model hierarchy on [0, R] (the
+    pointwise entries read its levels, the averaged moments its
+    spectrum), and the sphere lengths and ball areas at the sampled radii
+    R/4, R/2, R, both from one tensor-rule pass.  Build it with
+    ``VerificationContext.build``."""
 
     model: ModelSpace
     k_max: int
@@ -129,6 +129,7 @@ class VerificationContext:
     direction: str
     solver: HierarchySolver
     fields: tuple[GridField, ...]
+    spectrum: MomentSpectrum
     model_hierarchy: RadialHierarchy
     sphere_lengths: dict[float, float]
     ball_areas: dict[float, float]
@@ -155,6 +156,7 @@ class VerificationContext:
                 "mean-curvature comparison has no uniform direction"
             )
         solver = HierarchySolver(PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta))
+        levels = solver.hierarchy(max(k_max, LAMBDA1_LEVELS))
         radii = sorted({R / 4, R / 2, float(R)})
         lengths, areas = _lengths_and_areas(m, radii)
         return cls(
@@ -163,7 +165,8 @@ class VerificationContext:
             hypothesis=hyp,
             direction=direction_override or hyp.direction,
             solver=solver,
-            fields=tuple(solver.hierarchy(max(k_max, LAMBDA1_LEVELS))),
+            fields=tuple(map(solver.field, levels[:k_max])),
+            spectrum=solver.moments(levels),
             model_hierarchy=radial_hierarchy(model, R, k_max + 1),
             sphere_lengths=dict(zip(radii, lengths.tolist())),
             ball_areas=dict(zip(radii, areas.tolist())),
@@ -231,13 +234,12 @@ def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
         for k in range(1, k_max + 1)
     ]
     spec_model = ctx.model_hierarchy.spectrum()
-    spec_grid = moments_grid(ctx.fields[:k_max])
     vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):
         avg_model = averaged_moment(spec_model, model, k)
         entries.append(
             _entry(ctx, f"averaged_moment(k={k})", "A_k/VolS model >= metric",
-                   avg_model, spec_grid.moment(k) / vol_s_metric, scale=avg_model)
+                   avg_model, ctx.spectrum.moment(k) / vol_s_metric, scale=avg_model)
         )
     return entries
 
@@ -251,7 +253,7 @@ def verify_torsional(ctx: VerificationContext) -> list[Entry]:
         raise ComparisonPreconditionError(
             f"model '{model.warping.label}' is not balanced"
         )
-    a1_metric = moments_grid(ctx.fields[:1]).moment(1)
+    a1_metric = ctx.spectrum.moment(1)
     hier = radial_hierarchy(model, s_R, 2)
     a1_model = hier.spectrum().moment(1)
     entries = [
@@ -271,8 +273,7 @@ def verify_eigenvalue(ctx: VerificationContext) -> Entry:
     """First Dirichlet eigenvalue of the model ball, read from the context's
     model hierarchy at its settled resolution, versus the metric disk."""
     lam_model = ctx.model_hierarchy.lambda1()
-    fields = ctx.fields[:LAMBDA1_LEVELS]
-    lam_metric = lambda1_from_solver(ctx.solver, fields).power_value
+    lam_metric = _lambda1_from_spectrum(ctx.solver, ctx.spectrum).power_value
     return _entry(ctx, "eigenvalue", "lambda1(model) <= lambda1(metric)",
                   lam_metric, lam_model, scale=lam_model)
 

@@ -19,7 +19,6 @@ from geoball.pde import (
     field_from_function,
     lambda1_grid,
     make_grid,
-    moments_grid,
 )
 from geoball.surface import (
     MetricAuditError,
@@ -161,13 +160,15 @@ def test_laplacian_convergence_order(flat):
 
 
 def test_hierarchy_center_oracles(flat_grid):
-    fields = HierarchySolver(flat_grid).hierarchy(2)
+    solver = HierarchySolver(flat_grid)
+    fields = [solver.field(v) for v in solver.hierarchy(2)]
     assert fields[0].center == pytest.approx(0.25, abs=1e-3)
     assert fields[1].center == pytest.approx(3 / 32 / 2, abs=1e-3)
 
 
 def test_hierarchy_nonnegative_interior_max(flat_grid):
-    for v in HierarchySolver(flat_grid).hierarchy(3):
+    solver = HierarchySolver(flat_grid)
+    for v in map(solver.field, solver.hierarchy(3)):
         assert v.center >= 0
         assert np.all(v.rings >= -1e-14)
         # max away from the boundary
@@ -178,7 +179,8 @@ def test_hierarchy_matches_radial_route():
     model = make_space_form(-1.0, 2)
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
-    fields = HierarchySolver(grid).hierarchy(5)
+    solver = HierarchySolver(grid)
+    fields = [solver.field(v) for v in solver.hierarchy(5)]
     hier = radial_hierarchy(model, 1.0, 5)
     for k in range(1, 6):
         ref = hier.level(k)(grid.radii[1:])[:, None]
@@ -190,10 +192,66 @@ def test_hierarchy_matches_radial_route():
 
 
 def test_moments_grid_oracles(flat_grid):
-    spec = moments_grid(HierarchySolver(flat_grid).hierarchy(2))
+    solver = HierarchySolver(flat_grid)
+    spec = solver.moments(solver.hierarchy(2))
     assert spec.normalized[0] == pytest.approx(math.pi, rel=1e-3)
     assert spec.moment(1) == pytest.approx(math.pi / 8, rel=1e-3)
     assert spec.moment(2) == pytest.approx(math.pi / 24, rel=1e-3)
+
+
+# two radial metrics (a level holds one value per ring) and a non-radial
+# one (one value per node)
+LEVEL_METRICS = pytest.mark.parametrize(
+    "m", [radial_metric(euclidean_profile()), radial_metric(space_form_profile(-1.0)),
+          builtin_example_metric()], ids=["flat", "hyperbolic", "example1"])
+
+
+def _field_reference(grid, x):
+    """A solver vector x as a GridField, node by node: x[0] at the center,
+    x[1 + i] (one value per ring) or x[1 + i * n_theta + j] (one per node)
+    at node j of ring i + 1, and zero on the Dirichlet ring."""
+    per_ring = len(x) == grid.n_r
+    rings = np.zeros((grid.n_r, grid.n_theta))
+    for i in range(grid.n_r - 1):
+        for j in range(grid.n_theta):
+            rings[i, j] = x[1 + i] if per_ring else x[1 + i * grid.n_theta + j]
+    return GridField(grid=grid, center=float(x[0]), rings=rings)
+
+
+@LEVEL_METRICS
+def test_level_moments_are_the_expanded_fields_integrals(m):
+    solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
+    levels = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    spec = solver.moments(levels)
+    assert spec.normalized[0] == solver.grid.total_area()
+    integrals = np.array([solver.field(v).integral() for v in levels])
+    assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
+
+
+@LEVEL_METRICS
+def test_level_field_is_the_node_by_node_expansion(m):
+    solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
+    for v in solver.hierarchy(3):
+        f, ref = solver.field(v), _field_reference(solver.grid, v)
+        assert f.center == ref.center
+        assert np.array_equal(f.rings, ref.rings)
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0])
+def test_lambda1_grid_on_a_radial_grid_builds_no_field(curvature, monkeypatch):
+    grid = make_grid(radial_metric(space_form_profile(curvature)), 1.0, 64, 64)
+    built = []
+    init = GridField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GridField, "__init__", counted)
+    lambda1_grid(grid.metric, grid)
+    assert built == []
+    HierarchySolver(grid).field(np.zeros(grid.n_r))  # the counter counts
+    assert built == [1]
 
 
 def test_self_adjointness(flat_grid):
@@ -292,7 +350,8 @@ def test_fourier_route_matches_sparse_lu(curvature, n_r, n_theta):
     assert solver._lu.shape == solver.flux.shape == (n_r, n_r)
     ref = _FullPencilSolver(grid)
     assert ref.flux.shape == (1 + (n_r - 1) * n_theta,) * 2
-    for v, v_ref in zip(solver.hierarchy(24), ref.hierarchy(24)):
+    for v, v_ref in zip(map(solver.field, solver.hierarchy(24)),
+                        map(ref.field, ref.hierarchy(24))):
         assert _rel_err(np.append(v.rings, v.center),
                         np.append(v_ref.rings, v_ref.center)) <= 1e-10
     assert solver.smallest_eigenvalue() == pytest.approx(
@@ -339,7 +398,8 @@ def test_theta_varying_areas_take_the_sparse_lu():
     assert not pde._theta_independent(grid.node_area)
     assert solver._lu.shape == solver.flux.shape
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
-    for v, v_ref in zip(solver.hierarchy(3), ref.hierarchy(3)):
+    for v, v_ref in zip(map(solver.field, solver.hierarchy(3)),
+                        map(ref.field, ref.hierarchy(3))):
         assert _rel_err(v.rings, v_ref.rings) <= 1e-10
 
 
@@ -456,10 +516,18 @@ def test_lambda1_grid_scaling(flat):
 
 
 def test_lambda1_from_solver_rejects_fields_of_another_grid(flat):
+    # a level is one value per unknown of its solver's pencil: 32 on the
+    # radial grid, 1 + 31 * 32 on the example metric's, 48 on the finer one
     solver = HierarchySolver(make_grid(flat, 1.0, 32, 32))
-    other = HierarchySolver(make_grid(flat, 1.02, 32, 32))
+    levels = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    for m, n_r in ((builtin_example_metric(), 32), (flat, 48)):
+        other = HierarchySolver(make_grid(m, 1.0, n_r, 32))
+        with pytest.raises(ValueError, match="another grid"):
+            pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
+    # one level, not a block of them
     with pytest.raises(ValueError, match="another grid"):
-        pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
+        pde.lambda1_from_solver(solver, levels[0])
+    assert pde.lambda1_from_solver(solver, levels).power_value > 0
 
 
 def _nan_where(bad):

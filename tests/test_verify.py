@@ -209,6 +209,14 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
     assert (sum(map(len, builds)), len(transplants)) == (2, 0)
 
 
+def test_report_expands_only_its_pointwise_levels(example, flat_model, monkeypatch):
+    # the 24 levels stay solver vectors; the pointwise entries k = 1..k_max
+    # expand one field each
+    built = _count_calls(monkeypatch, pde.GridField, "__init__")
+    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32, k_max=3)
+    assert len(built) == 3
+
+
 def test_one_folded_operator_per_rung_per_model_ball(example, flat_model, monkeypatch):
     # N = 17 and 33 for the hierarchy on [0, R] and again for the one on
     # [0, s_R]; the eigenvalue entry reads the operators the first one kept
