@@ -139,8 +139,12 @@ def _output_dir(arg: str | None) -> Path:
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt=FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
+    """The bytes np.savetxt writes with fmt=FLOAT_FMT, delimiter="," and
+    the header line, formatted in one pass over the whole table."""
+    table = np.column_stack(columns)
+    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
+    text = (row * len(table)) % tuple(table.ravel().tolist())
+    path.write_text(",".join(header) + "\n" + text)
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
@@ -176,11 +180,11 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     out = _output_dir(args.output)
     rs = np.linspace(R / args.nr, R, args.nr)
     ts = np.arange(args.ntheta) * (2 * math.pi / args.ntheta)
-    rr, tt = np.meshgrid(rs, ts, indexing="ij")
+    r, t = rs[:, None], ts[None, :]
     _write_csv(out / "surface_curvature.csv", ["r", "theta", "H", "K"],
-               [rr.ravel(), tt.ravel(),
-                sphere_mean_curvature(m, rr, tt).ravel(),
-                gauss_curvature(m, rr, tt).ravel()])
+               [np.repeat(rs, len(ts)), np.tile(ts, len(rs)),
+                sphere_mean_curvature(m, r, t).ravel(),
+                gauss_curvature(m, r, t).ravel()])
     lengths, areas = _lengths_and_areas(m, rs)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])

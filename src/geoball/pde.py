@@ -5,6 +5,12 @@ symmetric in the area-weighted inner product; the tests keep the expanded
 coordinate form as its reference.  A single factorization is reused across
 all hierarchy levels and the inverse power iteration.
 
+The metric is sampled on broadcast axes (radii[:, None], thetas[None, :]),
+never on a materialized mesh, and whether a grid is constant in theta is
+decided once, on those w samples: a sample set whose rows are constant is
+kept as one column, and is broadcast to (n_r, n_theta) only where a 2-D
+array is read.
+
 When the face conductances and cell areas are constant in theta (every
 ``radial(...)`` metric, the model balls of the comparison theorems), the
 flux matrix is circulant in theta, and everything the solver is asked for
@@ -52,7 +58,13 @@ class ResolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class PolarGrid:
-    """Uniform polar grid over the disk of radius R with cell-area weights."""
+    """Uniform polar grid over the disk of radius R with cell-area weights.
+
+    ``node_area`` and ``boundary_area`` hold one area per node.  When w is
+    constant along every ring (any ``radial(...)`` metric) they are
+    read-only views that broadcast one column along theta; ``_node_area``
+    holds the node areas as sampled, which tells the solver so.
+    """
 
     metric: PolarMetric2D
     R: float
@@ -63,6 +75,7 @@ class PolarGrid:
     node_area: np.ndarray = field(init=False, repr=False)  # rings 1..n_r-1
     boundary_area: np.ndarray = field(init=False, repr=False)
     center_area: float = field(init=False, repr=False)
+    _node_area: np.ndarray = field(init=False, repr=False)  # (n_r-1, 1 or n_theta)
 
     def __post_init__(self) -> None:
         if self.n_theta < 2 or self.n_theta % 2 != 0:
@@ -73,26 +86,37 @@ class PolarGrid:
         radii = np.linspace(0.0, self.R, self.n_r + 1)
         thetas = np.arange(self.n_theta) * (TWO_PI / self.n_theta)
         dr, dt = radii[1], thetas[1]
-        w = self._sample_w(radii[1:-1], thetas)
+        node_area = self._sample_w(radii[1:-1], thetas) * dr * dt
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "node_area", w * dr * dt)
+        object.__setattr__(self, "_node_area", node_area)
+        object.__setattr__(self, "node_area",
+                           np.broadcast_to(node_area, (self.n_r - 1, self.n_theta)))
         wb = self._sample_w(np.array([self.R]), thetas)[0]
-        object.__setattr__(self, "boundary_area", wb * (dr / 2) * dt)
+        object.__setattr__(self, "boundary_area",
+                           np.broadcast_to(wb * (dr / 2) * dt, (self.n_theta,)))
+        # summed over every angle, in the order of a full ring
         wc = self._sample_w(np.array([dr / 2]), thetas)[0]
+        wc = np.broadcast_to(wc, (self.n_theta,))
         object.__setattr__(self, "center_area", float(np.sum(wc) * dr / 4 * dt))
 
     def _sample_w(self, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """w on the (radius, theta) mesh; a non-finite sample raises."""
-        rr, tt = np.meshgrid(radii, thetas, indexing="ij")
-        w = self.metric.w(rr, tt)
-        bad = ~np.isfinite(w)
-        if bad.any():
+        """w on the axes (radii[:, None], thetas[None, :]): one column when
+        every row is constant in theta, else (len(radii), len(thetas)).  A
+        non-finite sample raises, naming the first in row-major order."""
+        shape = (len(radii), len(thetas))
+        w = self.metric.w(radii[:, None], thetas[None, :])
+        full = np.broadcast_to(w, shape)
+        # both checks run on w as returned: on one column if w is one
+        finite = np.isfinite(w)
+        if not np.all(finite):
+            i, j = np.unravel_index(np.argmin(np.broadcast_to(finite, shape)), shape)
             raise MetricAuditError(
-                f"metric '{self.metric.label}': w is {w[bad][0]} at "
-                f"r = {float(rr[bad][0])!r}, theta = {float(tt[bad][0])!r}"
+                f"metric '{self.metric.label}': w is {full[i, j]} at "
+                f"r = {float(radii[i])!r}, theta = {float(thetas[j])!r}"
             )
-        return w
+        column = full[:, :1]
+        return column.copy() if np.all(w == column) else full
 
     @property
     def dr(self) -> float:
@@ -135,27 +159,34 @@ def make_grid(m: PolarMetric2D, R: float, n_r: int = 128, n_theta: int = 128) ->
 
 
 def field_from_function(grid: PolarGrid, fn) -> GridField:
-    """Sample fn(r, theta) on the grid (fn must accept arrays)."""
-    rr, tt = np.meshgrid(grid.radii[1:], grid.thetas, indexing="ij")
-    return GridField(grid=grid, center=float(fn(0.0, 0.0)), rings=np.asarray(fn(rr, tt)))
+    """Sample fn(r, theta) on the grid's broadcast axes (fn must accept
+    arrays; its result is broadcast to the full rings)."""
+    rings = fn(grid.radii[1:, None], grid.thetas[None, :])
+    return GridField(grid=grid, center=float(fn(0.0, 0.0)),
+                     rings=np.array(np.broadcast_to(rings, (grid.n_r, grid.n_theta))))
 
 
 def _conductances(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Radial face conductances (n_r, n_theta; row i couples ring i to ring
+    """Radial face conductances (n_r rows; row i couples ring i to ring
     i+1, the last row couples to the r = R ring values) and angular ones
-    (n_r-1, n_theta; face j+1/2 of ring i+1): the metric factor at each
-    face times dtheta/dr, and dr/dtheta over it."""
+    (n_r-1 rows; face j+1/2 of ring i+1): the metric factor at each face
+    times dtheta/dr, and dr/dtheta over it.  Each has one column when its
+    w samples are constant along every ring, n_theta otherwise."""
     radii, thetas, dr, dt = grid.radii, grid.thetas, grid.dr, grid.dtheta
     w_face_r = grid._sample_w(radii[:-1] + dr / 2, thetas)  # faces 1/2 .. n_r-1/2
     w_face_t = grid._sample_w(radii[1:-1], thetas + dt / 2)
     return w_face_r * (dt / dr), dr / dt / w_face_t
 
 
-def _assemble_flux(c_radial: np.ndarray, c_angular: np.ndarray) -> csc_matrix:
+def _assemble_flux(
+    grid: PolarGrid, c_radial: np.ndarray, c_angular: np.ndarray
+) -> csc_matrix:
     """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
-    from the face conductances of ``_conductances``.  The discrete
-    Laplacian is (A x + c_radial[-1] * boundary) / areas."""
-    nr, nt = c_radial.shape
+    of the grid from the face conductances of ``_conductances``.  The
+    discrete Laplacian is (A x + c_radial[-1] * boundary) / areas."""
+    nr, nt = grid.n_r, grid.n_theta
+    c_radial = np.broadcast_to(c_radial, (nr, nt))
+    c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
     ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
     # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
     p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
@@ -174,15 +205,16 @@ def _assemble_flux(c_radial: np.ndarray, c_angular: np.ndarray) -> csc_matrix:
     )
 
 
-def _theta_independent(*per_ring: np.ndarray) -> bool:
-    """True iff every row (one ring) of every array is constant in theta."""
-    return all(bool(np.all(a == a[:, :1])) for a in per_ring)
+def _theta_independent(*samples: np.ndarray) -> bool:
+    """True iff every sample set was kept as one column: each of its rows
+    (one ring) is constant in theta."""
+    return all(a.shape[1] == 1 for a in samples)
 
 
 def _mode0_pencil(grid: PolarGrid, c_radial: np.ndarray) -> tuple[csc_matrix, np.ndarray]:
     """P^T A P and P^T D P for the flux matrix A and cell areas D of a grid
     whose conductances and areas are constant in theta, with P the
-    expansion of ring values along theta; c_radial (n_r, n_theta) as from
+    expansion of ring values along theta; c_radial (n_r, 1) as from
     ``_conductances``.
 
     The flux block is tridiagonal over the center and rings 1..n_r-1, with
@@ -192,7 +224,7 @@ def _mode0_pencil(grid: PolarGrid, c_radial: np.ndarray) -> tuple[csc_matrix, np
     c = grid.n_theta * c_radial[:, 0]
     diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
     flux = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
-    areas = np.concatenate([[grid.center_area], grid.n_theta * grid.node_area[:, 0]])
+    areas = np.concatenate([[grid.center_area], grid.n_theta * grid._node_area[:, 0]])
     return flux, areas
 
 
@@ -206,7 +238,7 @@ def apply_laplacian(f: GridField) -> GridField:
     the result is zeroed."""
     grid = f.grid
     c_radial, c_angular = _conductances(grid)
-    flux = _assemble_flux(c_radial, c_angular)
+    flux = _assemble_flux(grid, c_radial, c_angular)
     y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
     y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
     y /= _unknown_areas(grid)
@@ -224,16 +256,18 @@ class HierarchySolver:
     each level's normwise backward error against it.
 
     On a rotationally symmetric grid (conductances and cell areas constant
-    in theta: any radial metric) A is circulant in theta.  Its Fourier
-    block k >= 1 is block 0 restricted to the rings plus the nonnegative
-    diagonal 2 a_i (1 - cos(2 pi k / n_theta)), so by Courant-Fischer its
-    smallest eigenvalue is no lower than block 0's: lambda_1 lives in mode
-    0, as the first Dirichlet eigenfunction of a rotationally symmetric
-    ball is radial.  Every hierarchy level is constant in theta too (the
-    areas, v_0 = 1 and each mode-0 solution are).  So mode 0 is the
-    solver's pencil: ``flux`` and ``areas`` are the n_r x n_r tridiagonal
-    block and the ring areas of ``_mode0_pencil``, and every vector holds
-    one value per ring.
+    in theta: any radial metric, whose w samples the grid and
+    ``_conductances`` keep as one column each) A is circulant in theta.
+    Its Fourier block k >= 1 is block 0 restricted to the rings plus the
+    nonnegative diagonal 2 a_i (1 - cos(2 pi k / n_theta)), so by
+    Courant-Fischer its smallest eigenvalue is no lower than block 0's:
+    lambda_1 lives in mode 0, as the first Dirichlet eigenfunction of a
+    rotationally symmetric ball is radial.  Every hierarchy level is
+    constant in theta too (the areas, v_0 = 1 and each mode-0 solution
+    are).  So mode 0 is the solver's pencil: ``flux`` and ``areas`` are the
+    n_r x n_r tridiagonal block and the ring areas of ``_mode0_pencil``,
+    built from those columns with no 2-D array, and every vector holds one
+    value per ring.
 
     Otherwise ``flux`` is A over every node, factored by SuperLU in a
     minimum-degree ordering of A^T + A, which suits its symmetric 5-point
@@ -244,11 +278,11 @@ class HierarchySolver:
     def __init__(self, grid: PolarGrid):
         self.grid = grid
         c_radial, c_angular = _conductances(grid)
-        if _theta_independent(c_radial, c_angular, grid.node_area):
+        if _theta_independent(c_radial, c_angular, grid._node_area):
             self.flux, self.areas = _mode0_pencil(grid, c_radial)
             order = "NATURAL"  # tridiagonal: no fill
         else:
-            self.flux = _assemble_flux(c_radial, c_angular)
+            self.flux = _assemble_flux(grid, c_radial, c_angular)
             self.areas = _unknown_areas(grid)
             order = "MMD_AT_PLUS_A"
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
@@ -269,22 +303,28 @@ class HierarchySolver:
         v = np.ones(len(self.areas))
         for k in range(k_max):
             v_next = self.solve_poisson(-v)
-            # normwise backward error of the linear system; dividing
-            # elementwise by the near-pole cell areas would only amplify
-            # bare float64 roundoff
-            rhs = self.areas * v
-            res = np.max(np.abs(self.flux @ v_next + rhs)) / (
-                self._flux_norm * np.max(np.abs(v_next)) + np.max(np.abs(rhs))
-            )
+            res = self._backward_error(v_next, self.areas * v)
             if res > RESIDUAL_TOL:
                 raise ResolutionError(f"Poisson solve residual {res} too large")
             levels[k] = v = v_next
         return levels
 
+    def _backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """Normwise backward error of x as a solution of flux x = -rhs;
+        dividing elementwise by the near-pole cell areas would only
+        amplify bare float64 roundoff."""
+        return float(np.max(np.abs(self.flux @ x + rhs)) / (
+            self._flux_norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+
     def moments(self, levels: np.ndarray) -> MomentSpectrum:
         """Normalized moments of rows of ``hierarchy(k)``: the disk's area,
-        then A_k = areas @ v_k (the Dirichlet ring is zero)."""
-        if np.ndim(levels) != 2 or np.shape(levels)[1] != len(self.areas):
+        then A_k = areas @ v_k (the Dirichlet ring is zero).  Row 0 must
+        solve this solver's first level, flux v_1 = -areas, to the
+        backward error of ``hierarchy``: a block of another grid with the
+        same number of unknowns raises ValueError too."""
+        if (np.ndim(levels) != 2 or np.shape(levels)[1] != len(self.areas)
+                or len(levels) == 0
+                or not self._backward_error(levels[0], self.areas) <= RESIDUAL_TOL):
             raise ValueError("hierarchy levels were computed on another grid")
         moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
         return MomentSpectrum(normalized=moments, radius=self.grid.R)

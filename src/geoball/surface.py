@@ -88,7 +88,7 @@ def _audit_pole_and_periodicity(m: PolarMetric2D) -> None:
         raise MetricAuditError(f"metric '{m.label}' is not 2*pi-periodic in theta")
     probe_r = np.linspace(1e-3, min(m.R_valid, 5.0), 64)
     probe_t = np.linspace(0, TWO_PI, 64, endpoint=False)
-    probe = m.w(*np.meshgrid(probe_r, probe_t))
+    probe = m.w(probe_r[:, None], probe_t[None, :])
     if not np.all(np.isfinite(probe) & (probe > 0)):
         raise MetricAuditError(
             f"metric '{m.label}' is not finite and positive inside R_valid"
@@ -183,7 +183,7 @@ def _lengths_and_areas(
     smooth periodic integrand; w is sampled at 2n angles, so the n-point
     rule on every other angle estimates its error at no extra cost.
     r: GaussPanels, so every area comes out of the same pass.  Each level
-    evaluates w once on the (r, theta) mesh, then doubles n while the
+    evaluates w once on broadcast (r, theta) axes, then doubles n while the
     trapezoid error estimate exceeds POLAR_REL_TOL, otherwise n_g until the
     areas move by at most POLAR_REL_TOL from n_g/2 to n_g nodes.
     Raises QuadratureError when that does not happen within the doubling
@@ -197,7 +197,8 @@ def _lengths_and_areas(
     prev_areas = None
     while n <= _THETA_NODES_MAX and n_g <= GAUSS_NODES_MAX:
         r_nodes = np.concatenate((rs, panels.nodes(n_g)))
-        w = m.w(r_nodes[:, None], np.arange(2 * n) * (np.pi / n))
+        w = np.broadcast_to(m.w(r_nodes[:, None], np.arange(2 * n) * (np.pi / n)),
+                            (len(r_nodes), 2 * n))
         if not np.all(np.isfinite(w)):
             break
         fine = w.sum(axis=1) * (np.pi / n)
@@ -251,7 +252,8 @@ class HypothesisReport:
 
 
 def hypothesis_report(m: PolarMetric2D, model: ModelSpace, R: float) -> HypothesisReport:
-    """Grid scan of the mean-curvature gap H_M - eta_model on (0, R] x [0, 2pi)."""
+    """Grid scan of the mean-curvature gap H_M - eta_model on (0, R] x [0, 2pi),
+    sampled on broadcast (r, theta) axes."""
     if model.dim != 2:
         raise ValueError("hypothesis check requires a 2-D model space")
     m._check_radius(R)
@@ -259,8 +261,7 @@ def hypothesis_report(m: PolarMetric2D, model: ModelSpace, R: float) -> Hypothes
         raise DomainError(f"radius {R} exceeds the model domain {model.r_max}")
     rs = np.linspace(R / HYPOTHESIS_N_R, R, HYPOTHESIS_N_R)
     ts = np.linspace(0.0, TWO_PI, HYPOTHESIS_N_THETA, endpoint=False)
-    rr, tt = np.meshgrid(rs, ts, indexing="ij")
-    h_metric = sphere_mean_curvature(m, rr, tt)
+    h_metric = sphere_mean_curvature(m, rs[:, None], ts[None, :])
     eta = (model.warping.dw(rs) / model.warping.w(rs))[:, None]
     gap = h_metric - eta
     gmin, gmax = float(gap.min()), float(gap.max())

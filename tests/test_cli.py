@@ -281,6 +281,22 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("values", [
+    np.array([
+        [np.nan, np.inf, -np.inf, -0.0],
+        [5e-324, 1e300, -1e300, 0.1],
+        [2.0**-1074 * 3, -2.2250738585072014e-308, 1.0, -123456789.0],
+    ]),
+    np.array([[np.nan, -0.0, 1e300, 5e-324]]),
+], ids=["specials", "one-row"])
+def test_write_csv_matches_savetxt_bytes(tmp_path, values):
+    header = ["a", "b", "c", "d"]
+    _write_csv(tmp_path / "fast.csv", header, list(values.T))
+    np.savetxt(tmp_path / "ref.csv", values, fmt=FLOAT_FMT, delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_cli_output_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GEOBALL_OUTPUT_DIR", str(tmp_path))
     code = main([

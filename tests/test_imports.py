@@ -1,6 +1,7 @@
 """Every module-level import of a library or test module is used by that
 module, every module-level private function of the library is used by the
-library, and every private attribute a test sets is read by the library."""
+library, every private attribute a test sets is read by the library, and
+the library samples on broadcast axes, never on an np.meshgrid mesh."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,25 @@ def test_unread_private_attribute_is_found():
     library = ["self._a = 0\nprint(self._a)\n_e()\nself._g = 0\n"]
     assert _unread_private_attributes(test, library) == [
         "_b (line 2)", "_c (line 3)", "_d (line 4)", "_f (line 6)", "_g (line 7)"]
+
+
+def _meshgrid_uses(source: str) -> list[str]:
+    """Lines of a module that name meshgrid (``np.meshgrid`` or a bare
+    imported ``meshgrid``)."""
+    return [f"line {n.lineno}" for n in ast.walk(ast.parse(source))
+            if (isinstance(n, ast.Attribute) and n.attr == "meshgrid")
+            or (isinstance(n, ast.Name) and n.id == "meshgrid")
+            or (isinstance(n, ast.alias) and n.name == "meshgrid")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_samples_without_meshgrid(path):
+    # w, the curvatures and grid functions broadcast over (r[:, None],
+    # t[None, :]); a materialized mesh only copies the axes
+    assert _meshgrid_uses(path.read_text()) == []
+
+
+def test_planted_meshgrid_is_found():
+    source = ("import numpy as np\nfrom numpy import meshgrid\n"
+              "rr, tt = np.meshgrid(r, t)\nw(r[:, None], t[None, :])\n")
+    assert _meshgrid_uses(source) == ["line 2", "line 3"]

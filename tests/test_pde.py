@@ -25,6 +25,7 @@ from geoball.surface import (
     PolarMetric2D,
     ball_area,
     builtin_example_metric,
+    hypothesis_report,
     radial_metric,
 )
 from geoball.verify import run_verification
@@ -320,7 +321,7 @@ class _FullPencilSolver(HierarchySolver):
     def __init__(self, grid):
         c_radial, c_angular = pde._conductances(grid)
         self.grid = grid
-        self.flux = pde._assemble_flux(c_radial, c_angular)
+        self.flux = pde._assemble_flux(grid, c_radial, c_angular)
         self.areas = pde._unknown_areas(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
@@ -393,9 +394,11 @@ def test_theta_varying_areas_take_the_sparse_lu():
     # symmetric: the areas weight every hierarchy level and the pencil
     grid = make_grid(_node_only_metric(), 1.0, 16, 12)
     solver = HierarchySolver(grid)
+    # the face samples are constant along every ring and kept as one
+    # column each; the node samples are not
     c_radial, c_angular = pde._conductances(grid)
     assert pde._theta_independent(c_radial, c_angular)
-    assert not pde._theta_independent(grid.node_area)
+    assert not pde._theta_independent(grid._node_area)
     assert solver._lu.shape == solver.flux.shape
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
     for v, v_ref in zip(map(solver.field, solver.hierarchy(3)),
@@ -524,6 +527,14 @@ def test_lambda1_from_solver_rejects_fields_of_another_grid(flat):
         other = HierarchySolver(make_grid(m, 1.0, n_r, 32))
         with pytest.raises(ValueError, match="another grid"):
             pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
+    # the same shape from a disk of radius 1.02: only the first level's
+    # backward error against this solver's flux matrix tells them apart
+    # (its moment ratios land within the eigenvalue agreement check)
+    other = HierarchySolver(make_grid(flat, 1.02, 32, 32))
+    with pytest.raises(ValueError, match="another grid"):
+        pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
+    with pytest.raises(ValueError, match="another grid"):
+        solver.moments(levels[:0])
     # one level, not a block of them
     with pytest.raises(ValueError, match="another grid"):
         pde.lambda1_from_solver(solver, levels[0])
@@ -557,6 +568,93 @@ def test_grid_rejects_non_finite_w(radius, bad):
     m = _nan_where(bad)
     with pytest.raises(MetricAuditError, match=f"r = {radius!r},"):
         HierarchySolver(make_grid(m, 1.0, 16, 12))
+
+
+def _recording_shapes(m):
+    """Swap in a w for m that records the shapes of its arguments (of the
+    values, for jets), after the metric audit."""
+    shapes, w = [], m.w
+
+    def recording(r, t):
+        shapes.append(tuple(np.shape(getattr(x, "v", x)) for x in (r, t)))
+        return w(r, t)
+
+    object.__setattr__(m, "w", recording)
+    return shapes
+
+
+def test_metric_sampled_on_broadcast_axes_only():
+    m = radial_metric(space_form_profile(-1.0))
+    shapes = _recording_shapes(m)
+    solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
+    assert solver.flux.shape == (64, 64)
+    hypothesis_report(m, make_space_form(-1.0, 2), 1.0)
+    assert shapes
+    for r, t in shapes:
+        assert r == () or (len(r) == 2 and r[1] == 1), (r, t)
+        assert t == () or (len(t) == 2 and t[0] == 1), (r, t)
+
+
+def _meshgrid_reference(grid):
+    """Node, boundary and center areas and the radial and angular
+    conductances of a grid, with w sampled on materialized meshes."""
+    m, dr, dt = grid.metric, grid.dr, grid.dtheta
+    radii, thetas = grid.radii, grid.thetas
+
+    def w(rs, ts):
+        return m.w(*np.meshgrid(rs, ts, indexing="ij"))
+
+    return (w(radii[1:-1], thetas) * dr * dt,
+            w(np.array([grid.R]), thetas)[0] * (dr / 2) * dt,
+            float(np.sum(w(np.array([dr / 2]), thetas)[0]) * dr / 4 * dt),
+            w(radii[:-1] + dr / 2, thetas) * (dt / dr),
+            dr / dt / w(radii[1:-1], thetas + dt / 2))
+
+
+@pytest.mark.parametrize("m", [builtin_example_metric(),
+                               radial_metric(space_form_profile(-1.0))],
+                         ids=lambda m: m.label)
+def test_broadcast_samples_match_meshgrid_bit_for_bit(m):
+    grid = make_grid(m, 1.0, 64, 48)
+    node, boundary, center, c_radial, c_angular = _meshgrid_reference(grid)
+    assert np.array_equal(grid.node_area, node)
+    assert np.array_equal(grid.boundary_area, boundary)
+    assert grid.center_area == center
+    got_radial, got_angular = pde._conductances(grid)
+    assert np.array_equal(np.broadcast_to(got_radial, c_radial.shape), c_radial)
+    assert np.array_equal(np.broadcast_to(got_angular, c_angular.shape), c_angular)
+    # a radial grid keeps one column of each; example1 varies along rings
+    radial = m.label.startswith("radial")
+    assert pde._theta_independent(grid._node_area, got_radial, got_angular) == radial
+
+
+def test_compact_w_results_give_full_grid_arrays(flat):
+    # r * (1 + 0 r) on the axes (r[:, None], t[None, :]) is (k, 1): it does
+    # not broadcast to the grid's shape on its own
+    m = PolarMetric2D(w=lambda r, t: r * (1.0 + 0.0 * r), R_valid=10.0, label="compact")
+    grid, ref = make_grid(m, 1.0, 16, 12), make_grid(flat, 1.0, 16, 12)
+    assert grid.node_area.shape == (15, 12) and grid.boundary_area.shape == (12,)
+    assert np.array_equal(grid.node_area, ref.node_area)
+    assert np.array_equal(grid.boundary_area, ref.boundary_area)
+    assert grid.center_area == ref.center_area
+    assert ball_area(m, 1.0) == pytest.approx(ball_area(flat, 1.0), rel=1e-14)
+    solver, ref_solver = HierarchySolver(grid), HierarchySolver(ref)
+    assert solver.flux.shape == (16, 16)
+    level = solver.field(solver.hierarchy(1)[0])
+    assert level.rings.shape == (16, 12)
+    ref_level = ref_solver.field(ref_solver.hierarchy(1)[0])
+    assert np.array_equal(level.rings, ref_level.rings)
+    f = field_from_function(grid, lambda r, t: np.asarray(r) - 0.5)
+    assert f.rings.shape == (16, 12) and f.center == -0.5
+    assert np.array_equal(f.rings, np.repeat(grid.radii[1:, None] - 0.5, 12, axis=1))
+    f.rings[0, 0] = 1.0  # a field's rings are its own, writable array
+    lap = apply_laplacian(field_from_function(grid, lambda r, t: 3.0))
+    assert np.max(np.abs(lap.rings)) <= 1e-10 and abs(lap.center) <= 1e-10
+    # a non-finite compact sample is named at its first (r, theta) of the
+    # full grid in row-major order
+    object.__setattr__(m, "w", lambda r, t: np.where(r == 0.3125, np.nan, r))
+    with pytest.raises(MetricAuditError, match=r"r = 0\.3125, theta = 0\.0$"):
+        make_grid(m, 1.0, 16, 12)
 
 
 def test_grid_metric_mismatch_rejected(flat_grid):
