@@ -13,13 +13,14 @@ factorial overflow for deep hierarchies.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ModelSpace, sphere_volume_model
 from .quadrature import GaussPanels
@@ -39,7 +40,8 @@ class MomentCrossCheckError(RuntimeError):
 
 
 class EigenvalueConvergenceError(RuntimeError):
-    """The collocated model-ball eigenvalue did not settle."""
+    """The collocated model-ball eigenvalue did not settle, or the
+    collocated operator is not finite or singular."""
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,39 @@ def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
     return x, D, L[:, 1 : M + 1] + L[:, N - 1 : M : -1]
 
 
-def _next_level(lu: tuple, v: np.ndarray) -> np.ndarray:
+def _lu_factor(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors and pivots of L by LAPACK getrf.  A singular or
+    non-finite L raises EigenvalueConvergenceError."""
+    lu, piv, info = dgetrf(L)
+    if info != 0 or not np.all(np.isfinite(lu)):
+        raise EigenvalueConvergenceError(
+            f"folded operator of size {len(L)} is singular or not finite (getrf info {info})")
+    return lu, piv
+
+
+def _next_level(lu: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
     """v_(k+1) at the N + 1 nodes from v_k: L v_(k+1) = -v_k, unfolded."""
-    u = lu_solve(lu, -v[1 : len(v) // 2])
+    u = dgetrs(*lu, -v[1 : len(v) // 2])[0]
     return np.concatenate(([0.0], u, u[::-1], [0.0]))
+
+
+def _barycentric(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
+                 r: float | np.ndarray) -> np.ndarray:
+    """The polynomial through (nodes, values) at r by the barycentric
+    formula (Berrut & Trefethen, SIAM Rev. 46, 2004), one function per
+    trailing index of values; the result has the shape of r followed by
+    the trailing shape of values.  A point on a node takes the node value."""
+    r = np.asarray(r, dtype=float)
+    y = values.reshape(len(nodes), -1)
+    c = r.reshape(-1, 1) - nodes
+    hit = c == 0
+    c[hit] = 1
+    c = weights / c
+    with np.errstate(divide="ignore"):
+        p = np.dot(c, y) / np.sum(c, axis=-1)[..., np.newaxis]
+    row, node = np.nonzero(hit)
+    p[row] = y[node]
+    return p.reshape(r.shape + values.shape[1:])
 
 
 def _smallest_positive_eigenvalue(L: np.ndarray) -> float:
@@ -120,14 +151,14 @@ class RadialHierarchy:
     levels: tuple[np.ndarray, ...]  # index k: v_k at the nodes, even in r
     operators: tuple[np.ndarray, np.ndarray]  # folded L at the previous, settled N
 
-    def _interpolant(self, values: np.ndarray) -> BarycentricInterpolator:
+    def _interpolant(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The polynomial through node values (one column per function),
         with the closed-form Chebyshev weights (-1)^j, halved at both ends."""
         wi = (-1.0) ** np.arange(len(self.nodes))
         wi[[0, -1]] *= 0.5
-        return BarycentricInterpolator(self.nodes, values, wi=wi)
+        return functools.partial(_barycentric, self.nodes, wi, values)
 
-    def level(self, k: int) -> BarycentricInterpolator:
+    def level(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
         """v_k as a callable of r."""
         if not 0 <= k < len(self.levels):
             raise IndexError(f"k={k} outside 0..{len(self.levels) - 1}")
@@ -182,14 +213,15 @@ def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
     N runs through CHEBYSHEV_N until A_1, from the boundary flux of v_2,
     moves by at most HIERARCHY_REL_TOL relative: that does not depend on
     depth, so a deeper pass only appends levels.  MomentCrossCheckError is
-    raised when nothing settles (near a sphere's cut locus)."""
+    raised when nothing settles (near a sphere's cut locus), and
+    EigenvalueConvergenceError at once by a singular or non-finite L."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m._check_radius(R)
     prev, coarse = math.nan, None
     for N in CHEBYSHEV_N:
         x, D, L = _folded_operator(m, R, N)
-        lu = lu_factor(L)
+        lu = _lu_factor(L)
         # A_1 up to the factor -Vol(S_R), which the relative change ignores
         a1 = float(D[0] @ _next_level(lu, _next_level(lu, np.ones(N + 1))))
         if abs(a1 - prev) <= HIERARCHY_REL_TOL * abs(a1):  # a NaN never settles

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
@@ -27,6 +26,8 @@ BALANCE_SAMPLES = 512
 VOLUME_REL_TOL = 1e-11
 # relative width below which the radius bracket of a volume counts as empty
 RADIUS_BRACKET_TOL = 1e-12
+# a Newton step of the volume inversion this many ulp or shorter ends it
+RADIUS_STEP_ULPS = 4
 
 
 class DomainError(ValueError):
@@ -387,16 +388,21 @@ def ball_radius_from_volume(m: ModelSpace, V: float) -> float:
     On a model of infinite extent the root is bracketed by doubling the
     radius from 1; a step past the radius cap 1e6, or to a radius whose
     volume overflows, is bisected back inside the last bracket.  A volume
-    that is not reached there is a DomainError.
+    that is not reached there is a DomainError.  On a model of finite
+    extent a volume up to 1e-12 relative above the total gives the top
+    radius.  ``_invert_volume`` then solves inside the bracket.
     """
     if not 0 <= V < math.inf:  # a NaN volume fails this too
         raise DomainError(f"volume must be finite and nonnegative, got {V}")
     if V == 0:
         return 0.0
     if math.isfinite(m.r_max):
-        hi = m.r_max * (1 - 1e-12)
-        if V > ball_volume_model(m, hi) * (1 + 1e-12):
+        lo, hi = 0.0, m.r_max * (1 - 1e-12)
+        vol = ball_volume_model(m, hi)
+        if V > vol * (1 + 1e-12):
             raise DomainError(f"volume {V} exceeds total model volume")
+        if V >= vol:
+            return hi
     else:
         # top: the least radius tried that is past the cap or overflows
         lo, hi, top = 0.0, 1.0, math.inf
@@ -406,6 +412,38 @@ def ball_radius_from_volume(m: ModelSpace, V: float) -> float:
                 raise DomainError(f"volume {V} not reached below radius {lo}: "
                                   "past the 1e6 cap, or the volume overflows")
             hi = 2.0 * hi if top == math.inf else 0.5 * (lo + top)
-    # xtol: the least positive double, so that rtol alone sets the accuracy
-    return float(brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi,
-                        xtol=math.ulp(0.0), rtol=8.9e-16))
+    return _invert_volume(m, V, lo, hi, vol)
+
+
+def _invert_volume(m: ModelSpace, V: float, lo: float, hi: float, vol: float) -> float:
+    """The radius r in (lo, hi] with ball volume V, given vol = V(hi) >= V
+    > V(lo): Newton's method on log V against log r, from hi, with the
+    exact slope d log V / d log r = r V'(r) / V(r), V' the sphere volume.
+    V is close to c r^n near 0, so the map is close to linear there and a
+    few steps reach any scale.  Every evaluation narrows the bracket, and a
+    step that leaves it, or one taken on a slope that is not finite and
+    positive, is replaced by its midpoint: V' overflows below the radius
+    where V does (on H^3 for V above about 4.7e307), and an infinite slope
+    would give a zero step.  The iteration stops when a step moves r by at
+    most RADIUS_STEP_ULPS ulp, or when no double is left inside the
+    bracket."""
+    r = hi
+    while True:
+        if vol < V:
+            lo = r
+        else:
+            hi = r
+        vol = np.float64(vol)  # V(r) = 0 divides without raising
+        with np.errstate(all="ignore"):
+            slope = r * (sphere_volume_model(m, r) / vol)  # r V' alone may overflow
+            step = r * np.expm1(np.log(V / vol) / slope)  # V / vol: no cancellation
+        if not 0 < slope < math.inf:  # False for NaN
+            step = math.nan
+        r_next = r + step
+        if abs(step) <= RADIUS_STEP_ULPS * math.ulp(r):  # False for NaN
+            return float(r_next)
+        if not lo < r_next < hi:
+            r_next = 0.5 * (lo + hi)
+            if not lo < r_next < hi:
+                return float(r_next)
+        r, vol = r_next, ball_volume_model(m, r_next)

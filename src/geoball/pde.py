@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix, diags
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .hierarchy import MomentSpectrum, lambda1_from_moments
@@ -222,8 +222,14 @@ def _mode0_pencil(grid: PolarGrid, c_radial: np.ndarray) -> tuple[csc_matrix, np
     diagonal -C_0, -(C_{i-1} + C_i) and off-diagonal C_i.
     """
     c = grid.n_theta * c_radial[:, 0]
+    n = len(c)
     diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
-    flux = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
+    # column j holds rows j-1, j, j+1; the first and the last column two
+    data = np.stack([np.concatenate([[0.0], c[:-1]]), diagonal,
+                     np.concatenate([c[:-1], [0.0]])], axis=1).ravel()[1:-1]
+    rows = (np.arange(n)[:, None] + np.arange(-1, 2)).ravel()[1:-1]
+    indptr = np.concatenate([[0], np.arange(2, 3 * n - 1, 3), [3 * n - 2]])
+    flux = csc_matrix((data, rows, indptr), shape=(n, n))
     areas = np.concatenate([[grid.center_area], grid.n_theta * grid._node_area[:, 0]])
     return flux, areas
 

@@ -28,9 +28,12 @@ class MetricAuditError(ValueError):
 
 @dataclass(frozen=True)
 class PolarMetric2D:
-    """Metric evaluator w(r, theta), vectorized and broadcast over (r, theta)
-    arrays; its partials w_r, w_rr and w_t evaluate w on jets, so w must be
-    written with the operations that ``model._Jet`` carries.
+    """Metric evaluator w(r, theta), vectorized over (r, theta) arrays; its
+    partials w_r, w_rr and w_t evaluate w on jets, so w must be written
+    with the operations that ``model._Jet`` carries.  w may return any
+    shape that broadcasts to the broadcast shape of (r, theta), such as
+    r's alone when w does not depend on theta; every caller broadcasts
+    its result.
 
     R_valid bounds the radii on which the polar chart is declared valid.
     """
@@ -130,7 +133,7 @@ def builtin_example_metric() -> PolarMetric2D:
 
 def radial_metric(profile: WarpingProfile) -> PolarMetric2D:
     """Theta-independent wrapper turning a warping profile into a 2-D metric."""
-    return PolarMetric2D(w=lambda r, t: profile.w(r) + 0.0 * t,
+    return PolarMetric2D(w=lambda r, t: profile.w(r),
                          R_valid=min(profile.r_max * 0.999, R_VALID_MAX),
                          label=f"radial({profile.label})")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .hierarchy import radial_hierarchy
 from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
@@ -183,9 +182,16 @@ def integral_identity_check(
     """
     wn = model.warping.w(fstar.grid) ** (model.dim - 1)
     rhs = model.sphere_constant * float(
-        simpson(fstar.values * wn, dx=fstar.grid[1] - fstar.grid[0])
+        _simpson(fstar.values * wn, dx=fstar.grid[1] - fstar.grid[0])
     )
     return f.integral(), rhs
+
+
+def _simpson(y: np.ndarray, dx: float) -> np.float64:
+    """Composite Simpson rule over an odd number of samples spaced dx."""
+    if len(y) % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd number of samples, got {len(y)}")
+    return np.sum(y[:-2:2] + 4.0 * y[1:-1:2] + y[2::2]) * (dx / 3.0)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import BarycentricInterpolator
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from geoball import hierarchy
@@ -126,6 +128,42 @@ def test_radial_hierarchy_serves_levels_and_moments_from_one_pass():
         hier.level(5)
     with pytest.raises(ValueError):
         radial_hierarchy(m, 1.5, 0)
+
+
+@pytest.mark.parametrize("b, n, R", [(0.0, 2, 1.0), (-1.0, 3, 2.0), (1.0, 4, 1.5)])
+def test_levels_interpolate_bit_for_bit_as_scipy(b, n, R):
+    # the barycentric formula written as BarycentricInterpolator evaluates
+    # it, with the same closed-form Chebyshev weights
+    hier = radial_hierarchy(make_space_form(b, n), R, 4)
+    wi = (-1.0) ** np.arange(len(hier.nodes))
+    wi[[0, -1]] *= 0.5
+    points = (0.0, 0.3 * R, hier.nodes[2], np.linspace(0.0, R, 77),
+              np.append(hier.nodes, 0.1 * R), np.linspace(0.0, R, 12).reshape(3, 4),
+              np.array([]))
+    for values in (hier.levels[3], np.eye(len(hier.nodes)), np.stack(hier.levels, axis=1)):
+        ours = hier._interpolant(values)
+        ref = BarycentricInterpolator(hier.nodes, values, wi=wi)
+        for r in points:
+            got, want = ours(r), ref(r)
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(hier.level(2)(hier.nodes), hier.levels[2])
+
+
+def test_folded_solves_match_lu_factor_and_lu_solve():
+    _, _, L = hierarchy._folded_operator(make_space_form(-1.0, 3), 1.5, 33)
+    lu, piv = hierarchy._lu_factor(L)
+    ref_lu, ref_piv = lu_factor(L)
+    assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+    v = np.linspace(1.0, 2.0, 34)
+    u = hierarchy._next_level((lu, piv), v)
+    assert np.array_equal(u[1:17], lu_solve((ref_lu, ref_piv), -v[1:17]))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+def test_singular_or_non_finite_folded_operator_raises(bad):
+    L = np.diag([1.0, bad, 2.0])
+    with pytest.raises(EigenvalueConvergenceError, match="singular or not finite"):
+        hierarchy._lu_factor(L)
 
 
 def test_moment_oracles_unit_disk():

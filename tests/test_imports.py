@@ -1,9 +1,13 @@
 """Every module-level import of a library or test module is used by that
 module, every module-level private function of the library is used by the
-library, every private attribute a test sets is read by the library, and
-the library samples on broadcast axes, never on an np.meshgrid mesh."""
+library, every private attribute a test sets is read by the library, the
+library samples on broadcast axes, never on an np.meshgrid mesh, and it
+imports only the scipy modules it runs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,3 +141,48 @@ def test_planted_meshgrid_is_found():
     source = ("import numpy as np\nfrom numpy import meshgrid\n"
               "rr, tt = np.meshgrid(r, t)\nw(r[:, None], t[None, :])\n")
     assert _meshgrid_uses(source) == ["line 2", "line 3"]
+
+
+# the scipy the library runs: sparse LU, and LAPACK for the model balls
+SCIPY_ALLOWED = {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.linalg.lapack"}
+# each costs start-up time for one small function the library writes itself
+SCIPY_UNLOADED = ("scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.spatial",
+                  "scipy.special", "scipy.fft", "scipy.constants")
+
+
+def _scipy_imports(source: str) -> list[str]:
+    """Every scipy module a module imports, anywhere in it: ``import
+    scipy.x``, ``from scipy.x import y`` and ``from scipy import x`` (as
+    scipy.x)."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            found += [a.name for a in n.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(n, ast.ImportFrom) and n.module == "scipy":
+            found += [f"scipy.{a.name}" for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and (n.module or "").startswith("scipy."):
+            found.append(n.module)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_library_imports_only_allowed_scipy(path):
+    assert set(_scipy_imports(path.read_text())) <= SCIPY_ALLOWED
+
+
+def test_planted_scipy_imports_are_found():
+    source = ("import scipy.optimize\nfrom scipy import integrate as si\n"
+              "from scipy.linalg import lu_factor\nimport numpy\n"
+              "def f():\n    from scipy.interpolate import CubicSpline\n")
+    assert _scipy_imports(source) == [
+        "scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.interpolate"]
+
+
+def test_fresh_import_leaves_heavy_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, geoball\n"
+            f"print(*[m for m in {SCIPY_UNLOADED!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from geoball import model
 from geoball.model import (
     BALANCE_TOL,
     DomainError,
@@ -170,6 +171,63 @@ def test_ball_radius_raises_domain_error_before_overflow():
     r = ball_radius_from_volume(m, 1e12)
     assert r == pytest.approx(math.sqrt(1e12 / math.pi), rel=1e-12, abs=0)
     assert ball_volume_model(m, r) == pytest.approx(1e12, rel=1e-12, abs=0)
+
+
+def _brentq_radius(m, V):
+    """The inversion as brentq did it: on [0, hi], with hi the top radius
+    or the first doubling from 1 whose volume reaches V."""
+    hi = m.r_max * (1 - 1e-12) if math.isfinite(m.r_max) else 1.0
+    while ball_volume_model(m, hi) < V:
+        hi *= 2.0
+    return brentq(lambda r: ball_volume_model(m, r) - V, 0.0, hi,
+                  xtol=math.ulp(0.0), rtol=8.9e-16)
+
+
+@pytest.mark.parametrize("b", [-1.0, 0.0, 0.7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("V", [1e-20, 1e-3, 0.5, 3.0])
+def test_ball_radius_matches_brentq_in_few_volume_calls(b, n, V, monkeypatch):
+    m = make_space_form(b, n)
+    calls = []
+
+    def counted(m, r):
+        calls.append(r)
+        return ball_volume_model(m, r)
+
+    monkeypatch.setattr(model, "ball_volume_model", counted)
+    r = ball_radius_from_volume(m, V)
+    monkeypatch.undo()
+    # brentq takes 8 to 69 volumes on these cases
+    assert len(calls) <= 10
+    assert r == pytest.approx(_brentq_radius(m, V), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("V", [5e307, 1e308, 1.29e308])
+def test_ball_radius_where_the_sphere_volume_overflows(V):
+    # on H^3 above V ~ 4.7e307 the sphere volume 4 pi sinh^2 r overflows
+    # below the radius of V, so the Newton slope there is inf; the closed
+    # form pi (sinh 2r - 2r) = V has r = asinh(V / pi + 2r) / 2 as a contraction
+    m = make_space_form(-1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = ball_radius_from_volume(m, V)
+    exact = 354.0
+    for _ in range(4):
+        exact = 0.5 * math.asinh(V / math.pi + 2 * exact)
+    assert r == pytest.approx(exact, rel=1e-14, abs=0)
+    assert math.pi * (math.sinh(2 * r) - 2 * r) == pytest.approx(V, rel=1e-11, abs=0)
+
+
+def test_ball_radius_of_the_total_volume_within_its_slack():
+    # a volume at most 1e-12 relative above that of the top radius is
+    # accepted; it maps to the top radius
+    m = make_space_form(1.0, 2)
+    top = m.r_max * (1 - 1e-12)
+    for V in (4 * math.pi * (1 + 1e-13), ball_volume_model(m, top) * (1 + 1e-12),
+              ball_volume_model(m, top)):
+        assert ball_radius_from_volume(m, V) == top
+    with pytest.raises(DomainError):
+        ball_radius_from_volume(m, 4 * math.pi * (1 + 1e-11))
 
 
 def test_space_form_profile_rejects_nonfinite():

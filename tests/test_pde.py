@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
 from geoball.hierarchy import radial_hierarchy
@@ -460,6 +461,20 @@ def test_mode0_route_matches_full_route_and_sparse_lu(curvature, n_r, n_theta):
     assert _rel_err(x, full.solve_poisson(_expand(grid, rhs))) <= 1e-12
 
 
+@pytest.mark.parametrize("n_r", [4, 5, 384])
+def test_mode0_pencil_is_the_diags_build(n_r):
+    grid = make_grid(radial_metric(space_form_profile(-1.0)), 1.0, n_r, 8)
+    c_radial = pde._conductances(grid)[0]
+    flux, _ = pde._mode0_pencil(grid, c_radial)
+    c = grid.n_theta * c_radial[:, 0]
+    diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
+    ref = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
+    assert flux.format == "csc" and flux.shape == ref.shape
+    for a, b in ((flux.indptr, ref.indptr), (flux.indices, ref.indices),
+                 (flux.data, ref.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
 def test_radial_hierarchy_solves_mode0_only(curvature, monkeypatch):
     m = radial_metric(space_form_profile(curvature))
@@ -626,6 +641,15 @@ def test_broadcast_samples_match_meshgrid_bit_for_bit(m):
     # a radial grid keeps one column of each; example1 varies along rings
     radial = m.label.startswith("radial")
     assert pde._theta_independent(grid._node_area, got_radial, got_angular) == radial
+
+
+def test_radial_metric_samples_one_value_per_radius():
+    # w of a radial metric keeps r's shape; the grid keeps one column
+    m = radial_metric(space_form_profile(-1.0))
+    r, t = np.linspace(0.1, 1.0, 5), np.linspace(0.0, 6.0, 7)
+    assert m.w(r[:, None], t[None, :]).shape == (5, 1)
+    assert m.w_r(r[:, None], t[None, :]).shape == (5, 7)
+    assert make_grid(m, 1.0, 16, 12)._sample_w(r, t).shape == (5, 1)
 
 
 def test_compact_w_results_give_full_grid_arrays(flat):

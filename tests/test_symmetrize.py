@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
+from geoball import symmetrize
 from geoball.model import ball_radius_from_volume, make_space_form
 from geoball.model import euclidean_profile
 from geoball.pde import PolarGrid, field_from_function, make_grid
@@ -160,6 +162,19 @@ def test_integral_identity_example(flat_model):
     ex = builtin_example_metric()
     lhs, rhs = _integral_identity(ex, flat_model)
     assert rhs == pytest.approx(lhs, rel=1e-2)
+
+
+@pytest.mark.parametrize("n", [3, 17, 1025])
+def test_simpson_rule_bit_for_bit_as_scipy(n):
+    x = np.linspace(0.0, 1.3, n)
+    dx = x[1] - x[0]
+    for y in (np.exp(-x) * np.sin(7 * x), x**3, np.ones(n), np.full(n, -2.5)):
+        assert symmetrize._simpson(y, dx) == simpson(y, dx=dx)
+
+
+def test_simpson_rule_rejects_an_even_sample_count():
+    with pytest.raises(ValueError, match="odd"):
+        symmetrize._simpson(np.ones(16), 0.1)
 
 
 def test_profile_comparison_self_case(flat, flat_model):
