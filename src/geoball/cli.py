@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hierarchy import lambda1_from_moments, radial_hierarchy
+from .hierarchy import MIN_EXTRAPOLATION_MOMENTS, lambda1_from_moments, radial_hierarchy
 from .model import (
     ModelSpace,
     WarpingProfile,
@@ -120,6 +120,16 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"need a positive integer, got {value}")
+    return value
+
+
+def _moment_count(text: str) -> int:
+    """argparse type of ``model --kmax``: as many moments as
+    lambda1_from_moments extrapolates from, or more."""
+    value = int(text)
+    if value < MIN_EXTRAPOLATION_MOMENTS:
+        raise argparse.ArgumentTypeError(
+            f"need k_max >= {MIN_EXTRAPOLATION_MOMENTS} moments, got {value}")
     return value
 
 
@@ -260,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warping", required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--kmax", type=_positive_int, default=40)
+    p.add_argument("--kmax", type=_moment_count, default=40)
     p.add_argument("--grid", type=_positive_int, default=256)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_model)

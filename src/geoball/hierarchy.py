@@ -32,6 +32,8 @@ CROSS_CHECK_TOL = 1e-6
 # relative change of A_1 from one N to the next at which the hierarchy settles
 HIERARCHY_REL_TOL = 1e-11
 UNDERFLOW_FLOOR = 1e-300
+# fewest moments (k_max) the moment-ratio eigenvalue extrapolates from
+MIN_EXTRAPOLATION_MOMENTS = 4
 LAMBDA1_REL_TOL = 1e-10
 
 
@@ -257,8 +259,8 @@ def lambda1_from_moments(spec: MomentSpectrum) -> EigenvalueEstimate:
     One Aitken delta-squared pass accelerates the geometric tail of the
     ratio sequence; the raw trace is returned for inspection.
     """
-    if spec.k_max < 4:
-        raise ValueError("need k_max >= 4 moments for extrapolation")
+    if spec.k_max < MIN_EXTRAPOLATION_MOMENTS:
+        raise ValueError(f"need k_max >= {MIN_EXTRAPOLATION_MOMENTS} moments for extrapolation")
     rho = spec.ratios()
     d1 = np.diff(rho)
     d2 = np.diff(rho, 2)

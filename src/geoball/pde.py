@@ -12,21 +12,16 @@ kept as one column, and is broadcast to (n_r, n_theta) only where a 2-D
 array is read.
 
 When the face conductances and cell areas are constant in theta (every
-``radial(...)`` metric, the model balls of the comparison theorems), the
-flux matrix is circulant in theta, and everything the solver is asked for
-lives in its Fourier mode 0: the cell areas, the constant v_0 = 1 and each
-hierarchy level are constant in theta, and so is the first Dirichlet
-eigenfunction, as on a rotationally symmetric ball (block k >= 1 is block 0
-on the rings plus a nonnegative diagonal, so by Courant-Fischer its
-smallest eigenvalue is no lower).  Mode 0 is one tridiagonal system over
-the center and the rings, the k = 0 system of the classical fast Poisson
-solver on a disk (Buzbee, Golub & Nielson 1970), and it is such a grid's
-whole pencil: the solver holds one value per ring and never assembles the
-2-D matrix.  Any other metric takes the general sparse LU.  Each
-hierarchy level is one direct solve, checked by its normwise backward
-error against the solver's flux matrix.  Levels stay solver vectors:
-their moments are one product with the areas, and a level becomes a 2-D
-field only where a caller reads its rings.
+``radial(...)`` metric, the model balls of the comparison theorems),
+everything the solver is asked for lives in Fourier mode 0 (see
+``HierarchySolver``), and its pencil is the same stencil on one angle: one
+tridiagonal system over the center and the rings, the k = 0 system of the
+classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970).
+Any other metric takes the general sparse LU.  Each hierarchy level is one
+direct solve, checked by its normwise backward error against the solver's
+flux matrix.  Levels stay solver vectors: their moments are one product
+with the areas, and a level becomes a 2-D field only where a caller reads
+its rings.
 """
 
 from __future__ import annotations
@@ -86,18 +81,18 @@ class PolarGrid:
         radii = np.linspace(0.0, self.R, self.n_r + 1)
         thetas = np.arange(self.n_theta) * (TWO_PI / self.n_theta)
         dr, dt = radii[1], thetas[1]
-        node_area = self._sample_w(radii[1:-1], thetas) * dr * dt
+        # rows: the nodes, the r = R ring, the center cell's ring at dr/2
+        w = self._sample_w(np.append(radii[1:], dr / 2), thetas)
+        node_area = w[:-2] * dr * dt
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "_node_area", node_area)
         object.__setattr__(self, "node_area",
                            np.broadcast_to(node_area, (self.n_r - 1, self.n_theta)))
-        wb = self._sample_w(np.array([self.R]), thetas)[0]
         object.__setattr__(self, "boundary_area",
-                           np.broadcast_to(wb * (dr / 2) * dt, (self.n_theta,)))
+                           np.broadcast_to(w[-2] * (dr / 2) * dt, (self.n_theta,)))
         # summed over every angle, in the order of a full ring
-        wc = self._sample_w(np.array([dr / 2]), thetas)[0]
-        wc = np.broadcast_to(wc, (self.n_theta,))
+        wc = np.broadcast_to(w[-1], (self.n_theta,))
         object.__setattr__(self, "center_area", float(np.sum(wc) * dr / 4 * dt))
 
     def _sample_w(self, radii: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -179,12 +174,13 @@ def _conductances(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble_flux(
-    grid: PolarGrid, c_radial: np.ndarray, c_angular: np.ndarray
+    c_radial: np.ndarray, c_angular: np.ndarray, n_theta: int
 ) -> csc_matrix:
     """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
-    of the grid from the face conductances of ``_conductances``.  The
-    discrete Laplacian is (A x + c_radial[-1] * boundary) / areas."""
-    nr, nt = grid.n_r, grid.n_theta
+    of a grid of n_r = len(c_radial) rings of n_theta nodes, from face
+    conductances as from ``_conductances``.  The discrete Laplacian is
+    (A x + c_radial[-1] * boundary) / areas."""
+    nr, nt = len(c_radial), n_theta
     c_radial = np.broadcast_to(c_radial, (nr, nt))
     c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
     ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
@@ -205,49 +201,16 @@ def _assemble_flux(
     )
 
 
-def _theta_independent(*samples: np.ndarray) -> bool:
-    """True iff every sample set was kept as one column: each of its rows
-    (one ring) is constant in theta."""
-    return all(a.shape[1] == 1 for a in samples)
-
-
-def _mode0_pencil(grid: PolarGrid, c_radial: np.ndarray) -> tuple[csc_matrix, np.ndarray]:
-    """P^T A P and P^T D P for the flux matrix A and cell areas D of a grid
-    whose conductances and areas are constant in theta, with P the
-    expansion of ring values along theta; c_radial (n_r, 1) as from
-    ``_conductances``.
-
-    The flux block is tridiagonal over the center and rings 1..n_r-1, with
-    each ring's radial conductances summed around it, C_i = n_theta c_i:
-    diagonal -C_0, -(C_{i-1} + C_i) and off-diagonal C_i.
-    """
-    c = grid.n_theta * c_radial[:, 0]
-    n = len(c)
-    diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
-    # column j holds rows j-1, j, j+1; the first and the last column two
-    data = np.stack([np.concatenate([[0.0], c[:-1]]), diagonal,
-                     np.concatenate([c[:-1], [0.0]])], axis=1).ravel()[1:-1]
-    rows = (np.arange(n)[:, None] + np.arange(-1, 2)).ravel()[1:-1]
-    indptr = np.concatenate([[0], np.arange(2, 3 * n - 1, 3), [3 * n - 2]])
-    flux = csc_matrix((data, rows, indptr), shape=(n, n))
-    areas = np.concatenate([[grid.center_area], grid.n_theta * grid._node_area[:, 0]])
-    return flux, areas
-
-
-def _unknown_areas(grid: PolarGrid) -> np.ndarray:
-    return np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
-
-
 def apply_laplacian(f: GridField) -> GridField:
     """Discrete Laplacian of f on its grid: the flux-balanced second-order
     scheme of the solver (its flux matrix, applied).  The boundary ring of
     the result is zeroed."""
     grid = f.grid
     c_radial, c_angular = _conductances(grid)
-    flux = _assemble_flux(grid, c_radial, c_angular)
+    flux = _assemble_flux(c_radial, c_angular, grid.n_theta)
     y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
     y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
-    y /= _unknown_areas(grid)
+    y /= np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
     rings = np.zeros((grid.n_r, grid.n_theta))
     rings[:-1] = y[1:].reshape(grid.n_r - 1, grid.n_theta)
     return GridField(grid=grid, center=float(y[0]), rings=rings)
@@ -270,10 +233,10 @@ class HierarchySolver:
     lambda_1 lives in mode 0, as the first Dirichlet eigenfunction of a
     rotationally symmetric ball is radial.  Every hierarchy level is
     constant in theta too (the areas, v_0 = 1 and each mode-0 solution
-    are).  So mode 0 is the solver's pencil: ``flux`` and ``areas`` are the
-    n_r x n_r tridiagonal block and the ring areas of ``_mode0_pencil``,
-    built from those columns with no 2-D array, and every vector holds one
-    value per ring.
+    are).  So mode 0 is the solver's pencil: ``flux`` and ``areas`` are
+    P^T A P and P^T D P (P expands ring values along theta), the n_r x n_r
+    tridiagonal stencil on one angle with each ring's conductances and
+    areas summed around it, and every vector holds one value per ring.
 
     Otherwise ``flux`` is A over every node, factored by SuperLU in a
     minimum-degree ordering of A^T + A, which suits its symmetric 5-point
@@ -284,13 +247,14 @@ class HierarchySolver:
     def __init__(self, grid: PolarGrid):
         self.grid = grid
         c_radial, c_angular = _conductances(grid)
-        if _theta_independent(c_radial, c_angular, grid._node_area):
-            self.flux, self.areas = _mode0_pencil(grid, c_radial)
-            order = "NATURAL"  # tridiagonal: no fill
-        else:
-            self.flux = _assemble_flux(grid, c_radial, c_angular)
-            self.areas = _unknown_areas(grid)
-            order = "MMD_AT_PLUS_A"
+        n_theta, node_area, order = grid.n_theta, grid.node_area, "MMD_AT_PLUS_A"
+        if c_radial.shape[1] == c_angular.shape[1] == grid._node_area.shape[1] == 1:
+            # on one angle a ring's angular face joins it to itself and
+            # carries no flux; tridiagonal, so no fill in natural order
+            c_radial, c_angular = n_theta * c_radial, np.zeros_like(c_angular)
+            n_theta, node_area, order = 1, n_theta * grid._node_area, "NATURAL"
+        self.flux = _assemble_flux(c_radial, c_angular, n_theta)
+        self.areas = np.concatenate([[grid.center_area], node_area.reshape(-1)])
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         self._lu = splu(self.flux, permc_spec=order)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .hierarchy import radial_hierarchy
 from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
-from .pde import GridField, PolarGrid
+from .pde import GridField, PolarGrid, field_from_function
 from .surface import PolarMetric2D, ball_area, hypothesis_report
 
 PROFILE_NODES = 1025
@@ -22,6 +22,8 @@ VOLUME_TABLE_NODES = 8193
 EQUIMEASURABLE_LEVELS = 128
 # grid of the transplanted exit time in symmetrized_profile_comparison
 COMPARISON_N_R = COMPARISON_N_THETA = 128
+# largest relative deviation of a profile grid spacing from its first
+UNIFORM_SPACING_TOL = 1e-9
 
 
 class ComparisonPreconditionError(RuntimeError):
@@ -165,10 +167,7 @@ def transplant_exit_time(model: ModelSpace, grid: PolarGrid) -> GridField:
     """Exit time of the model ball of radius grid.R read through the radial
     coordinate of the grid."""
     profile = radial_hierarchy(model, grid.R, 1).level(1)
-    ring_vals = profile(grid.radii[1:])
-    rings = np.tile(ring_vals[:, None], (1, grid.n_theta))
-    rings[-1] = 0.0
-    return GridField(grid=grid, center=float(profile(0.0)), rings=rings)
+    return field_from_function(grid, lambda r, t: profile(r))
 
 
 def integral_identity_check(
@@ -178,11 +177,15 @@ def integral_identity_check(
     symmetrization fstar (``symmetrize_field(level_profile(f), model)``).
 
     Equimeasurable functions share all integrals, so the two must match up
-    to grid error.
+    to grid error.  The model side is Simpson's rule on fstar's grid,
+    which must be uniform to UNIFORM_SPACING_TOL (else ValueError).
     """
+    spacing = np.diff(fstar.grid)
+    if np.any(np.abs(spacing - spacing[0]) > UNIFORM_SPACING_TOL * spacing[0]):
+        raise ValueError("integral_identity_check needs a uniformly spaced profile grid")
     wn = model.warping.w(fstar.grid) ** (model.dim - 1)
     rhs = model.sphere_constant * float(
-        _simpson(fstar.values * wn, dx=fstar.grid[1] - fstar.grid[0])
+        _simpson(fstar.values * wn, dx=spacing[0])
     )
     return f.integral(), rhs
 

@@ -341,6 +341,9 @@ def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
     [
         ["model", "--warping", "euclidean", "--radius", "1", "--grid", "0"],
         ["model", "--warping", "euclidean", "--radius", "1", "--kmax", "0"],
+        # the eigenvalue extrapolation needs 4 moments, and a count below
+        # that must fail before any table is written
+        ["model", "--warping", "euclidean", "--radius", "1", "--kmax", "3"],
         ["surface", "--metric", "example1", "--radius", "1", "--nr", "0"],
         ["surface", "--metric", "example1", "--radius", "1", "--ntheta", "-3"],
         ["verify", "--metric", "example1", "--model", "euclidean", "--radius", "1",
@@ -348,13 +351,15 @@ def test_cli_model_numerical_failure_is_one_line(argv, tmp_path, capsys):
         ["symmetrize", "--metric", "example1", "--model", "euclidean", "--radius",
          "1", "--nr", "x"],
     ],
-    ids=["grid", "kmax", "nr", "ntheta", "verify-kmax", "not-an-integer"],
+    ids=["grid", "kmax", "kmax-below-4", "nr", "ntheta", "verify-kmax",
+         "not-an-integer"],
 )
-def test_cli_nonpositive_count_exit_code(argv, capsys):
+def test_cli_nonpositive_count_exit_code(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(argv + ["--output", str(tmp_path)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1e-3", "-0.5", "-inf", "x"])

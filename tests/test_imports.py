@@ -1,8 +1,9 @@
 """Every module-level import of a library or test module is used by that
 module, every module-level private function of the library is used by the
 library, every private attribute a test sets is read by the library, the
-library samples on broadcast axes, never on an np.meshgrid mesh, and it
-imports only the scipy modules it runs."""
+library samples on broadcast axes, never on an np.meshgrid mesh, it
+builds one sparse matrix, the flux stencil, in one place, and it imports
+only the scipy modules it runs."""
 
 import ast
 import os
@@ -141,6 +142,35 @@ def test_planted_meshgrid_is_found():
     source = ("import numpy as np\nfrom numpy import meshgrid\n"
               "rr, tt = np.meshgrid(r, t)\nw(r[:, None], t[None, :])\n")
     assert _meshgrid_uses(source) == ["line 2", "line 3"]
+
+
+# scipy.sparse constructors, any of which could write a sparse stencil
+SPARSE_BUILDERS = {"csc_matrix", "csr_matrix", "coo_matrix", "diags",
+                   "csc_array", "csr_array", "coo_array", "diags_array"}
+
+
+def _sparse_builds(source: str) -> list[str]:
+    """Lines of a module that call a scipy.sparse constructor, by bare
+    name or as an attribute."""
+    return [f"line {line}" for line in sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "id", None) or getattr(n.func, "attr", None))
+        in SPARSE_BUILDERS)]
+
+
+def test_flux_stencil_is_built_in_one_place():
+    # both solver routes and apply_laplacian assemble one stencil
+    # (pde._assemble_flux); a second sparse build would write it twice
+    builds = [f"{p.name} {line}" for p in MODULES for line in _sparse_builds(p.read_text())]
+    assert len(builds) == 1 and builds[0].startswith("pde.py "), builds
+
+
+def test_planted_sparse_builds_are_found():
+    source = ("from scipy.sparse import csc_matrix, diags\nimport scipy.sparse as sp\n"
+              "def f(a) -> csc_matrix:\n    return csc_matrix(a)\n"
+              "b = sp.diags([1.0], [0])\nc = diags\n")
+    assert _sparse_builds(source) == ["line 4", "line 5"]
 
 
 # the scipy the library runs: sparse LU, and LAPACK for the model balls

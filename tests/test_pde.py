@@ -322,8 +322,8 @@ class _FullPencilSolver(HierarchySolver):
     def __init__(self, grid):
         c_radial, c_angular = pde._conductances(grid)
         self.grid = grid
-        self.flux = pde._assemble_flux(grid, c_radial, c_angular)
-        self.areas = pde._unknown_areas(grid)
+        self.flux = pde._assemble_flux(c_radial, c_angular, grid.n_theta)
+        self.areas = np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
 
@@ -398,8 +398,8 @@ def test_theta_varying_areas_take_the_sparse_lu():
     # the face samples are constant along every ring and kept as one
     # column each; the node samples are not
     c_radial, c_angular = pde._conductances(grid)
-    assert pde._theta_independent(c_radial, c_angular)
-    assert not pde._theta_independent(grid._node_area)
+    assert c_radial.shape[1] == c_angular.shape[1] == 1
+    assert grid._node_area.shape[1] == 12
     assert solver._lu.shape == solver.flux.shape
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
     for v, v_ref in zip(map(solver.field, solver.hierarchy(3)),
@@ -463,13 +463,17 @@ def test_mode0_route_matches_full_route_and_sparse_lu(curvature, n_r, n_theta):
 
 @pytest.mark.parametrize("n_r", [4, 5, 384])
 def test_mode0_pencil_is_the_diags_build(n_r):
+    # the 2-D stencil on one angle, with each ring's conductances and
+    # areas summed around it, is the tridiagonal mode-0 block bit for bit
     grid = make_grid(radial_metric(space_form_profile(-1.0)), 1.0, n_r, 8)
-    c_radial = pde._conductances(grid)[0]
-    flux, _ = pde._mode0_pencil(grid, c_radial)
-    c = grid.n_theta * c_radial[:, 0]
+    solver = HierarchySolver(grid)
+    flux = solver.flux
+    c = grid.n_theta * pde._conductances(grid)[0][:, 0]
     diagonal = np.concatenate([[-c[0]], -(c[:-1] + c[1:])])
     ref = diags([c[:-1], diagonal, c[:-1]], [-1, 0, 1], format="csc")
     assert flux.format == "csc" and flux.shape == ref.shape
+    areas = np.concatenate([[grid.center_area], grid.n_theta * grid.node_area[:, 0]])
+    assert np.array_equal(solver.areas, areas)
     for a, b in ((flux.indptr, ref.indptr), (flux.indices, ref.indices),
                  (flux.data, ref.data)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -610,6 +614,17 @@ def test_metric_sampled_on_broadcast_axes_only():
         assert t == () or (len(t) == 2 and t[0] == 1), (r, t)
 
 
+@pytest.mark.parametrize("m", [builtin_example_metric(),
+                               radial_metric(space_form_profile(-1.0))],
+                         ids=lambda m: m.label)
+def test_grid_samples_w_once(m):
+    # the nodes, the r = R ring and the center cell's ring in one call
+    shapes = _recording_shapes(m)
+    make_grid(m, 1.0, 16, 12)
+    assert len(shapes) == 1
+    assert shapes[0][0] == (17, 1) and shapes[0][1] == (1, 12)
+
+
 def _meshgrid_reference(grid):
     """Node, boundary and center areas and the radial and angular
     conductances of a grid, with w sampled on materialized meshes."""
@@ -640,7 +655,7 @@ def test_broadcast_samples_match_meshgrid_bit_for_bit(m):
     assert np.array_equal(np.broadcast_to(got_angular, c_angular.shape), c_angular)
     # a radial grid keeps one column of each; example1 varies along rings
     radial = m.label.startswith("radial")
-    assert pde._theta_independent(grid._node_area, got_radial, got_angular) == radial
+    assert all(a.shape[1] == 1 for a in (grid._node_area, got_radial, got_angular)) == radial
 
 
 def test_radial_metric_samples_one_value_per_radius():

@@ -14,6 +14,7 @@ from geoball.surface import ball_area, builtin_example_metric, radial_metric
 from geoball.symmetrize import (
     ComparisonPreconditionError,
     NegativeFieldError,
+    RadialFunction,
     check_equimeasurable,
     integral_identity_check,
     level_profile,
@@ -162,6 +163,29 @@ def test_integral_identity_example(flat_model):
     ex = builtin_example_metric()
     lhs, rhs = _integral_identity(ex, flat_model)
     assert rhs == pytest.approx(lhs, rel=1e-2)
+
+
+def test_integral_identity_rejects_a_nonuniform_profile_grid(flat, flat_model):
+    # Simpson's rule at the first spacing read 8.2e-4 here, where the
+    # model-side integral of 1 - r over the unit disk is pi/3
+    rho = np.linspace(0.0, 1.0, 1025) ** 2
+    fstar = RadialFunction(grid=rho, values=1.0 - rho)
+    f = field_from_function(make_grid(flat, 1.0, 16, 12), lambda r, t: 1.0 - r)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        integral_identity_check(f, fstar, flat_model)
+
+
+@pytest.mark.parametrize("b,n", [(0.0, 2), (-1.0, 3), (1.0, 2)])
+def test_integral_identity_of_a_symmetrized_profile_is_simpsons_rule(b, n):
+    # the uniform grids of symmetrize_field pass the spacing check, and the
+    # model side stays Simpson's rule on them, bit for bit
+    model = make_space_form(b, n)
+    f = transplant_exit_time(model, make_grid(builtin_example_metric(), 0.8, 32, 16))
+    fstar = symmetrize_field(level_profile(f), model)
+    wn = model.warping.w(fstar.grid) ** (model.dim - 1)
+    rhs = model.sphere_constant * float(
+        simpson(fstar.values * wn, dx=fstar.grid[1] - fstar.grid[0]))
+    assert integral_identity_check(f, fstar, model) == (f.integral(), rhs)
 
 
 @pytest.mark.parametrize("n", [3, 17, 1025])
