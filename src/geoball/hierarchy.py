@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
 
-from .model import ModelSpace, sphere_volume_model
+from .model import ModelSpace, mean_curvature_model, sphere_volume_model
 from .quadrature import GaussPanels
 
 # Chebyshev sizes tried in turn (N -> 2N - 1): 17, 33, 65, ..., 1025
@@ -87,7 +87,7 @@ def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
     D = np.outer(c, 1 / c) / (R * (x[:, None] - x[None, :] + np.eye(N + 1)))
     D -= np.diag(D.sum(axis=1))  # d/dr at the nodes (Trefethen's cheb.m)
     M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
-    eta = m.warping.dw(R * x[1 : M + 1]) / m.warping.w(R * x[1 : M + 1])
+    eta = mean_curvature_model(m, R * x[1 : M + 1])
     if not np.all(np.isfinite(eta)):
         raise EigenvalueConvergenceError(f"non-finite w'/w in '{m.warping.label}'")
     L = D[1 : M + 1] @ D + ((m.dim - 1) * eta)[:, None] * D[1 : M + 1]

@@ -4,8 +4,8 @@ A model space is a warped product over [0, r_max) with a radial warping
 function w satisfying w(0) = 0 and w'(0) = 1.  Everything downstream
 (mean curvature of distance spheres, isoperimetric quotient, volumes,
 balance condition) is a functional of w and the dimension.  A warping, like
-a 2-D polar metric in ``surface``, is written once, as w: its derivatives
-are w evaluated on jets (``_Jet``), so they cannot disagree with it.
+a 2-D polar metric in ``surface``, is written once, as w: ``jet`` gives
+w, w' and w'' from one evaluation of w on jets (``_Jet``).
 """
 
 from __future__ import annotations
@@ -107,6 +107,12 @@ class _Jet:
         v = self.v
         return self._chain(v**k, k * v ** (k - 1), k * (k - 1) * v ** (k - 2))
 
+    def broadcast_to(self, shape: tuple[int, ...]) -> _Jet:
+        """The jet with every component broadcast to shape (np.broadcast_to
+        costs microseconds even where the shape already fits)."""
+        return _Jet(*(c if c.shape == shape else np.broadcast_to(c, shape)
+                      for c in map(np.asarray, (self.v, self.r, self.rr, self.t))))
+
     def __array__(self, *args, **kwargs):
         raise TypeError("a jet does not convert to an array")
 
@@ -138,9 +144,9 @@ _JET_ARITHMETIC = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
 
 @dataclass(frozen=True)
 class WarpingProfile:
-    """Radial warping function w, vectorized over numpy arrays; its
-    derivatives dw and ddw evaluate w on jets, so w must be written with
-    the operations that ``_Jet`` carries.
+    """Radial warping function w, vectorized over numpy arrays; ``jet``
+    evaluates it on jets for w' and w'', so w must be written with the
+    operations that ``_Jet`` carries.
 
     r_max is the upper end of the domain (pi/sqrt(b) for positively curved
     space forms, +inf otherwise).
@@ -152,8 +158,8 @@ class WarpingProfile:
 
     def __post_init__(self) -> None:
         eps = 1e-7
-        w0 = float(self.w(np.array(eps)))
-        dw0 = float(self.dw(np.array(eps)))
+        jet = self.jet(eps)
+        w0, dw0 = float(jet.v), float(jet.r)
         # every test is written as "not ok" so that a NaN sample fails it
         if not (abs(w0 - eps) <= 1e-6 * max(1.0, eps) and abs(dw0 - 1.0) <= 1e-5):
             raise ValueError(
@@ -165,15 +171,11 @@ class WarpingProfile:
         if not np.all(self.w(rs) > 0):
             raise ValueError(f"warping '{self.label}' is not positive on (0, r_max)")
 
-    def dw(self, r: np.ndarray) -> np.ndarray:
-        """w'(r), from w on jets."""
+    def jet(self, r: float | np.ndarray) -> _Jet:
+        """w (v), w' (r) and w'' (rr) at r from one evaluation of w on a jet,
+        each broadcast to r's shape."""
         r = np.asarray(r, dtype=float)
-        return np.full(r.shape, self.w(_Jet(r, 1.0)).r)
-
-    def ddw(self, r: np.ndarray) -> np.ndarray:
-        """w''(r), from w on jets."""
-        r = np.asarray(r, dtype=float)
-        return np.full(r.shape, self.w(_Jet(r, 1.0)).rr)
+        return self.w(_Jet(r, 1.0)).broadcast_to(r.shape)
 
 
 @dataclass(frozen=True)
@@ -251,16 +253,20 @@ def make_space_form(b: float, n: int) -> ModelSpace:
     return ModelSpace(warping=space_form_profile(b), dim=n)
 
 
-def mean_curvature_model(m: ModelSpace, r: float) -> float:
-    """Pointed-inward mean curvature of the distance sphere: w'(r)/w(r)."""
+def mean_curvature_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarray:
+    """Pointed-inward mean curvature w'(r)/w(r) of the distance sphere;
+    broadcasts over arrays, and a radius gives a float."""
     m._check_radius(r)
-    return float(m.warping.dw(np.array(r)) / m.warping.w(np.array(r)))
+    jet = m.warping.jet(r)
+    eta = jet.r / jet.v
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def radial_curvature_model(m: ModelSpace, r: float) -> float:
     """Radial sectional curvature -w''(r)/w(r); equals b for space forms."""
     m._check_radius(r)
-    return float(-m.warping.ddw(np.array(r)) / m.warping.w(np.array(r)))
+    jet = m.warping.jet(r)
+    return float(-jet.rr / jet.v)
 
 
 def sphere_volume_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarray:
@@ -336,8 +342,8 @@ def balance_check(m: ModelSpace, R: float) -> BalanceReport:
     n = m.dim
     rs = np.linspace(R / BALANCE_SAMPLES, R, BALANCE_SAMPLES)
     q = isoperimetric_quotient(m, rs)
-    w, dw = m.warping.w(rs), m.warping.dw(rs)
-    eta = dw / w
+    jet = m.warping.jet(rs)  # w and w'
+    eta = jet.r / jet.v
 
     margin1 = 1.0 / (n - 1) - q * eta
 
@@ -349,9 +355,9 @@ def balance_check(m: ModelSpace, R: float) -> BalanceReport:
     ) / (2 * h)
     margin2 = qp_fd
 
-    wn = w**n
-    cum = q * w ** (n - 1)  # int_0^r w^(n-1)
-    margin3 = (wn - (n - 1) * dw * cum) / wn
+    wn = jet.v**n
+    cum = q * jet.v ** (n - 1)  # int_0^r w^(n-1)
+    margin3 = (wn - (n - 1) * jet.r * cum) / wn
 
     b1 = bool(margin1.min() >= -BALANCE_TOL)
     b2 = bool(margin2.min() >= -BALANCE_TOL * 10)  # FD noise allowance

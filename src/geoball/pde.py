@@ -274,17 +274,19 @@ class HierarchySolver:
         for k in range(k_max):
             v_next = self.solve_poisson(-v)
             res = self._backward_error(v_next, self.areas * v)
-            if res > RESIDUAL_TOL:
-                raise ResolutionError(f"Poisson solve residual {res} too large")
+            if not res <= RESIDUAL_TOL:  # a NaN residual fails too
+                raise ResolutionError(f"Poisson residual {res} too large at level {k + 1}")
             levels[k] = v = v_next
         return levels
 
     def _backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Normwise backward error of x as a solution of flux x = -rhs;
         dividing elementwise by the near-pole cell areas would only
-        amplify bare float64 roundoff."""
-        return float(np.max(np.abs(self.flux @ x + rhs)) / (
-            self._flux_norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+        amplify bare float64 roundoff.  A level that underflowed to zero
+        gives 0/0 = NaN, which every caller's gate refuses."""
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(self.flux @ x + rhs)) / (
+                self._flux_norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
 
     def moments(self, levels: np.ndarray) -> MomentSpectrum:
         """Normalized moments of rows of ``hierarchy(k)``: the disk's area,

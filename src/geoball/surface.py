@@ -1,7 +1,7 @@
 """Geometry of 2-D polar metrics g = dr^2 + w^2(r, theta) dtheta^2.
 
-A metric is written once, as w: its partials w_r, w_rr and w_t evaluate w
-on jets (``model._Jet``), so they cannot disagree with it.  A
+A metric is written once, as w: ``jet`` gives w and its partials w_r,
+w_rr and w_t from one evaluation of w on jets (``model._Jet``).  A
 construction-time audit checks the smooth pole, 2*pi-periodicity, that w
 is finite and positive inside the chart and that it evaluates on jets.
 """
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DomainError, ModelSpace, WarpingProfile, _Jet
+from .model import DomainError, ModelSpace, WarpingProfile, _Jet, mean_curvature_model
 from .quadrature import GAUSS_NODES, GAUSS_NODES_MAX, GaussPanels, QuadratureError
 
 TWO_PI = 2.0 * math.pi
@@ -28,8 +28,8 @@ class MetricAuditError(ValueError):
 
 @dataclass(frozen=True)
 class PolarMetric2D:
-    """Metric evaluator w(r, theta), vectorized over (r, theta) arrays; its
-    partials w_r, w_rr and w_t evaluate w on jets, so w must be written
+    """Metric evaluator w(r, theta), vectorized over (r, theta) arrays;
+    ``jet`` evaluates it on jets for its partials, so w must be written
     with the operations that ``model._Jet`` carries.  w may return any
     shape that broadcasts to the broadcast shape of (r, theta), such as
     r's alone when w does not depend on theta; every caller broadcasts
@@ -45,25 +45,12 @@ class PolarMetric2D:
     def __post_init__(self) -> None:
         _audit_pole_and_periodicity(self)
 
-    def _jet(self, r: np.ndarray, t: np.ndarray) -> tuple[_Jet, tuple[int, ...]]:
-        """w on jets seeded at (r, t), and the broadcast shape of r and t."""
+    def jet(self, r: np.ndarray, t: np.ndarray) -> _Jet:
+        """w (v), w_r (r), w_rr (rr) and w_t (t) at (r, t) from one evaluation
+        of w on jets, each broadcast to the broadcast shape of r and t."""
         r, t = np.asarray(r, dtype=float), np.asarray(t, dtype=float)
-        return self.w(_Jet(r, 1.0), _Jet(t, t=1.0)), np.broadcast_shapes(r.shape, t.shape)
-
-    def w_r(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """dw/dr, from w on jets."""
-        jet, shape = self._jet(r, t)
-        return np.full(shape, jet.r)
-
-    def w_rr(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """d2w/dr2, from w on jets."""
-        jet, shape = self._jet(r, t)
-        return np.full(shape, jet.rr)
-
-    def w_t(self, r: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """dw/dtheta, from w on jets."""
-        jet, shape = self._jet(r, t)
-        return np.full(shape, jet.t)
+        jet = self.w(_Jet(r, 1.0), _Jet(t, t=1.0))
+        return jet.broadcast_to(np.broadcast_shapes(r.shape, t.shape))
 
     def _check_radius(self, t: float | np.ndarray) -> None:
         """Raise DomainError unless every radius in t lies in (0, R_valid]."""
@@ -99,7 +86,7 @@ def _audit_pole_and_periodicity(m: PolarMetric2D) -> None:
     try:
         # an operation jets lack fails at any point: every probe radius
         # and angle once is enough
-        m._jet(probe_r, probe_t)
+        m.jet(probe_r, probe_t)
     except TypeError as exc:
         raise MetricAuditError(
             f"metric '{m.label}': w uses an operation that jets do not carry ({exc})"
@@ -150,8 +137,8 @@ def sphere_mean_curvature(
 
     Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
-    h = m.w_r(t, theta) / m.w(t, theta)
+    jet = m.jet(t, theta)
+    h = jet.r / jet.v
     return float(h) if h.ndim == 0 else h
 
 
@@ -162,8 +149,8 @@ def gauss_curvature(
 
     Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    t, theta = np.asarray(t, dtype=float), np.asarray(theta, dtype=float)
-    k = -m.w_rr(t, theta) / m.w(t, theta)
+    jet = m.jet(t, theta)
+    k = -jet.rr / jet.v
     return float(k) if k.ndim == 0 else k
 
 
@@ -265,7 +252,7 @@ def hypothesis_report(m: PolarMetric2D, model: ModelSpace, R: float) -> Hypothes
     rs = np.linspace(R / HYPOTHESIS_N_R, R, HYPOTHESIS_N_R)
     ts = np.linspace(0.0, TWO_PI, HYPOTHESIS_N_THETA, endpoint=False)
     h_metric = sphere_mean_curvature(m, rs[:, None], ts[None, :])
-    eta = (model.warping.dw(rs) / model.warping.w(rs))[:, None]
+    eta = mean_curvature_model(model, rs)[:, None]
     gap = h_metric - eta
     gmin, gmax = float(gap.min()), float(gap.max())
     i, j = np.unravel_index(np.argmin(gap), gap.shape)

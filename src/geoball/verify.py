@@ -146,10 +146,13 @@ class VerificationContext:
         direction_override: str | None = None,
     ) -> "VerificationContext":
         """direction_override forces the asserted inequality direction
-        ('model<=M' or 'model>=M').  Raises ComparisonPreconditionError
-        when the mean-curvature comparison has no uniform direction."""
+        ('model<=M' or 'model>=M'; any other value is a ValueError).  Raises
+        ComparisonPreconditionError when the hypothesis has no uniform direction."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
+        if direction_override not in (None, "model<=M", "model>=M"):
+            raise ValueError("direction_override must be None, 'model<=M' or "
+                             f"'model>=M', got {direction_override!r}")
         hyp = hypothesis_report(m, model, R)
         if not hyp.uniform:
             raise ComparisonPreconditionError(

@@ -45,7 +45,7 @@ def _shoot_reference(m, R):
         y0 = [1.0 - lam * r0**2 / (2 * n), -lam * r0 / n]
 
         def rhs(r, y):
-            eta = float(m.warping.dw(np.array(r)) / m.warping.w(np.array(r)))
+            eta = float(m.warping.jet(np.array(r)).r / m.warping.w(np.array(r)))
             return [y[1], -(n - 1) * eta * y[1] - lam * y[0]]
 
         sol = solve_ivp(rhs, (r0, R), y0, method="RK45", rtol=1e-11, atol=1e-13)
@@ -293,7 +293,7 @@ def test_lambda1_nonfinite_warping_ratio_raises_at_once():
     object.__setattr__(profile, "w", w)
     with pytest.raises(EigenvalueConvergenceError):
         lambda1_shooting(ModelSpace(warping=profile, dim=3), 1.0)
-    assert len(calls) == 2  # w' (w on jets) and w at the first rung's nodes
+    assert len(calls) == 1  # w on jets at the first rung's nodes
 
 
 def test_lambda1_unsettled_near_the_cut_locus_raises():

@@ -2,8 +2,9 @@
 module, every module-level private function of the library is used by the
 library, every private attribute a test sets is read by the library, the
 library samples on broadcast axes, never on an np.meshgrid mesh, it
-builds one sparse matrix, the flux stencil, in one place, and it imports
-only the scipy modules it runs."""
+builds one sparse matrix, the flux stencil, in one place, it seeds jets
+only in the two ``jet`` methods, and it imports only the scipy modules it
+runs."""
 
 import ast
 import os
@@ -171,6 +172,48 @@ def test_planted_sparse_builds_are_found():
               "def f(a) -> csc_matrix:\n    return csc_matrix(a)\n"
               "b = sp.diags([1.0], [0])\nc = diags\n")
     assert _sparse_builds(source) == ["line 4", "line 5"]
+
+
+# the methods that seed jets: a warping's and a metric's
+JET_SEEDS = {"WarpingProfile.jet", "PolarMetric2D.jet"}
+
+
+def _jet_constructions(source: str) -> list[str]:
+    """Every ``_Jet(...)`` call of a module outside class _Jet, by bare name
+    or as an attribute, with its enclosing class.function (``<module>`` at
+    top level) and line."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "_Jet":
+                continue
+            if (isinstance(child, ast.Call)
+                    and (getattr(child.func, "id", None)
+                         or getattr(child.func, "attr", None)) == "_Jet"):
+                found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, scope + (child.name,) if named else scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_jets_are_seeded_only_by_the_jet_methods():
+    # every partial is read from one evaluation of w in WarpingProfile.jet
+    # or PolarMetric2D.jet; a jet seeded elsewhere takes a partial a second way
+    sites = [site for p in MODULES for site in _jet_constructions(p.read_text())]
+    assert {site.split(" ")[0] for site in sites} == JET_SEEDS, sites
+
+
+def test_planted_jet_seeds_are_found():
+    source = ("class _Jet:\n    def f(self):\n        return _Jet(1.0)\n"
+              "class P:\n    def jet(self, r):\n        return self.w(_Jet(r, 1.0))\n"
+              "    def w_r(self, r):\n        return self.w(model._Jet(r, 1.0)).r\n"
+              "def dw(p, r):\n    return p.w(_Jet(r, 1.0)).r\n"
+              "SEED = _Jet(0.0)\n")
+    assert _jet_constructions(source) == [
+        "P.jet (line 6)", "P.w_r (line 8)", "dw (line 10)", "<module> (line 11)"]
 
 
 # the scipy the library runs: sparse LU, and LAPACK for the model balls

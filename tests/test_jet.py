@@ -1,14 +1,27 @@
 """Tests for the forward-mode jets that give every metric and warping its
-partials from w alone."""
+partials from w alone, and for the curvatures that read them from one
+evaluation of w."""
 
 import math
 
 import numpy as np
 import pytest
 
+from geoball import hierarchy
 from geoball.cli import parse_metric_expr, parse_warping_expr
-from geoball.model import _Jet, euclidean_profile
-from geoball.surface import builtin_example_metric
+from geoball.model import (
+    _Jet,
+    euclidean_profile,
+    make_space_form,
+    mean_curvature_model,
+    radial_curvature_model,
+)
+from geoball.surface import (
+    builtin_example_metric,
+    gauss_curvature,
+    hypothesis_report,
+    sphere_mean_curvature,
+)
 
 RNG = np.random.default_rng(20240811)
 R_SAMPLES = RNG.uniform(0.05, 4.75, 200)
@@ -85,22 +98,22 @@ def _radii(r_max):
 def test_warping_derivatives_match_hand_written_ones(text):
     p = parse_warping_expr(text)
     r = _radii(p.r_max)
-    w = p.w(r)
-    for got, want in zip((p.dw(r), p.ddw(r)), _profile_oracle(text)):
+    w, jet = p.w(r), p.jet(r)
+    for got, want in zip((jet.r, jet.rr), _profile_oracle(text)):
         assert got.shape == r.shape
         assert _relative_error(got, want(r), w) <= 1e-13
     h, h2 = 1e-5, 1e-4  # steps of the first and the second difference
-    assert _relative_error(p.dw(r), (p.w(r + h) - p.w(r - h)) / (2 * h), w) <= 1e-5
+    assert _relative_error(jet.r, (p.w(r + h) - p.w(r - h)) / (2 * h), w) <= 1e-5
     ddw_fd = (p.w(r + h2) - 2 * w + p.w(r - h2)) / h2**2
-    assert _relative_error(p.ddw(r), ddw_fd, w) <= 1e-5
+    assert _relative_error(jet.rr, ddw_fd, w) <= 1e-5
 
 
 @pytest.mark.parametrize("text", METRICS)
 def test_metric_partials_match_hand_written_ones(text):
     m = parse_metric_expr(text)
     r, t = _radii(m.R_valid), T_SAMPLES
-    w = m.w(r, t)
-    for got, want in zip((m.w_r(r, t), m.w_rr(r, t), m.w_t(r, t)), _metric_oracle(text)):
+    w, jet = m.w(r, t), m.jet(r, t)
+    for got, want in zip((jet.r, jet.rr, jet.t), _metric_oracle(text)):
         assert got.shape == r.shape
         assert _relative_error(got, want(r, t), w) <= 1e-13
     # the steps of the retired construction-time audit: its second
@@ -109,16 +122,17 @@ def test_metric_partials_match_hand_written_ones(text):
     fd = ((m.w(r + h, t) - m.w(r - h, t)) / (2 * h),
           (m.w(r + h2, t) - 2 * w + m.w(r - h2, t)) / h2**2,
           (m.w(r, t + h) - m.w(r, t - h)) / (2 * h))
-    for got, want in zip((m.w_r(r, t), m.w_rr(r, t), m.w_t(r, t)), fd):
+    for got, want in zip((jet.r, jet.rr, jet.t), fd):
         assert _relative_error(got, want, w) <= 1e-5
 
 
 def test_partials_broadcast_over_radii_and_angles():
     m = parse_metric_expr("radial(euclidean)")
     r, t = np.linspace(0.1, 1.0, 3)[:, None], np.linspace(0.0, 1.0, 4)
-    for part in (m.w_r, m.w_rr, m.w_t):
-        assert part(r, t).shape == (3, 4)
-    assert m.w_r(0.5, 0.25).shape == ()
+    jet = m.jet(r, t)
+    for part in (jet.r, jet.rr, jet.t):
+        assert part.shape == (3, 4)
+    assert m.jet(0.5, 0.25).r.shape == ()
 
 
 def test_jet_refuses_ndarray_operands():
@@ -141,10 +155,53 @@ def test_swapped_evaluator_carries_its_partials():
     p = euclidean_profile()
     object.__setattr__(p, "w", lambda r: np.sinh(r))
     r = np.linspace(0.1, 2.0, 7)
-    np.testing.assert_allclose(p.dw(r), np.cosh(r), rtol=1e-15)
-    np.testing.assert_allclose(p.ddw(r), np.sinh(r), rtol=1e-15)
+    np.testing.assert_allclose(p.jet(r).r, np.cosh(r), rtol=1e-15)
+    np.testing.assert_allclose(p.jet(r).rr, np.sinh(r), rtol=1e-15)
     m = builtin_example_metric()
     object.__setattr__(m, "w", lambda r, t: r * (1.0 + r * np.sin(t)))
-    np.testing.assert_allclose(m.w_r(r, 0.5), 1.0 + 2.0 * r * np.sin(0.5), rtol=1e-15)
-    np.testing.assert_allclose(m.w_rr(r, 0.5), 2.0 * np.sin(0.5), rtol=1e-15)
-    np.testing.assert_allclose(m.w_t(r, 0.5), r**2 * np.cos(0.5), rtol=1e-15)
+    np.testing.assert_allclose(m.jet(r, 0.5).r, 1.0 + 2.0 * r * np.sin(0.5), rtol=1e-15)
+    np.testing.assert_allclose(m.jet(r, 0.5).rr, 2.0 * np.sin(0.5), rtol=1e-15)
+    np.testing.assert_allclose(m.jet(r, 0.5).t, r**2 * np.cos(0.5), rtol=1e-15)
+
+
+def _recording_calls(f):
+    """Swap in a w for f (a metric or a warping) that records its calls,
+    after the audit."""
+    calls, w = [], f.w
+
+    def recording(*args):
+        calls.append(1)
+        return w(*args)
+
+    object.__setattr__(f, "w", recording)
+    return calls
+
+
+@pytest.mark.parametrize("curvature", [sphere_mean_curvature, gauss_curvature])
+def test_metric_curvatures_evaluate_w_once(curvature):
+    m = builtin_example_metric()
+    calls = _recording_calls(m)
+    curvature(m, np.linspace(0.1, 1.0, 5)[:, None], np.linspace(0.0, 6.0, 7))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("curvature", [mean_curvature_model, radial_curvature_model])
+def test_model_curvatures_evaluate_w_once(curvature):
+    model = make_space_form(-1.0, 3)
+    calls = _recording_calls(model.warping)
+    curvature(model, 0.7)
+    assert len(calls) == 1
+
+
+def test_folded_operator_evaluates_w_once():
+    model = make_space_form(-1.0, 3)
+    calls = _recording_calls(model.warping)
+    hierarchy._folded_operator(model, 1.3, 33)
+    assert len(calls) == 1
+
+
+def test_hypothesis_report_evaluates_each_w_once():
+    m, model = builtin_example_metric(), make_space_form(0.0, 2)
+    metric_calls, model_calls = _recording_calls(m), _recording_calls(model.warping)
+    hypothesis_report(m, model, 1.0)
+    assert len(metric_calls) == len(model_calls) == 1

@@ -235,12 +235,25 @@ def test_space_form_profile_rejects_nonfinite():
         space_form_profile(math.nan)
 
 
+@pytest.mark.parametrize("model", [
+    make_space_form(-1.0, 3), make_space_form(0.7, 2),
+    ModelSpace(warping=polynomial_profile((-0.05, 0.01)), dim=3)],
+    ids=lambda m: m.warping.label)
+def test_mean_curvature_model_broadcasts_bit_for_bit(model):
+    rs = np.linspace(0.05, 1.3, 17)
+    eta = mean_curvature_model(model, rs)
+    assert eta.shape == rs.shape
+    scalars = [mean_curvature_model(model, float(r)) for r in rs]
+    assert all(type(h) is float for h in scalars)
+    assert np.array_equal(eta, scalars)
+
+
 def test_euclidean_profile_samples():
     p = euclidean_profile()
     rs = np.linspace(0.1, 3.0, 7)
     assert np.allclose(p.w(rs), rs)
-    assert np.allclose(p.dw(rs), 1.0)
-    assert np.allclose(p.ddw(rs), 0.0)
+    assert np.allclose(p.jet(rs).r, 1.0)
+    assert np.allclose(p.jet(rs).rr, 0.0)
 
 
 def _quad_integral(profile, n, r):
@@ -285,7 +298,7 @@ def test_balance_margin_matches_quad_reference():
     m = ModelSpace(warping=profile, dim=n)
     rs = np.linspace(R / 512, R, 512)
     q = np.array([_quad_integral(profile, n, r) for r in rs]) / profile.w(rs) ** (n - 1)
-    ref = np.min(1.0 / (n - 1) - q * profile.dw(rs) / profile.w(rs))
+    ref = np.min(1.0 / (n - 1) - q * profile.jet(rs).r / profile.w(rs))
     assert balance_check(m, R).min_margin == pytest.approx(ref, rel=0, abs=1e-12)
 
 

@@ -27,6 +27,7 @@ from geoball.surface import (
     ball_area,
     builtin_example_metric,
     hypothesis_report,
+    perturbed_flat_metric,
     radial_metric,
 )
 from geoball.verify import run_verification
@@ -92,9 +93,9 @@ def _expanded_laplacian(f):
     f_tt = (np.roll(here, -1, axis=1) - 2 * here + np.roll(here, 1, axis=1)) / dt**2
     interior = (
         f_rr
-        + m.w_r(rr, tt) / w * f_r
+        + m.jet(rr, tt).r / w * f_r
         + f_tt / w**2
-        - m.w_t(rr, tt) / w**3 * f_t
+        - m.jet(rr, tt).t / w**3 * f_t
     )
     w_face_r, _ = _face_weights(grid)
     center = float(
@@ -407,7 +408,7 @@ def test_theta_varying_areas_take_the_sparse_lu():
         assert _rel_err(v.rings, v_ref.rings) <= 1e-10
 
 
-def test_fourier_route_only_for_theta_independent_grids(flat):
+def test_radial_pencil_only_for_theta_independent_grids(flat):
     radial = HierarchySolver(make_grid(flat, 1.0, 16, 12))
     assert radial._lu.shape == radial.flux.shape == (16, 16)
     for m in (builtin_example_metric(), _almost_flat_metric()):
@@ -512,7 +513,7 @@ def test_solver_freed_by_reference_counting(flat):
         gc.enable()
 
 
-def test_fourier_route_report_matches_sparse_lu(flat, monkeypatch):
+def test_radial_pencil_report_matches_full_sparse_lu(flat, monkeypatch):
     model = make_space_form(0.0, 2)
     fast = run_verification(flat, model, 1.0, n_r=64, n_theta=64)
     monkeypatch.setattr(verify, "HierarchySolver", _FullPencilSolver)
@@ -522,6 +523,15 @@ def test_fourier_route_report_matches_sparse_lu(flat, monkeypatch):
         assert (e.name, e.inequality, e.passed) == (g.name, g.inequality, g.passed)
         for x, y in ((e.lhs, g.lhs), (e.rhs, g.rhs), (e.margin, g.margin)):
             assert x == pytest.approx(y, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [radial_metric(euclidean_profile()),
+                               perturbed_flat_metric(0.5, 4)], ids=lambda m: m.label)
+def test_nan_backward_error_fails_the_hierarchy_gate(m):
+    # on a disk of radius 1e-7 levels 22-24 underflow to zero, whose
+    # backward error is 0/0: the radial pencil and the 2-D route alike
+    with pytest.raises(pde.ResolutionError, match="residual nan too large at level 22"):
+        lambda1_grid(m, make_grid(m, 1e-7, 16, 16))
 
 
 def test_lambda1_grid_disk(flat, flat_grid):
@@ -663,7 +673,7 @@ def test_radial_metric_samples_one_value_per_radius():
     m = radial_metric(space_form_profile(-1.0))
     r, t = np.linspace(0.1, 1.0, 5), np.linspace(0.0, 6.0, 7)
     assert m.w(r[:, None], t[None, :]).shape == (5, 1)
-    assert m.w_r(r[:, None], t[None, :]).shape == (5, 7)
+    assert m.jet(r[:, None], t[None, :]).r.shape == (5, 7)
     assert make_grid(m, 1.0, 16, 12)._sample_w(r, t).shape == (5, 1)
 
 

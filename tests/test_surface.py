@@ -104,7 +104,7 @@ def test_example_dominates_flat_curvature():
     rs = np.linspace(2.0 / 256, 2.0, 256)
     ts = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     rr, tt = np.meshgrid(rs, ts, indexing="ij")
-    H = m.w_r(rr, tt) / m.w(rr, tt)
+    H = m.jet(rr, tt).r / m.w(rr, tt)
     assert np.all(H > 1.0 / rr)
 
 

@@ -152,6 +152,17 @@ def test_mixed_hypothesis_rejected(flat_model):
         verify_mean_exit(VerificationContext.build(m, model, 2.0))
 
 
+@pytest.mark.parametrize("override", ["equal", "mixed", "model=<M"])
+def test_direction_override_must_name_a_direction(example, flat_model, override,
+                                                   monkeypatch):
+    # refused before the hypothesis scan: "equal" would label a report that
+    # asserts model<=M, and "mixed" would blame the hypothesis
+    monkeypatch.setattr(verify, "hypothesis_report", None)
+    with pytest.raises(ValueError, match="direction_override"):
+        run_verification(example, flat_model, 1.0, n_r=16, n_theta=16,
+                         direction_override=override)
+
+
 def test_report_serialization(example_report):
     doc = example_report.to_dict()
     assert set(doc) == {"hypothesis", "entries", "provenance"}
