@@ -173,8 +173,8 @@ class RadialHierarchy:
         polynomial (one interpolant of the identity), so that a moment reads
         its own level only.  Each is recomputed from the spectral boundary
         flux of the next level (divergence theorem): a gap beyond
-        CROSS_CHECK_TOL relative raises MomentCrossCheckError at the first
-        such k."""
+        CROSS_CHECK_TOL relative, or a NaN moment, raises
+        MomentCrossCheckError at the first such k."""
         m, R, N = self.model, float(self.nodes[0]), len(self.nodes) - 1
         panels = GaussPanels(R)
         r = panels.nodes(N)
@@ -184,8 +184,9 @@ class RadialHierarchy:
         levels = np.stack(self.levels)
         bulk = (levels[:-1] * weights).sum(axis=1)
         boundary = -(levels[1:] * self.flux).sum(axis=1) * sphere_volume_model(m, R)
-        bad = np.flatnonzero(np.abs(bulk - boundary)
-                             > CROSS_CHECK_TOL * np.maximum(abs(bulk), abs(boundary)))
+        # written as "not within" so that a NaN moment fails it
+        bad = np.flatnonzero(~(np.abs(bulk - boundary)
+                               <= CROSS_CHECK_TOL * np.maximum(abs(bulk), abs(boundary))))
         if bad.size:
             k = bad[0]
             raise MomentCrossCheckError(

@@ -55,18 +55,21 @@ def test_acceptance_3_ratio_trace():
 
 
 def test_acceptance_4_balance_suite():
+    # closed-form margins 1/(n-1) - q*eta in 2-D; for w = r + r^3,
+    # q = (r^2/2 + r^4/4)/w and eta = (1 + 3r^2)/w
     cases = [
-        (gb.make_space_form(0.0, 2), 5.0),
-        (gb.make_space_form(-1.0, 2), 5.0),
-        (gb.make_space_form(1.0, 2), math.pi / 4),
-        (gb.ModelSpace(warping=gb.polynomial_profile((1.0,)), dim=2), 5.0),
+        (gb.make_space_form(0.0, 2), 5.0, lambda r: 0.5 + 0.0 * r),
+        (gb.make_space_form(-1.0, 2), 5.0, lambda r: 1 / (1 + np.cosh(r))),
+        (gb.make_space_form(1.0, 2), math.pi / 4, lambda r: 1 / (1 + np.cos(r))),
+        (gb.ModelSpace(warping=gb.polynomial_profile((1.0,)), dim=2), 5.0,
+         lambda r: 1 - (r**2 / 2 + r**4 / 4) * (1 + 3 * r**2) / (r + r**3) ** 2),
     ]
     ok = True
-    for model, R in cases:
-        rep = gb.balance_check(model, R)  # raises if criteria disagree
-        ok = ok and rep.balanced
-        ok = ok and abs(rep.min_margin - rep.closed_form_min) < 1e-9
-    _report(4, "balance suite (flat, hyperbolic, spherical, cubic) consistent", ok)
+    for model, R, margin in cases:
+        rep = gb.balance_check(model, R)
+        exact = margin(np.linspace(R / 512, R, 512)).min()
+        ok = ok and rep.balanced and abs(rep.min_margin - exact) < 1e-9
+    _report(4, "balance suite (flat, hyperbolic, spherical, cubic) closed forms", ok)
 
 
 def test_acceptance_5_example_metric_closed_forms():

@@ -190,6 +190,16 @@ def test_moment_cross_check_trips_on_coarse_grid(monkeypatch):
         radial_hierarchy(m, 1.0, 6).spectrum()
 
 
+def test_moment_cross_check_fails_on_nan_moments():
+    # on B_1e6 the levels overflow past k = 26 and both moments read NaN,
+    # which a ">" gate lets through; the overflow warnings are silenced so
+    # that the gate, not the warning filter, is what raises
+    hier = radial_hierarchy(make_space_form(0.0, 2), 1e6, 30)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(MomentCrossCheckError, match="k=27 .*bulk=nan"):
+        hier.spectrum()
+
+
 def test_hierarchy_underflow_truncates_with_one_warning():
     m = make_space_form(0.0, 2)
     with pytest.warns(RuntimeWarning, match="underflow") as caught:

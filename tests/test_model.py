@@ -114,15 +114,6 @@ def test_balance_cubic_profile():
     assert rep.min_margin > 0
 
 
-def test_balance_margins_mutually_consistent():
-    m = make_space_form(-1.0, 2)
-    rep = balance_check(m, 3.0)
-    assert rep.min_margin == pytest.approx(rep.closed_form_min, abs=1e-9)
-    # q' = 1 - eta*q in 2-D: the derivative margin has its own scale but
-    # must agree in sign with the others
-    assert rep.quotient_derivative_min >= -1e-8
-
-
 def test_euclidean_balance_margin_exact_half():
     rep = balance_check(make_space_form(0.0, 2), 4.0)
     assert rep.min_margin == pytest.approx(0.5, abs=1e-9)
@@ -302,17 +293,67 @@ def test_balance_margin_matches_quad_reference():
     assert balance_check(m, R).min_margin == pytest.approx(ref, rel=0, abs=1e-12)
 
 
-def test_balance_closed_form_gated_at_its_own_scale():
-    # the closed-form margin is (n - 1) times the quotient margin: here
-    # -1.4e-9 against -7.0e-10, so one gate for both called them inconsistent
-    profile = WarpingProfile(w=lambda r: np.sinh(r) - 0.0443770161013417 * r**3,
+# (model, R, bounds on min_margin): the acceptance suite, a sphere in
+# n = 4, a profile whose margin sits just inside -BALANCE_TOL (its closed
+# form, twice that, lies below -BALANCE_TOL, so each criterion needs its own
+# gate), and an unbalanced polynomial
+_SINH_CUBIC = WarpingProfile(w=lambda r: np.sinh(r) - 0.0443770161013417 * r**3,
                              r_max=math.inf, label="sinh-cubic")
-    n = 3
-    rep = balance_check(ModelSpace(warping=profile, dim=n), 3.0)
-    assert rep.balanced
-    assert -BALANCE_TOL < rep.min_margin < -0.5 * BALANCE_TOL
-    assert rep.closed_form_min < -BALANCE_TOL
-    assert rep.closed_form_min == pytest.approx((n - 1) * rep.min_margin, rel=1e-6)
+BALANCE_CASES = [
+    pytest.param(make_space_form(0.0, 2), 5.0, 0.5 - 1e-12, 0.5 + 1e-12, id="plane"),
+    pytest.param(make_space_form(-1.0, 2), 5.0, 0.0, 1.0, id="H2"),
+    pytest.param(make_space_form(1.0, 2), math.pi / 4, 0.0, 1.0, id="S2"),
+    pytest.param(ModelSpace(warping=polynomial_profile((1.0,)), dim=2), 5.0, 0.0, 1.0,
+                 id="cubic"),
+    pytest.param(make_space_form(0.7, 4), 2.0, 0.0, 1.0, id="sphere0.7-n4"),
+    pytest.param(ModelSpace(warping=_SINH_CUBIC, dim=3), 3.0,
+                 -BALANCE_TOL, -0.5 * BALANCE_TOL, id="sinh-cubic-n3"),
+    pytest.param(ModelSpace(warping=polynomial_profile((-0.3, 0.03)), dim=3), 2.5,
+                 -2.19970, -2.19968, id="poly-unbalanced-n3"),
+]
+
+
+@pytest.mark.parametrize("m,R,lo,hi", BALANCE_CASES)
+def test_balance_agrees_with_its_equivalent_criteria(m, R, lo, hi):
+    # q' = 1 - (n-1)*eta*q and the closed form (w^n - (n-1)w' int w^(n-1))/w^n
+    # are both n-1 times the margin; each is gated at its own scale (q' by
+    # central differences with a 10x noise allowance), and each verdict must
+    # be the margin's
+    n = m.dim
+    rep = balance_check(m, R)
+    assert lo < rep.min_margin < hi
+    rs = np.linspace(R / model.BALANCE_SAMPLES, R, model.BALANCE_SAMPLES)
+    h = min(R * 1e-5, 1e-5)
+    inner = rs[(rs - h > 0) & (rs + h < m.r_max)]
+    qp = (isoperimetric_quotient(m, inner + h)
+          - isoperimetric_quotient(m, inner - h)) / (2 * h)
+    jet = m.warping.jet(rs)
+    cum = ball_volume_model(m, rs) / m.sphere_constant
+    closed = (jet.v**n - (n - 1) * jet.r * cum) / jet.v**n
+    assert rep.balanced == bool(qp.min() >= -10 * BALANCE_TOL)
+    assert rep.balanced == bool(closed.min() >= -(n - 1) * BALANCE_TOL)
+    assert closed.min() / (n - 1) == pytest.approx(rep.min_margin, rel=1e-9, abs=1e-15)
+
+
+def test_balance_check_evaluates_w_once_beyond_the_quotient():
+    # one jet on the radii of one isoperimetric_quotient call: sphere(0.7),
+    # n = 4, R = 2 takes 4 evaluations of w for q and 1 for w'/w
+    calls = []
+    base = space_form_profile(0.7)
+
+    def w(r):
+        calls.append(1)
+        return base.w(r)
+
+    m = ModelSpace(warping=WarpingProfile(w=w, r_max=base.r_max, label="counted"), dim=4)
+    R = 2.0
+    rs = np.linspace(R / model.BALANCE_SAMPLES, R, model.BALANCE_SAMPLES)
+    calls.clear()  # the profile's own audit evaluated w
+    isoperimetric_quotient(m, rs)
+    n_quotient = len(calls)
+    calls.clear()
+    balance_check(m, R)
+    assert (n_quotient, len(calls)) == (4, 5)
 
 
 def test_ball_volume_array_matches_scalar():

@@ -347,7 +347,7 @@ def _rel_err(a, b):
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
 @pytest.mark.parametrize("n_r,n_theta", [(4, 2), (17, 12), (64, 64)])
-def test_fourier_route_matches_sparse_lu(curvature, n_r, n_theta):
+def test_radial_pencil_matches_full_pencil(curvature, n_r, n_theta):
     grid = make_grid(radial_metric(space_form_profile(curvature)), 1.0, n_r, n_theta)
     solver = HierarchySolver(grid)
     assert solver._lu.shape == solver.flux.shape == (n_r, n_r)
