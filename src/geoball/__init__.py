@@ -43,6 +43,7 @@ from .surface import (
 )
 from .pde import (
     GridField,
+    GridHierarchy,
     PolarGrid,
     apply_laplacian,
     lambda1_grid,

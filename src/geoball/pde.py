@@ -19,9 +19,10 @@ tridiagonal system over the center and the rings, the k = 0 system of the
 classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970).
 Any other metric takes the general sparse LU.  Each hierarchy level is one
 direct solve, checked by its normwise backward error against the solver's
-flux matrix.  Levels stay solver vectors: their moments are one product
-with the areas, and a level becomes a 2-D field only where a caller reads
-its rings.
+flux matrix.  ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
+its levels as solver vectors, their moments (one product with the areas)
+and lambda_1.  A level becomes a 2-D field only where a caller reads its
+rings.
 """
 
 from __future__ import annotations
@@ -262,9 +263,9 @@ class HierarchySolver:
         """Solve L v = rhs by one direct solve of the flux system."""
         return self._lu.solve(self.areas * rhs)
 
-    def hierarchy(self, k_max: int) -> np.ndarray:
+    def hierarchy(self, k_max: int) -> GridHierarchy:
         """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
-        solve per level, as the rows of a (k_max, len(areas)) block."""
+        solve per level, with its moments."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if k_max > 64:
@@ -277,7 +278,8 @@ class HierarchySolver:
             if not res <= RESIDUAL_TOL:  # a NaN residual fails too
                 raise ResolutionError(f"Poisson residual {res} too large at level {k + 1}")
             levels[k] = v = v_next
-        return levels
+        moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
+        return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
 
     def _backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Normwise backward error of x as a solution of flux x = -rhs;
@@ -287,19 +289,6 @@ class HierarchySolver:
         with np.errstate(invalid="ignore"):
             return float(np.max(np.abs(self.flux @ x + rhs)) / (
                 self._flux_norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
-
-    def moments(self, levels: np.ndarray) -> MomentSpectrum:
-        """Normalized moments of rows of ``hierarchy(k)``: the disk's area,
-        then A_k = areas @ v_k (the Dirichlet ring is zero).  Row 0 must
-        solve this solver's first level, flux v_1 = -areas, to the
-        backward error of ``hierarchy``: a block of another grid with the
-        same number of unknowns raises ValueError too."""
-        if (np.ndim(levels) != 2 or np.shape(levels)[1] != len(self.areas)
-                or len(levels) == 0
-                or not self._backward_error(levels[0], self.areas) <= RESIDUAL_TOL):
-            raise ValueError("hierarchy levels were computed on another grid")
-        moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
-        return MomentSpectrum(normalized=moments, radius=self.grid.R)
 
     def field(self, v: np.ndarray) -> GridField:
         """The field of a solver vector v: center, rings 1..n_r-1 (one
@@ -331,28 +320,34 @@ class GridEigenvalue:
     power_value: float
 
 
+@dataclass(frozen=True)
+class GridHierarchy:
+    """Normalized Poisson hierarchy v_1..v_k of a polar disk and its
+    moments, from one factorization.  ``levels`` holds v_k as row k - 1,
+    one solver vector each; ``spectrum`` holds the disk's area, then
+    A_k = areas @ v_k (the Dirichlet ring is zero).  Build it with
+    ``HierarchySolver.hierarchy``."""
+
+    solver: HierarchySolver
+    levels: np.ndarray  # (k, len(solver.areas))
+    spectrum: MomentSpectrum
+
+    def lambda1(self) -> GridEigenvalue:
+        """First Dirichlet eigenvalue two ways: the moment-ratio limit of
+        the spectrum and inverse power iteration on the solver's pencil.
+        Disagreement beyond AGREEMENT_TOL relative raises ResolutionError."""
+        est = lambda1_from_moments(self.spectrum)
+        power = self.solver.smallest_eigenvalue()
+        if not abs(est.value - power) <= AGREEMENT_TOL * power:  # NaN fails too
+            raise ResolutionError(
+                f"eigenvalue routes disagree: moments={est.value}, power={power}"
+            )
+        return GridEigenvalue(moment_value=est.value, power_value=power)
+
+
 def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
-    """First Dirichlet eigenvalue two ways: moment-ratio limit of
-    LAMBDA1_LEVELS levels and inverse power iteration.  Disagreement beyond
-    AGREEMENT_TOL raises."""
+    """``GridHierarchy.lambda1`` of LAMBDA1_LEVELS levels on a grid of the
+    metric m; the benchmark calls it."""
     if m is not grid.metric:
         raise ValueError("grid was built for a different metric")
-    solver = HierarchySolver(grid)
-    return lambda1_from_solver(solver, solver.hierarchy(LAMBDA1_LEVELS))
-
-
-def lambda1_from_solver(solver: HierarchySolver, levels: np.ndarray) -> GridEigenvalue:
-    """lambda1_grid on an existing factorization and rows of its
-    ``hierarchy(k)``; levels that are not the solver's raise ValueError."""
-    return _lambda1_from_spectrum(solver, solver.moments(levels))
-
-
-def _lambda1_from_spectrum(solver: HierarchySolver, spec: MomentSpectrum) -> GridEigenvalue:
-    """lambda1_from_solver on the solver's grid moments spec."""
-    est = lambda1_from_moments(spec)
-    power = solver.smallest_eigenvalue()
-    if abs(est.value - power) > AGREEMENT_TOL * power:
-        raise ResolutionError(
-            f"eigenvalue routes disagree: moments={est.value}, power={power}"
-        )
-    return GridEigenvalue(moment_value=est.value, power_value=power)
+    return HierarchySolver(grid).hierarchy(LAMBDA1_LEVELS).lambda1()

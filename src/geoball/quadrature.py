@@ -32,7 +32,7 @@ class GaussPanels:
 
     def __init__(self, radii: float | np.ndarray):
         rs = np.atleast_1d(np.asarray(radii, dtype=float))
-        if rs.ndim != 1 or rs.size == 0 or np.any(np.diff(rs) < 0):
+        if rs.ndim != 1 or rs.size == 0 or not np.all(np.diff(rs) >= 0):
             raise ValueError("radii must be a scalar or a sorted, non-empty 1-D array")
         left = np.concatenate(([0.0], rs[:-1]))
         self.radii = rs

@@ -247,8 +247,7 @@ def hypothesis_report(m: PolarMetric2D, model: ModelSpace, R: float) -> Hypothes
     if model.dim != 2:
         raise ValueError("hypothesis check requires a 2-D model space")
     m._check_radius(R)
-    if R >= model.r_max:
-        raise DomainError(f"radius {R} exceeds the model domain {model.r_max}")
+    model._check_radius(R)
     rs = np.linspace(R / HYPOTHESIS_N_R, R, HYPOTHESIS_N_R)
     ts = np.linspace(0.0, TWO_PI, HYPOTHESIS_N_THETA, endpoint=False)
     h_metric = sphere_mean_curvature(m, rs[:, None], ts[None, :])

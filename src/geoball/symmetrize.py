@@ -47,8 +47,11 @@ class RadialFunction:
     def __post_init__(self) -> None:
         if len(self.grid) < 16:
             raise ValueError("radial grid must have at least 16 nodes")
-        if np.any(np.diff(self.grid) <= 0):
+        # every test is written as "not ok" so that a NaN fails it
+        if not np.all(np.diff(self.grid) > 0):
             raise ValueError("radial grid must be strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("radial function values must be finite")
 
     def __call__(self, r):
         return np.interp(r, self.grid, self.values)
@@ -71,10 +74,10 @@ class LevelSetProfile:
     total_volume: float
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.values) >= 0):
-            raise ValueError("level values must be strictly decreasing")
-        if np.any(np.diff(self.volumes) <= 0):
-            raise ValueError("cumulative volumes must be strictly increasing")
+        if not (np.all(np.isfinite(self.values)) and np.all(np.diff(self.values) < 0)):
+            raise ValueError("level values must be finite and strictly decreasing")
+        if not (np.all(np.isfinite(self.volumes)) and np.all(np.diff(self.volumes) > 0)):
+            raise ValueError("cumulative volumes must be finite and strictly increasing")
 
     @property
     def top(self) -> float:
@@ -107,8 +110,8 @@ def level_profile(f: GridField) -> LevelSetProfile:
     """Sort the cells of f's grid by value and accumulate their areas into
     superlevel volumes."""
     vals, areas = _cell_values_and_areas(f)
-    if np.any(vals < 0):
-        raise NegativeFieldError("field has negative values")
+    if not np.all(vals >= 0):  # a NaN value fails too
+        raise NegativeFieldError("field has negative or NaN values")
     order = np.argsort(-vals, kind="stable")
     v_sorted = vals[order]
     a_sorted = areas[order]
@@ -181,7 +184,7 @@ def integral_identity_check(
     which must be uniform to UNIFORM_SPACING_TOL (else ValueError).
     """
     spacing = np.diff(fstar.grid)
-    if np.any(np.abs(spacing - spacing[0]) > UNIFORM_SPACING_TOL * spacing[0]):
+    if not np.all(np.abs(spacing - spacing[0]) <= UNIFORM_SPACING_TOL * spacing[0]):
         raise ValueError("integral_identity_check needs a uniformly spaced profile grid")
     wn = model.warping.w(fstar.grid) ** (model.dim - 1)
     rhs = model.sphere_constant * float(

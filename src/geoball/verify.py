@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .hierarchy import MomentSpectrum, RadialHierarchy, averaged_moment, radial_hierarchy
+from .hierarchy import RadialHierarchy, averaged_moment, radial_hierarchy
 from .model import (
     ModelSpace,
     balance_check,
@@ -19,13 +19,7 @@ from .model import (
     ball_volume_model,
     sphere_volume_model,
 )
-from .pde import (
-    LAMBDA1_LEVELS,
-    GridField,
-    HierarchySolver,
-    PolarGrid,
-    _lambda1_from_spectrum,
-)
+from .pde import LAMBDA1_LEVELS, GridHierarchy, HierarchySolver, PolarGrid
 from .surface import (
     HypothesisReport,
     PolarMetric2D,
@@ -114,22 +108,20 @@ def _entry(ctx: VerificationContext, name: str, inequality: str, lhs: float,
 class VerificationContext:
     """What the report's checks share, computed once for one (metric,
     model, R, grid): the hypothesis scan, the asserted direction (the
-    hypothesis direction unless overridden), one factorization, the
-    moments of its hierarchy levels v_1..v_max(k_max, 24) (one product for
-    the averaged moments, the rigidity and the eigenvalue estimate), the
-    levels v_1..v_k_max as fields, one model hierarchy on [0, R] (the
-    pointwise entries read its levels, the averaged moments its
-    spectrum), and the sphere lengths and ball areas at the sampled radii
-    R/4, R/2, R, both from one tensor-rule pass.  Build it with
+    hypothesis direction unless overridden), one grid hierarchy
+    v_1..v_max(k_max, 24) from one factorization (the pointwise entries
+    read its level vectors, the averaged moments, the rigidity and the
+    eigenvalue its spectrum), one model hierarchy on [0, R] (the pointwise
+    entries read its levels, the averaged moments its spectrum), and the
+    sphere lengths and ball areas at the sampled radii R/4, R/2, R, both
+    from one tensor-rule pass.  Build it with
     ``VerificationContext.build``."""
 
     model: ModelSpace
     k_max: int
     hypothesis: HypothesisReport
     direction: str
-    solver: HierarchySolver
-    fields: tuple[GridField, ...]
-    spectrum: MomentSpectrum
+    grid_hierarchy: GridHierarchy
     model_hierarchy: RadialHierarchy
     sphere_lengths: dict[float, float]
     ball_areas: dict[float, float]
@@ -159,7 +151,6 @@ class VerificationContext:
                 "mean-curvature comparison has no uniform direction"
             )
         solver = HierarchySolver(PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta))
-        levels = solver.hierarchy(max(k_max, LAMBDA1_LEVELS))
         radii = sorted({R / 4, R / 2, float(R)})
         lengths, areas = _lengths_and_areas(m, radii)
         return cls(
@@ -167,9 +158,7 @@ class VerificationContext:
             k_max=k_max,
             hypothesis=hyp,
             direction=direction_override or hyp.direction,
-            solver=solver,
-            fields=tuple(map(solver.field, levels[:k_max])),
-            spectrum=solver.moments(levels),
+            grid_hierarchy=solver.hierarchy(max(k_max, LAMBDA1_LEVELS)),
             model_hierarchy=radial_hierarchy(model, R, k_max + 1),
             sphere_lengths=dict(zip(radii, lengths.tolist())),
             ball_areas=dict(zip(radii, areas.tolist())),
@@ -190,12 +179,13 @@ def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
     """Worst gap, in the asserted direction, between the transplanted model
     level v_k and the grid level v_k over the center and the interior
     rings (the least for model<=M, the largest for model>=M), normalized by
-    the model's v_k(0)."""
-    level, grid_field = ctx.model_hierarchy.level(k), ctx.fields[k - 1]
+    the model's v_k(0).  A radial grid's level holds one column of ring
+    values, which broadcasts against the model's."""
+    level, v = ctx.model_hierarchy.level(k), ctx.grid_hierarchy.levels[k - 1]
     top = float(level(0.0))
-    radii = ctx.solver.grid.radii[1:-1]
-    gap = ctx.sign * (level(radii)[:, None] - grid_field.rings[:-1])
-    worst = min(float(gap.min()), ctx.sign * (top - grid_field.center))
+    grid = ctx.grid_hierarchy.solver.grid
+    gap = ctx.sign * (level(grid.radii[1:-1])[:, None] - v[1:].reshape(grid.n_r - 1, -1))
+    worst = min(float(gap.min()), ctx.sign * (top - float(v[0])))
     # lhs is the unsigned extreme gap, so that margin = sign * lhs / top
     return _entry(ctx, name, inequality, ctx.sign * worst, 0.0, scale=top)
 
@@ -231,7 +221,7 @@ def verify_isoperimetric_volumes(ctx: VerificationContext) -> list[Entry]:
 def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
     """Pointwise hierarchy domination and averaged-moment comparison for
     k = 1..ctx.k_max."""
-    R, model, k_max = ctx.solver.grid.R, ctx.model, ctx.k_max
+    R, model, k_max = ctx.grid_hierarchy.spectrum.radius, ctx.model, ctx.k_max
     entries = [
         _pointwise_entry(ctx, k, f"hierarchy_pointwise(k={k})", "transplant >= grid")
         for k in range(1, k_max + 1)
@@ -242,7 +232,8 @@ def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
         avg_model = averaged_moment(spec_model, model, k)
         entries.append(
             _entry(ctx, f"averaged_moment(k={k})", "A_k/VolS model >= metric",
-                   avg_model, ctx.spectrum.moment(k) / vol_s_metric, scale=avg_model)
+                   avg_model, ctx.grid_hierarchy.spectrum.moment(k) / vol_s_metric,
+                   scale=avg_model)
         )
     return entries
 
@@ -250,13 +241,13 @@ def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
 def verify_torsional(ctx: VerificationContext) -> list[Entry]:
     """Torsional rigidity of the equal-volume model ball versus the disk,
     plus, for model<=M, the coarse exit-time bound on the disk rigidity."""
-    model, R = ctx.model, ctx.solver.grid.R
+    model, R = ctx.model, ctx.grid_hierarchy.spectrum.radius
     s_R = ball_radius_from_volume(model, ctx.ball_areas[R])
     if not balance_check(model, max(R, s_R)).balanced:
         raise ComparisonPreconditionError(
             f"model '{model.warping.label}' is not balanced"
         )
-    a1_metric = ctx.spectrum.moment(1)
+    a1_metric = ctx.grid_hierarchy.spectrum.moment(1)
     hier = radial_hierarchy(model, s_R, 2)
     a1_model = hier.spectrum().moment(1)
     entries = [
@@ -276,7 +267,7 @@ def verify_eigenvalue(ctx: VerificationContext) -> Entry:
     """First Dirichlet eigenvalue of the model ball, read from the context's
     model hierarchy at its settled resolution, versus the metric disk."""
     lam_model = ctx.model_hierarchy.lambda1()
-    lam_metric = _lambda1_from_spectrum(ctx.solver, ctx.spectrum).power_value
+    lam_metric = ctx.grid_hierarchy.lambda1().power_value
     return _entry(ctx, "eigenvalue", "lambda1(model) <= lambda1(metric)",
                   lam_metric, lam_model, scale=lam_model)
 

@@ -102,7 +102,7 @@ def test_acceptance_6_pde_consistency():
         model = gb.ModelSpace(warping=profile, dim=2)
         grid = gb.make_grid(metric, 1.0, 128, 128)
         solver = gb.pde.HierarchySolver(grid)
-        fields = [solver.field(v) for v in solver.hierarchy(2)]
+        fields = [solver.field(v) for v in solver.hierarchy(2).levels]
         hier = gb.radial_hierarchy(model, 1.0, 2)
         for k in (1, 2):
             ref = hier.level(k)(grid.radii[1:])[:, None]

@@ -339,3 +339,13 @@ def test_radial_function_interpolation():
 def test_radial_function_rejects_tiny_grid():
     with pytest.raises(ValueError):
         RadialFunction(grid=np.linspace(0, 1, 4), values=np.zeros(4))
+
+
+def test_radial_function_rejects_nan_grids_and_values():
+    grid = np.linspace(0.0, 1.0, 64)
+    bad = grid.copy()
+    bad[10] = np.nan
+    with pytest.raises(ValueError, match="strictly increasing"):
+        RadialFunction(grid=bad, values=1.0 - grid)
+    with pytest.raises(ValueError, match="finite"):
+        RadialFunction(grid=grid, values=1.0 - bad)

@@ -3,8 +3,9 @@ module, every module-level private function of the library is used by the
 library, every private attribute a test sets is read by the library, the
 library samples on broadcast axes, never on an np.meshgrid mesh, it
 builds one sparse matrix, the flux stencil, in one place, it seeds jets
-only in the two ``jet`` methods, and it imports only the scipy modules it
-runs."""
+only in the two ``jet`` methods, it imports only the scipy modules it
+runs, and it writes no gate as ``any`` of a comparison, which a NaN
+passes."""
 
 import ast
 import os
@@ -259,3 +260,42 @@ def test_fresh_import_leaves_heavy_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def _is_comparison(node: ast.AST) -> bool:
+    """A comparison, or an elementwise ``&`` or ``|`` with one among its operands."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr)):
+        return _is_comparison(node.left) or _is_comparison(node.right)
+    return isinstance(node, ast.Compare)
+
+
+def _any_of_comparisons(source: str) -> list[str]:
+    """Lines of a module that call ``any`` (builtin, ``np.any`` or the
+    method) on a comparison: NaN compares False, so a NaN passes such a
+    check; ``not np.all(<ok>)`` refuses it."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not isinstance(n, ast.Call):
+            continue
+        name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+        if name != "any":
+            continue
+        operands = list(n.args[:1])
+        if isinstance(n.func, ast.Attribute):
+            operands.append(n.func.value)  # (x < 0).any()
+        if any(map(_is_comparison, operands)):
+            found.append(f"line {n.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_gate_is_any_of_a_comparison(path):
+    assert _any_of_comparisons(path.read_text()) == []
+
+
+def test_planted_any_of_comparisons_are_found():
+    source = ("import numpy as np\nif np.any(x < 0): pass\nif any(d <= 0): pass\n"
+              "if (x > 1).any(): pass\nif np.any((x < 0) | np.isnan(x)): pass\n"
+              "if not np.all(x >= 0): pass\nif bad.any(): pass\n"
+              "if any(isinstance(a, int) for a in xs): pass\nif np.any(~(x >= 0)): pass\n")
+    assert _any_of_comparisons(source) == ["line 2", "line 3", "line 4", "line 5"]

@@ -10,7 +10,8 @@ from scipy.linalg import eigh
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
-from geoball.hierarchy import radial_hierarchy
+import geoball
+from geoball.hierarchy import MomentSpectrum, radial_hierarchy
 from geoball import pde, verify
 from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import (
@@ -164,14 +165,14 @@ def test_laplacian_convergence_order(flat):
 
 def test_hierarchy_center_oracles(flat_grid):
     solver = HierarchySolver(flat_grid)
-    fields = [solver.field(v) for v in solver.hierarchy(2)]
+    fields = [solver.field(v) for v in solver.hierarchy(2).levels]
     assert fields[0].center == pytest.approx(0.25, abs=1e-3)
     assert fields[1].center == pytest.approx(3 / 32 / 2, abs=1e-3)
 
 
 def test_hierarchy_nonnegative_interior_max(flat_grid):
     solver = HierarchySolver(flat_grid)
-    for v in map(solver.field, solver.hierarchy(3)):
+    for v in map(solver.field, solver.hierarchy(3).levels):
         assert v.center >= 0
         assert np.all(v.rings >= -1e-14)
         # max away from the boundary
@@ -183,7 +184,7 @@ def test_hierarchy_matches_radial_route():
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
     solver = HierarchySolver(grid)
-    fields = [solver.field(v) for v in solver.hierarchy(5)]
+    fields = [solver.field(v) for v in solver.hierarchy(5).levels]
     hier = radial_hierarchy(model, 1.0, 5)
     for k in range(1, 6):
         ref = hier.level(k)(grid.radii[1:])[:, None]
@@ -196,7 +197,7 @@ def test_hierarchy_matches_radial_route():
 
 def test_moments_grid_oracles(flat_grid):
     solver = HierarchySolver(flat_grid)
-    spec = solver.moments(solver.hierarchy(2))
+    spec = solver.hierarchy(2).spectrum
     assert spec.normalized[0] == pytest.approx(math.pi, rel=1e-3)
     assert spec.moment(1) == pytest.approx(math.pi / 8, rel=1e-3)
     assert spec.moment(2) == pytest.approx(math.pi / 24, rel=1e-3)
@@ -224,17 +225,18 @@ def _field_reference(grid, x):
 @LEVEL_METRICS
 def test_level_moments_are_the_expanded_fields_integrals(m):
     solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
-    levels = solver.hierarchy(pde.LAMBDA1_LEVELS)
-    spec = solver.moments(levels)
+    hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    spec = hier.spectrum
     assert spec.normalized[0] == solver.grid.total_area()
-    integrals = np.array([solver.field(v).integral() for v in levels])
+    assert spec.radius == solver.grid.R
+    integrals = np.array([solver.field(v).integral() for v in hier.levels])
     assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
 
 
 @LEVEL_METRICS
 def test_level_field_is_the_node_by_node_expansion(m):
     solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
-    for v in solver.hierarchy(3):
+    for v in solver.hierarchy(3).levels:
         f, ref = solver.field(v), _field_reference(solver.grid, v)
         assert f.center == ref.center
         assert np.array_equal(f.rings, ref.rings)
@@ -353,8 +355,8 @@ def test_radial_pencil_matches_full_pencil(curvature, n_r, n_theta):
     assert solver._lu.shape == solver.flux.shape == (n_r, n_r)
     ref = _FullPencilSolver(grid)
     assert ref.flux.shape == (1 + (n_r - 1) * n_theta,) * 2
-    for v, v_ref in zip(map(solver.field, solver.hierarchy(24)),
-                        map(ref.field, ref.hierarchy(24))):
+    for v, v_ref in zip(map(solver.field, solver.hierarchy(24).levels),
+                        map(ref.field, ref.hierarchy(24).levels)):
         assert _rel_err(np.append(v.rings, v.center),
                         np.append(v_ref.rings, v_ref.center)) <= 1e-10
     assert solver.smallest_eigenvalue() == pytest.approx(
@@ -403,8 +405,8 @@ def test_theta_varying_areas_take_the_sparse_lu():
     assert grid._node_area.shape[1] == 12
     assert solver._lu.shape == solver.flux.shape
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
-    for v, v_ref in zip(map(solver.field, solver.hierarchy(3)),
-                        map(ref.field, ref.hierarchy(3))):
+    for v, v_ref in zip(map(solver.field, solver.hierarchy(3).levels),
+                        map(ref.field, ref.hierarchy(3).levels)):
         assert _rel_err(v.rings, v_ref.rings) <= 1e-10
 
 
@@ -547,27 +549,25 @@ def test_lambda1_grid_scaling(flat):
     assert est.power_value == pytest.approx(J01SQ / 4, rel=0.02)
 
 
-def test_lambda1_from_solver_rejects_fields_of_another_grid(flat):
-    # a level is one value per unknown of its solver's pencil: 32 on the
-    # radial grid, 1 + 31 * 32 on the example metric's, 48 on the finer one
-    solver = HierarchySolver(make_grid(flat, 1.0, 32, 32))
-    levels = solver.hierarchy(pde.LAMBDA1_LEVELS)
-    for m, n_r in ((builtin_example_metric(), 32), (flat, 48)):
-        other = HierarchySolver(make_grid(m, 1.0, n_r, 32))
-        with pytest.raises(ValueError, match="another grid"):
-            pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
-    # the same shape from a disk of radius 1.02: only the first level's
-    # backward error against this solver's flux matrix tells them apart
-    # (its moment ratios land within the eigenvalue agreement check)
-    other = HierarchySolver(make_grid(flat, 1.02, 32, 32))
-    with pytest.raises(ValueError, match="another grid"):
-        pde.lambda1_from_solver(solver, other.hierarchy(pde.LAMBDA1_LEVELS))
-    with pytest.raises(ValueError, match="another grid"):
-        solver.moments(levels[:0])
-    # one level, not a block of them
-    with pytest.raises(ValueError, match="another grid"):
-        pde.lambda1_from_solver(solver, levels[0])
-    assert pde.lambda1_from_solver(solver, levels).power_value > 0
+@LEVEL_METRICS
+def test_grid_hierarchy_holds_its_levels_moments_and_eigenvalue(m):
+    grid = make_grid(m, 1.0, 32, 32)
+    solver = HierarchySolver(grid)
+    hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    assert isinstance(hier, geoball.GridHierarchy) and hier.solver is solver
+    assert hier.levels.shape == (pde.LAMBDA1_LEVELS, len(solver.areas))
+    # the spectrum is taken from the levels solved in the same call
+    assert np.array_equal(hier.spectrum.normalized,
+                          np.append(grid.total_area(), hier.levels @ solver.areas))
+    assert hier.lambda1() == lambda1_grid(m, grid)
+
+
+def test_grid_eigenvalue_gate_fails_on_nan_moments(flat):
+    solver = HierarchySolver(make_grid(flat, 1.0, 16, 16))
+    hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    spec = MomentSpectrum(np.full_like(hier.spectrum.normalized, np.nan), 1.0)
+    with pytest.raises(pde.ResolutionError, match="moments=nan"):
+        pde.GridHierarchy(solver, hier.levels, spec).lambda1()
 
 
 def _nan_where(bad):
@@ -689,9 +689,9 @@ def test_compact_w_results_give_full_grid_arrays(flat):
     assert ball_area(m, 1.0) == pytest.approx(ball_area(flat, 1.0), rel=1e-14)
     solver, ref_solver = HierarchySolver(grid), HierarchySolver(ref)
     assert solver.flux.shape == (16, 16)
-    level = solver.field(solver.hierarchy(1)[0])
+    level = solver.field(solver.hierarchy(1).levels[0])
     assert level.rings.shape == (16, 12)
-    ref_level = ref_solver.field(ref_solver.hierarchy(1)[0])
+    ref_level = ref_solver.field(ref_solver.hierarchy(1).levels[0])
     assert np.array_equal(level.rings, ref_level.rings)
     f = field_from_function(grid, lambda r, t: np.asarray(r) - 0.5)
     assert f.rings.shape == (16, 12) and f.center == -0.5

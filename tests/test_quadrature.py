@@ -19,7 +19,9 @@ def test_gauss_panels_exact_for_polynomials():
         got = panels.cumulative(x ** (2 * n_g - 1), n_g)
         np.testing.assert_allclose(got, rs ** (2 * n_g) / (2 * n_g), rtol=1e-14, atol=0)
     assert GaussPanels(0.7).radii.shape == (1,)
-    for bad in (np.array([1.0, 0.5]), np.array([]), np.ones((2, 2))):
+    # a NaN between sorted radii is unsorted too
+    for bad in (np.array([1.0, 0.5]), np.array([]), np.ones((2, 2)),
+                np.array([0.5, np.nan, 1.0])):
         with pytest.raises(ValueError):
             GaussPanels(bad)
 

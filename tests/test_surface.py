@@ -170,6 +170,13 @@ def test_hypothesis_mixed_direction():
     assert not rep.uniform
 
 
+@pytest.mark.parametrize("R", [math.pi, 4.0])
+def test_hypothesis_scan_stays_inside_the_model_domain(R):
+    # the unit sphere's r_max is pi; the metric is valid well past it
+    with pytest.raises(DomainError, match="outside"):
+        hypothesis_report(builtin_example_metric(), make_space_form(1.0, 2), R)
+
+
 def test_radius_validity_enforced():
     m = builtin_example_metric()
     past = m.R_valid + 0.5

@@ -1,6 +1,7 @@
 """Tests for Schwarz symmetrization of grid fields into model spaces."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from geoball.pde import PolarGrid, field_from_function, make_grid
 from geoball.surface import ball_area, builtin_example_metric, radial_metric
 from geoball.symmetrize import (
     ComparisonPreconditionError,
+    LevelSetProfile,
     NegativeFieldError,
     RadialFunction,
     check_equimeasurable,
@@ -66,6 +68,24 @@ def test_level_profile_rejects_negative(flat):
                             + 0.0 * np.asarray(t))
     with pytest.raises(NegativeFieldError):
         level_profile(f)
+
+
+def test_level_profile_rejects_nan_cells(flat, flat_model):
+    # a NaN cell passed a "has a negative value" test, and symmetrize_field
+    # then returned NaN for half of its profile without raising
+    grid = make_grid(flat, 1.0, 32, 32)
+    f = field_from_function(grid, lambda r, t: np.where(r > 0.5, np.nan, 1.0 - r))
+    with pytest.raises(NegativeFieldError, match="NaN"):
+        level_profile(f)
+
+
+@pytest.mark.parametrize("values,volumes", [
+    ([3.0, np.nan, 1.0], [1.0, 2.0, 3.0]), ([np.nan], [1.0]),
+    ([3.0, 2.0, 1.0], [1.0, np.nan, 3.0]), ([1.0], [np.nan])])
+def test_level_set_profile_rejects_nan(values, volumes):
+    with pytest.raises(ValueError, match="finite"):
+        LevelSetProfile(values=np.array(values), volumes=np.array(volumes),
+                        total_volume=3.0)
 
 
 def test_level_profile_exit_time_mu(flat, flat_model):
@@ -170,6 +190,17 @@ def test_integral_identity_rejects_a_nonuniform_profile_grid(flat, flat_model):
     # model-side integral of 1 - r over the unit disk is pi/3
     rho = np.linspace(0.0, 1.0, 1025) ** 2
     fstar = RadialFunction(grid=rho, values=1.0 - rho)
+    f = field_from_function(make_grid(flat, 1.0, 16, 12), lambda r, t: 1.0 - r)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        integral_identity_check(f, fstar, flat_model)
+
+
+def test_integral_identity_rejects_a_nan_profile_grid(flat, flat_model):
+    # integral_identity_check reads only fstar's grid and values, so a
+    # stand-in carries the NaN grid that RadialFunction refuses
+    rho = np.linspace(0.0, 1.0, 1025)
+    rho[512] = np.nan
+    fstar = SimpleNamespace(grid=rho, values=1.0 - rho)
     f = field_from_function(make_grid(flat, 1.0, 16, 12), lambda r, t: 1.0 - r)
     with pytest.raises(ValueError, match="uniformly spaced"):
         integral_identity_check(f, fstar, flat_model)

@@ -221,11 +221,41 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
 
 
 def test_report_expands_only_its_pointwise_levels(example, flat_model, monkeypatch):
-    # the 24 levels stay solver vectors; the pointwise entries k = 1..k_max
-    # expand one field each
+    # the 24 levels stay solver vectors, and the pointwise entries
+    # k = 1..k_max read theirs directly: no level is expanded to a field
     built = _count_calls(monkeypatch, pde.GridField, "__init__")
     run_verification(example, flat_model, 1.0, n_r=32, n_theta=32, k_max=3)
-    assert len(built) == 3
+    assert built == []
+
+
+def _expanded_pointwise_entry(ctx, k):
+    """The pointwise entry of level k as read from the grid level expanded
+    to a GridField, ring by ring."""
+    level = ctx.model_hierarchy.level(k)
+    solver = ctx.grid_hierarchy.solver
+    f = solver.field(ctx.grid_hierarchy.levels[k - 1])
+    top = float(level(0.0))
+    gap = ctx.sign * (level(solver.grid.radii[1:-1])[:, None] - f.rings[:-1])
+    worst = min(float(gap.min()), ctx.sign * (top - f.center))
+    return verify._entry(ctx, "pointwise", "transplant >= grid", ctx.sign * worst,
+                         0.0, scale=top)
+
+
+@pytest.mark.parametrize("override", [None, "model>=M"])
+@pytest.mark.parametrize("metric,n_r,n_theta", [
+    (radial_metric(euclidean_profile()), 17, 12), (builtin_example_metric(), 32, 16)],
+    ids=["radial-17x12", "example1-32x16"])
+def test_pointwise_entries_read_from_level_vectors_match_expanded_fields(
+        flat_model, metric, n_r, n_theta, override):
+    # a radial grid's level is one column of ring values, which broadcasts
+    # against the model's column: the same gap as the expanded rings
+    ctx = VerificationContext.build(metric, flat_model, 1.0, n_r=n_r, n_theta=n_theta,
+                                    direction_override=override)
+    for k in range(1, ctx.k_max + 1):
+        e = verify._pointwise_entry(ctx, k, "pointwise", "transplant >= grid")
+        ref = _expanded_pointwise_entry(ctx, k)
+        assert (e.lhs.hex(), e.rhs.hex(), e.margin.hex(), e.passed) == (
+            ref.lhs.hex(), ref.rhs.hex(), ref.margin.hex(), ref.passed)
 
 
 def test_one_folded_operator_per_rung_per_model_ball(example, flat_model, monkeypatch):
