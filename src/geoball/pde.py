@@ -3,7 +3,9 @@
 The Laplacian is discretized in divergence form, which makes the operator
 symmetric in the area-weighted inner product; the tests keep the expanded
 coordinate form as its reference.  A single factorization is reused across
-all hierarchy levels and the inverse power iteration.
+all hierarchy levels and the inverse power iteration: LAPACK's LDL^T of a
+symmetric positive definite tridiagonal (pttrf) on a rotationally
+symmetric grid, SuperLU on any other.
 
 The metric is sampled on broadcast axes (radii[:, None], thetas[None, :]),
 never on a materialized mesh, and whether a grid is constant in theta is
@@ -16,10 +18,11 @@ When the face conductances and cell areas are constant in theta (every
 everything the solver is asked for lives in Fourier mode 0 (see
 ``HierarchySolver``), and its pencil is the same stencil on one angle: one
 tridiagonal system over the center and the rings, the k = 0 system of the
-classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970).
-Any other metric takes the general sparse LU.  Each hierarchy level is one
-direct solve, checked by its normwise backward error against the solver's
-flux matrix.  ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
+classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970),
+factored as LDL^T (Golub & Van Loan, Matrix Computations, 4.3.6).  Any
+other metric takes SuperLU on the whole 2-D pencil.  Each hierarchy level
+is one direct solve, checked by its normwise backward error against the
+solver's flux matrix.  ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
 and lambda_1.  A level becomes a 2-D field only where a caller reads its
 rings.
@@ -31,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -123,7 +127,9 @@ class PolarGrid:
         return TWO_PI / self.n_theta
 
     def total_area(self) -> float:
-        return float(self.node_area.sum() + self.boundary_area.sum() + self.center_area)
+        # one column of a radial grid's node areas stands for n_theta
+        node_sum = self._node_area.sum() * (self.n_theta / self._node_area.shape[1])
+        return float(node_sum + self.boundary_area.sum() + self.center_area)
 
 
 @dataclass(frozen=True)
@@ -217,6 +223,34 @@ def apply_laplacian(f: GridField) -> GridField:
     return GridField(grid=grid, center=float(y[0]), rings=rings)
 
 
+@dataclass(frozen=True)
+class _Fill:
+    """Nonzero count of one triangular factor."""
+
+    nnz: int
+
+
+class _TridiagonalFactor:
+    """LDL^T factor of -flux, for a tridiagonal flux whose negative is
+    positive definite (LAPACK pttrf).  It offers what the solver reads of
+    a SuperLU factor, and the fill a trace reports: ``solve``, ``shape``
+    and ``L.nnz + U.nnz``, where L is unit lower bidiagonal and U = D L^T
+    upper bidiagonal, 2n - 1 nonzeros each."""
+
+    def __init__(self, flux: csc_matrix):
+        d, e, info = dpttrf(-flux.diagonal(), -flux.diagonal(1))
+        if info != 0:
+            raise ResolutionError(
+                f"radial pencil is not negative definite: pttrf info = {info}")
+        self._d, self._e, self.shape = d, e, flux.shape
+        self.L = self.U = _Fill(2 * len(d) - 1)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with flux x = rhs."""
+        x = dpttrs(self._d, self._e, rhs)[0]
+        return np.negative(x, out=x)
+
+
 class HierarchySolver:
     """Direct solver for the Dirichlet Poisson hierarchy on a grid.
 
@@ -238,6 +272,8 @@ class HierarchySolver:
     P^T A P and P^T D P (P expands ring values along theta), the n_r x n_r
     tridiagonal stencil on one angle with each ring's conductances and
     areas summed around it, and every vector holds one value per ring.
+    -flux is then positive definite and factored as LDL^T by LAPACK
+    (``_TridiagonalFactor``).
 
     Otherwise ``flux`` is A over every node, factored by SuperLU in a
     minimum-degree ordering of A^T + A, which suits its symmetric 5-point
@@ -248,16 +284,20 @@ class HierarchySolver:
     def __init__(self, grid: PolarGrid):
         self.grid = grid
         c_radial, c_angular = _conductances(grid)
-        n_theta, node_area, order = grid.n_theta, grid.node_area, "MMD_AT_PLUS_A"
-        if c_radial.shape[1] == c_angular.shape[1] == grid._node_area.shape[1] == 1:
+        n_theta, node_area = grid.n_theta, grid.node_area
+        radial = c_radial.shape[1] == c_angular.shape[1] == grid._node_area.shape[1] == 1
+        if radial:
             # on one angle a ring's angular face joins it to itself and
-            # carries no flux; tridiagonal, so no fill in natural order
+            # carries no flux: the pencil is tridiagonal
             c_radial, c_angular = n_theta * c_radial, np.zeros_like(c_angular)
-            n_theta, node_area, order = 1, n_theta * grid._node_area, "NATURAL"
-        self.flux = _assemble_flux(c_radial, c_angular, n_theta)
+            n_theta, node_area = 1, n_theta * grid._node_area
+        self.flux = flux = _assemble_flux(c_radial, c_angular, n_theta)
         self.areas = np.concatenate([[grid.center_area], node_area.reshape(-1)])
-        self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
-        self._lu = splu(self.flux, permc_spec=order)
+        # largest absolute row sum, from the CSC entries (row indices)
+        self._flux_norm = float(np.bincount(flux.indices, np.abs(flux.data),
+                                            len(self.areas)).max())
+        self._lu = (_TridiagonalFactor(flux) if radial
+                    else splu(flux, permc_spec="MMD_AT_PLUS_A"))
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L v = rhs by one direct solve of the flux system."""
@@ -286,9 +326,11 @@ class HierarchySolver:
         dividing elementwise by the near-pole cell areas would only
         amplify bare float64 roundoff.  A level that underflowed to zero
         gives 0/0 = NaN, which every caller's gate refuses."""
+        r = self.flux @ x
+        r += rhs
         with np.errstate(invalid="ignore"):
-            return float(np.max(np.abs(self.flux @ x + rhs)) / (
-                self._flux_norm * np.max(np.abs(x)) + np.max(np.abs(rhs))))
+            return float(np.abs(r, out=r).max() / (
+                self._flux_norm * np.abs(x).max() + np.abs(rhs).max()))
 
     def field(self, v: np.ndarray) -> GridField:
         """The field of a solver vector v: center, rings 1..n_r-1 (one

@@ -419,7 +419,7 @@ def test_radial_pencil_only_for_theta_independent_grids(flat):
 
 
 class _CountingFactor:
-    """A sparse LU factor that counts its solves."""
+    """A solver's factor that counts its solves."""
 
     def __init__(self, lu):
         self.lu, self.solves = lu, 0
@@ -432,19 +432,12 @@ class _CountingFactor:
         return self.lu.solve(rhs)
 
 
-def _counting_solver(monkeypatch, grid):
-    """HierarchySolver(grid) whose factors count their solves, and the
-    factors it made."""
-    factors = []
-
-    def counting_splu(*args, **kwargs):
-        factors.append(_CountingFactor(splu(*args, **kwargs)))
-        return factors[-1]
-
-    monkeypatch.setattr(pde, "splu", counting_splu)
+def _counting_solver(grid):
+    """HierarchySolver(grid) whose factor counts its solves, and that
+    factor."""
     solver = HierarchySolver(grid)
-    assert solver._lu is factors[0]
-    return solver, factors
+    solver._lu = _CountingFactor(solver._lu)
+    return solver, solver._lu
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
@@ -483,14 +476,61 @@ def test_mode0_pencil_is_the_diags_build(n_r):
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
-def test_radial_hierarchy_solves_mode0_only(curvature, monkeypatch):
+def test_radial_hierarchy_solves_mode0_only(curvature):
     m = radial_metric(space_form_profile(curvature))
-    solver, (mode0,) = _counting_solver(monkeypatch, make_grid(m, 1.0, 32, 32))
+    solver, mode0 = _counting_solver(make_grid(m, 1.0, 32, 32))
+    assert mode0.shape == (32, 32)
     solver.hierarchy(pde.LAMBDA1_LEVELS)
     assert mode0.solves == pde.LAMBDA1_LEVELS
     # inverse power iteration solves with the same n_r x n_r factor
     solver.smallest_eigenvalue()
     assert mode0.solves > pde.LAMBDA1_LEVELS
+
+
+@pytest.mark.parametrize("curvature", [0.0, -1.0, 1.0])
+@pytest.mark.parametrize("n_r", [4, 5, 17, 384])
+def test_radial_ldlt_factor_matches_superlu(curvature, n_r):
+    # the reference factors the same pencil by SuperLU in natural order
+    grid = make_grid(radial_metric(space_form_profile(curvature)), 1.0, n_r, 8)
+    solver, ref = HierarchySolver(grid), HierarchySolver(grid)
+    ref._lu = splu(ref.flux, permc_spec="NATURAL")
+    assert isinstance(solver._lu, pde._TridiagonalFactor)
+    assert solver._lu.L.nnz + solver._lu.U.nnz == 2 * (2 * n_r - 1)
+    hier, ref_hier = solver.hierarchy(24), ref.hierarchy(24)
+    # one solve of each level's right-hand side agrees to 1e-12; both
+    # factors' roundoff (about 2e-13 per solve at n_r = 384, against a
+    # 40-digit solve) adds up level by level, so level k agrees to k * 1e-12
+    for v in np.vstack([np.ones(n_r), hier.levels[:-1]]):
+        b = solver.areas * -v
+        assert _rel_err(solver._lu.solve(b), ref._lu.solve(b)) <= 1e-12
+    tol = 1e-12 * np.arange(1, 25)
+    gaps = [_rel_err(v, v_ref) for v, v_ref in zip(hier.levels, ref_hier.levels)]
+    assert np.all(gaps <= tol)
+    a, a_ref = hier.spectrum.normalized, ref_hier.spectrum.normalized
+    assert a[0] == a_ref[0] and np.all(np.abs(a[1:] - a_ref[1:]) <= tol * a_ref[1:])
+    assert solver.smallest_eigenvalue() == pytest.approx(
+        ref.smallest_eigenvalue(), rel=1e-12, abs=0)
+
+
+def test_indefinite_tridiagonal_raises_resolution_error():
+    # -flux = [[1, -2], [-2, 1]] has eigenvalues 3 and -1: pttrf stops at
+    # the second pivot
+    flux = diags([[2.0], [-1.0, -1.0], [2.0]], [-1, 0, 1], format="csc")
+    with pytest.raises(pde.ResolutionError, match="pttrf info = 2"):
+        pde._TridiagonalFactor(flux)
+
+
+def test_radial_route_never_reaches_superlu(flat, monkeypatch):
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("the solver called SuperLU")
+
+    monkeypatch.setattr(pde, "splu", no_superlu)
+    for m in (flat, radial_metric(space_form_profile(-1.0))):
+        lambda1_grid(m, make_grid(m, 1.0, 32, 32))
+    run_verification(flat, make_space_form(0.0, 2), 1.0, n_r=32, n_theta=32)
+    with pytest.raises(AssertionError, match="SuperLU"):
+        run_verification(builtin_example_metric(), make_space_form(0.0, 2), 1.0,
+                         n_r=16, n_theta=16)
 
 
 @pytest.mark.parametrize("radial", [True, False])

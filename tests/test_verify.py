@@ -203,8 +203,8 @@ def test_one_factorization_and_one_scan_per_report(example, flat_model, monkeypa
 
 def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch):
     # one direct solve per hierarchy level, counted on the solver's factor
-    solver, (factor,) = _counting_solver(
-        monkeypatch, pde.make_grid(radial_metric(euclidean_profile()), 1.0, 16, 16))
+    solver, factor = _counting_solver(
+        pde.make_grid(radial_metric(euclidean_profile()), 1.0, 16, 16))
     solver.hierarchy(pde.LAMBDA1_LEVELS)
     assert factor.solves == pde.LAMBDA1_LEVELS
     # the model side is built once: one hierarchy on [0, R] in the context,
