@@ -263,15 +263,15 @@ def lambda1_from_moments(spec: MomentSpectrum) -> EigenvalueEstimate:
     if spec.k_max < MIN_EXTRAPOLATION_MOMENTS:
         raise ValueError(f"need k_max >= {MIN_EXTRAPOLATION_MOMENTS} moments for extrapolation")
     rho = spec.ratios()
-    d1 = np.diff(rho)
-    d2 = np.diff(rho, 2)
+    d1 = rho[1:] - rho[:-1]
+    d2 = d1[1:] - d1[:-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         aitken = rho[:-2] - d1[:-1] ** 2 / d2
     valid = np.isfinite(aitken)
     value = float(aitken[valid][-1]) if valid.any() else float(rho[-1])
     # converged = tail differences shrink monotonically (or hit roundoff)
     tail = np.abs(d1[-3:])
-    converged = bool(np.all(np.diff(tail) <= 1e-12 + 0.5 * tail[:-1]))
+    converged = bool(np.all(tail[1:] - tail[:-1] <= 1e-12 + 0.5 * tail[:-1]))
     return EigenvalueEstimate(value=value, trace=rho, converged=converged)
 
 

@@ -22,7 +22,11 @@ classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970),
 factored as LDL^T (Golub & Van Loan, Matrix Computations, 4.3.6).  Any
 other metric takes SuperLU on the whole 2-D pencil.  Each hierarchy level
 is one direct solve, checked by its normwise backward error against the
-solver's flux matrix.  ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
+solver's flux matrix: one sparse product per block of levels of at most
+GATE_BLOCK entries (all 24 levels of a radial grid of up to 2,730 rings
+in one), gated as soon as the block is solved.  Inverse power iteration reads its Rayleigh
+numerator off each step's solve, with no product with the flux matrix.
+``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
 and lambda_1.  A level becomes a 2-D field only where a caller reads its
 rings.
@@ -30,6 +34,8 @@ rings.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,6 +51,9 @@ from .surface import TWO_PI, MetricAuditError, PolarMetric2D
 LAMBDA1_LEVELS = 24
 # largest normwise backward error of a hierarchy solve
 RESIDUAL_TOL = 1e-10
+# most level entries the backward-error gate takes in one sparse product
+# (0.5 MB of float64), which bounds its temporaries
+GATE_BLOCK = 1 << 16
 # inverse power iteration: relative eigenvalue change to stop at, step budget
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
@@ -83,7 +92,9 @@ class PolarGrid:
         if self.n_r < 4:
             raise ValueError("n_r must be >= 4")
         self.metric._check_radius(self.R)
-        radii = np.linspace(0.0, self.R, self.n_r + 1)
+        # np.linspace(0, R, n_r + 1) bit for bit, without its checks
+        radii = np.arange(self.n_r + 1) * (self.R / self.n_r)
+        radii[-1] = self.R
         thetas = np.arange(self.n_theta) * (TWO_PI / self.n_theta)
         dr, dt = radii[1], thetas[1]
         # rows: the nodes, the r = R ring, the center cell's ring at dr/2
@@ -106,15 +117,17 @@ class PolarGrid:
         non-finite sample raises, naming the first in row-major order."""
         shape = (len(radii), len(thetas))
         w = self.metric.w(radii[:, None], thetas[None, :])
-        full = np.broadcast_to(w, shape)
         # both checks run on w as returned: on one column if w is one
         finite = np.isfinite(w)
         if not np.all(finite):
             i, j = np.unravel_index(np.argmin(np.broadcast_to(finite, shape)), shape)
             raise MetricAuditError(
-                f"metric '{self.metric.label}': w is {full[i, j]} at "
-                f"r = {float(radii[i])!r}, theta = {float(thetas[j])!r}"
+                f"metric '{self.metric.label}': w is {np.broadcast_to(w, shape)[i, j]} "
+                f"at r = {float(radii[i])!r}, theta = {float(thetas[j])!r}"
             )
+        if np.shape(w) == (shape[0], 1):
+            return w.copy()
+        full = np.broadcast_to(w, shape)
         column = full[:, :1]
         return column.copy() if np.all(w == column) else full
 
@@ -188,14 +201,17 @@ def _assemble_flux(
     conductances as from ``_conductances``.  The discrete Laplacian is
     (A x + c_radial[-1] * boundary) / areas."""
     nr, nt = len(c_radial), n_theta
-    c_radial = np.broadcast_to(c_radial, (nr, nt))
-    c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
+    if c_radial.shape != (nr, nt):
+        c_radial = np.broadcast_to(c_radial, (nr, nt))
+    if c_angular.shape != (nr - 1, nt):
+        c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
     ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
     # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
+    # (node j of a ring to node j + 1, the last to the first)
     p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
                         ring.ravel()])
     q = np.concatenate([ring[0], ring[1:].ravel(),
-                        np.roll(ring, -1, axis=1).ravel()])
+                        np.concatenate([ring[:, 1:], ring[:, :1]], axis=1).ravel()])
     c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(), c_angular.ravel()])
     n_unknowns = 1 + (nr - 1) * nt
     diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
@@ -257,7 +273,8 @@ class HierarchySolver:
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
     diag(1/area) @ A.  ``flux`` is factored once, and ``hierarchy`` checks
-    each level's normwise backward error against it.
+    each level's normwise backward error against it, by one product of
+    ``flux`` with a block of levels of at most GATE_BLOCK entries.
 
     On a rotationally symmetric grid (conductances and cell areas constant
     in theta: any radial metric, whose w samples the grid and
@@ -305,32 +322,45 @@ class HierarchySolver:
 
     def hierarchy(self, k_max: int) -> GridHierarchy:
         """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
-        solve per level, with its moments."""
+        solve per level, with its moments.  The levels are gated in blocks
+        of at most GATE_BLOCK entries, each as soon as it is solved."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if k_max > 64:
             warnings.warn("k_max > 64: deep hierarchy may lose accuracy", RuntimeWarning)
-        levels = np.empty((k_max, len(self.areas)))
-        v = np.ones(len(self.areas))
-        for k in range(k_max):
-            v_next = self.solve_poisson(-v)
-            res = self._backward_error(v_next, self.areas * v)
-            if not res <= RESIDUAL_TOL:  # a NaN residual fails too
-                raise ResolutionError(f"Poisson residual {res} too large at level {k + 1}")
-            levels[k] = v = v_next
+        n = len(self.areas)
+        levels = np.empty((k_max, n))
+        v = np.ones(n)
+        block = max(1, GATE_BLOCK // n)  # levels per gate block
+        for start in range(0, k_max, block):
+            stop = min(start + block, k_max)
+            for k in range(start, stop):
+                levels[k] = v = self.solve_poisson(-v)
+            res = self._backward_errors(levels, start, stop)
+            bad = np.flatnonzero(~(res <= RESIDUAL_TOL))  # a NaN residual fails too
+            if len(bad):
+                raise ResolutionError(f"Poisson residual {float(res[bad[0]])} too large "
+                                      f"at level {start + bad[0] + 1}")
         moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
 
-    def _backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        """Normwise backward error of x as a solution of flux x = -rhs;
-        dividing elementwise by the near-pole cell areas would only
-        amplify bare float64 roundoff.  A level that underflowed to zero
-        gives 0/0 = NaN, which every caller's gate refuses."""
-        r = self.flux @ x
-        r += rhs
+    def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Normwise backward error of each of levels[start:stop] as a
+        solution of flux x = -rhs, rhs = areas * (the level before it, 1
+        before the first), by one sparse product.  Dividing elementwise by
+        the near-pole cell areas would only amplify bare float64 roundoff.
+        A level that underflowed to zero gives 0/0 = NaN, which the
+        caller's gate refuses."""
+        x = levels[start:stop]
+        rhs = np.empty_like(x)
+        rhs[0] = levels[start - 1] if start else 1.0
+        rhs[1:] = x[:-1]
+        rhs *= self.areas
+        r = self.flux @ x.T
         with np.errstate(invalid="ignore"):
-            return float(np.abs(r, out=r).max() / (
-                self._flux_norm * np.abs(x).max() + np.abs(rhs).max()))
+            r += rhs.T
+            return np.abs(r, out=r).max(axis=0) / (
+                self._flux_norm * np.abs(x).max(axis=1) + np.abs(rhs).max(axis=1))
 
     def field(self, v: np.ndarray) -> GridField:
         """The field of a solver vector v: center, rings 1..n_r-1 (one
@@ -342,18 +372,34 @@ class HierarchySolver:
 
     def smallest_eigenvalue(self) -> float:
         """Smallest Dirichlet eigenvalue by inverse power iteration on the
-        area-weighted pencil (-flux, areas)."""
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(len(self.areas))
+        area-weighted pencil (-flux, areas).  Each step solves
+        flux y = areas * x, so the Rayleigh numerator y . flux y of the
+        normalized y is y . (areas * x) / |y|: no product with flux.  A
+        non-finite quotient raises at once."""
+        x = _power_start(len(self.areas))
         lam_prev = 0.0
-        for _ in range(POWER_MAX_ITER):
-            y = self._lu.solve(self.areas * x)
-            y /= np.linalg.norm(y)
-            lam = -float(y @ (self.flux @ y)) / float(y @ (self.areas * y))
+        for step in range(1, POWER_MAX_ITER + 1):
+            b = self.areas * x
+            y = self._lu.solve(b)
+            norm = float(np.linalg.norm(y))
+            y /= norm
+            lam = -float(y @ b) / norm / float(y @ (self.areas * y))
+            if not math.isfinite(lam):
+                raise ResolutionError(
+                    f"inverse power iteration: Rayleigh quotient {lam} at step {step}")
             if abs(lam - lam_prev) <= POWER_TOL * abs(lam):
                 return lam
             lam_prev, x = lam, y
         raise ResolutionError("inverse power iteration did not converge")
+
+
+@functools.cache
+def _power_start(n: int) -> np.ndarray:
+    """Read-only seeded start vector of inverse power iteration on n
+    unknowns."""
+    x = np.random.default_rng(7).standard_normal(n)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True)

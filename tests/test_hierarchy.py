@@ -13,6 +13,7 @@ from geoball import hierarchy
 from geoball.hierarchy import (
     EigenvalueConvergenceError,
     MomentCrossCheckError,
+    MomentSpectrum,
     averaged_moment,
     lambda1_from_moments,
     lambda1_shooting,
@@ -222,6 +223,33 @@ def test_lambda1_from_moments_converges_to_bessel():
     assert est.value == pytest.approx(LAMBDA1_DISK, rel=1e-6)
     assert len(est.trace) == 40
     assert est.trace[0] == pytest.approx(8.0, rel=1e-8)
+
+
+def _lambda1_from_moments_by_diff(spec):
+    """lambda1_from_moments with its differences taken by np.diff."""
+    rho = spec.ratios()
+    d1, d2 = np.diff(rho), np.diff(rho, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        aitken = rho[:-2] - d1[:-1] ** 2 / d2
+    valid = np.isfinite(aitken)
+    value = float(aitken[valid][-1]) if valid.any() else float(rho[-1])
+    tail = np.abs(d1[-3:])
+    return value, rho, bool(np.all(np.diff(tail) <= 1e-12 + 0.5 * tail[:-1]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lambda1_from_moments_matches_the_diff_reference(seed):
+    rng = np.random.default_rng(seed)
+    k_max = int(rng.integers(4, 40))
+    steps = [rng.uniform(0.05, 2.0, k_max),  # arbitrary ratios
+             np.full(k_max, 0.3),  # geometric: d2 = 0, no finite Aitken term
+             0.2 + 1e-9 * rng.standard_normal(k_max)]  # ratios at roundoff
+    for step in steps:
+        spec = MomentSpectrum(np.cumprod(np.append(rng.uniform(0.5, 5.0), step)), 1.0)
+        est = lambda1_from_moments(spec)
+        value, trace, converged = _lambda1_from_moments_by_diff(spec)
+        assert est.value == value and est.converged == converged
+        assert np.array_equal(est.trace, trace)
 
 
 def test_lambda1_shooting_disk_and_ball():

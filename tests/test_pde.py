@@ -2,12 +2,13 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse import diags
+from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 import geoball
@@ -64,6 +65,13 @@ def test_grid_requires_two_or_more_angles(flat, n_theta):
     # and -2 gave an empty grid of zero area
     with pytest.raises(ValueError, match="n_theta"):
         make_grid(flat, 1.0, 16, n_theta)
+
+
+@pytest.mark.parametrize("n_r", [4, 5, 16, 17, 256, 384, 512])
+@pytest.mark.parametrize("R", [1e-7, 0.3, 1.0, 1.02, 3.1384, 20.0])
+def test_grid_radii_are_linspace_bit_for_bit(n_r, R):
+    m = PolarMetric2D(w=lambda r, t: r, R_valid=100.0, label="plane")
+    assert np.array_equal(make_grid(m, R, n_r, 2).radii, np.linspace(0.0, R, n_r + 1))
 
 
 def _face_weights(grid):
@@ -307,6 +315,38 @@ def test_vectorized_flux_matches_loop_assembly():
     ref = _loop_flux(grid)
     assert np.all(np.abs(flux.toarray() - ref) <= 1e-14 * np.abs(ref))
     assert (flux != flux.T).nnz == 0
+
+
+def _assemble_flux_reference(c_radial, c_angular, n_theta):
+    """pde._assemble_flux with both conductance families broadcast and
+    the angular neighbours taken by np.roll."""
+    nr, nt = len(c_radial), n_theta
+    c_radial = np.broadcast_to(c_radial, (nr, nt))
+    c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
+    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
+    p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(), ring.ravel()])
+    q = np.concatenate([ring[0], ring[1:].ravel(), np.roll(ring, -1, axis=1).ravel()])
+    c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(), c_angular.ravel()])
+    n_unknowns = 1 + (nr - 1) * nt
+    diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
+    diag[ring[-1]] -= c_radial[-1]
+    idx = np.arange(n_unknowns)
+    return csc_matrix((np.concatenate([c, c, diag]),
+                       (np.concatenate([p, q, idx]), np.concatenate([q, p, idx]))),
+                      shape=(n_unknowns, n_unknowns))
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 12])
+@pytest.mark.parametrize("full", [False, True], ids=["column", "full"])
+def test_flux_assembly_matches_the_roll_reference(n_theta, full):
+    rng = np.random.default_rng(n_theta)
+    cols = n_theta if full else 1
+    c_radial, c_angular = rng.uniform(0.5, 2.0, (9, cols)), rng.uniform(0.5, 2.0, (8, cols))
+    flux = pde._assemble_flux(c_radial, c_angular, n_theta)
+    ref = _assemble_flux_reference(c_radial, c_angular, n_theta)
+    for a, b in ((flux.indptr, ref.indptr), (flux.indices, ref.indices),
+                 (flux.data, ref.data)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def _expand(grid, x):
@@ -576,6 +616,153 @@ def test_nan_backward_error_fails_the_hierarchy_gate(m):
         lambda1_grid(m, make_grid(m, 1e-7, 16, 16))
 
 
+def _reference_backward_error(solver, x, rhs):
+    """The per-level gate: normwise backward error of x as a solution of
+    flux x = -rhs."""
+    r = solver.flux @ x
+    r += rhs
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(r).max() / (
+            solver._flux_norm * np.abs(x).max() + np.abs(rhs).max()))
+
+
+@pytest.mark.parametrize("m,n,k_max", [
+    (radial_metric(euclidean_profile()), 384, 24),
+    (radial_metric(space_form_profile(-1.0)), 384, 24),
+    (builtin_example_metric(), 64, 24),  # blocks of 16 levels: 16 + 8
+    (builtin_example_metric(), 128, 24),
+    (builtin_example_metric(), 128, 23),  # blocks of 4 levels: 5 x 4 + 3
+    (perturbed_flat_metric(0.5, 4), 128, 24),
+], ids=["flat-384", "hyperbolic-384", "example1-64", "example1-128",
+        "example1-128-k23", "perturbed-128"])
+def test_block_gate_equals_the_per_level_reference(m, n, k_max):
+    solver = HierarchySolver(make_grid(m, 1.0, n, n))
+    gated, gate = [], solver._backward_errors
+
+    def recording(levels, start, stop):
+        res = gate(levels, start, stop)
+        gated.append((start, stop, res))
+        return res
+
+    solver._backward_errors = recording
+    hier = solver.hierarchy(k_max)
+    n_unknowns, step = len(solver.areas), max(1, pde.GATE_BLOCK // len(solver.areas))
+    assert step * n_unknowns <= pde.GATE_BLOCK
+    assert [(a, b) for a, b, _ in gated] == [
+        (a, min(a + step, k_max)) for a in range(0, k_max, step)]
+    previous = np.vstack([np.ones(n_unknowns), hier.levels[:-1]])
+    ref = [_reference_backward_error(solver, x, solver.areas * v)
+           for x, v in zip(hier.levels, previous)]
+    assert np.array_equal(np.concatenate([res for *_, res in gated]), ref)
+
+
+@pytest.mark.parametrize("m,n,scale", [
+    (radial_metric(euclidean_profile()), 64, 1 + 1e-6),
+    # on this grid a 1e-6 scaling has backward error 8.9e-11, below the gate
+    (builtin_example_metric(), 64, 1 + 1e-4),
+], ids=["flat-64", "example1-64"])
+def test_gate_names_a_corrupted_level_inside_a_block(m, n, scale):
+    solver = HierarchySolver(make_grid(m, 1.0, n, n))
+    assert pde.GATE_BLOCK // len(solver.areas) > 5  # levels 1-6 share a block
+    solve, solved = solver.solve_poisson, []
+
+    def corrupting(rhs):
+        v = solve(rhs)
+        solved.append(v)
+        return v * scale if len(solved) == 5 else v
+
+    solver.solve_poisson = corrupting
+    with pytest.raises(pde.ResolutionError, match=r"too large at level 5$"):
+        solver.hierarchy(24)
+
+
+class _CountingFlux:
+    """A solver's flux matrix that counts its products."""
+
+    def __init__(self, flux):
+        self.flux, self.products = flux, 0
+
+    def __getattr__(self, name):
+        return getattr(self.flux, name)
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.flux @ other
+
+
+def test_radial_gate_is_one_sparse_product(flat):
+    solver = HierarchySolver(make_grid(flat, 1.0, 384, 384))
+    solver.flux = counting = _CountingFlux(solver.flux)
+    solver.hierarchy(pde.LAMBDA1_LEVELS)
+    assert counting.products == 1
+    solver.smallest_eigenvalue()
+    assert counting.products == 1
+
+
+def test_gate_products_and_memory_are_bounded_by_the_block():
+    solver = HierarchySolver(make_grid(builtin_example_metric(), 1.0, 128, 128))
+    solver.flux = counting = _CountingFlux(solver.flux)
+    n, k_max = len(solver.areas), pde.LAMBDA1_LEVELS
+    solver.hierarchy(k_max)
+    assert counting.products == math.ceil(k_max * n / pde.GATE_BLOCK) == 6
+    solver.smallest_eigenvalue()
+    assert counting.products == 6
+    # beyond the levels themselves, the gate holds a few block-sized
+    # temporaries (about 3.2 blocks here); a gate of all 24 levels at once
+    # would hold about 18
+    tracemalloc.start()
+    try:
+        solver.hierarchy(k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (k_max * n + 5 * pde.GATE_BLOCK)
+
+
+class _FluxProductEigenSolver(HierarchySolver):
+    """HierarchySolver whose power iteration takes the Rayleigh numerator
+    as y . (flux y), by a sparse product."""
+
+    def smallest_eigenvalue(self):
+        x = np.random.default_rng(7).standard_normal(len(self.areas))
+        lam_prev = 0.0
+        for _ in range(pde.POWER_MAX_ITER):
+            y = self._lu.solve(self.areas * x)
+            y /= np.linalg.norm(y)
+            lam = -float(y @ (self.flux @ y)) / float(y @ (self.areas * y))
+            if abs(lam - lam_prev) <= pde.POWER_TOL * abs(lam):
+                return lam
+            lam_prev, x = lam, y
+        raise pde.ResolutionError("inverse power iteration did not converge")
+
+
+@pytest.mark.parametrize("m,n", [
+    (radial_metric(euclidean_profile()), 384), (radial_metric(space_form_profile(-1.0)), 384),
+    (radial_metric(space_form_profile(1.0)), 64), (builtin_example_metric(), 64),
+    (perturbed_flat_metric(0.5, 4), 64)], ids=lambda x: getattr(x, "label", x))
+def test_power_rayleigh_quotient_matches_the_flux_product(m, n):
+    grid = make_grid(m, 1.0, n, n)
+    assert HierarchySolver(grid).smallest_eigenvalue() == pytest.approx(
+        _FluxProductEigenSolver(grid).smallest_eigenvalue(), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 17, 384, 16257])
+def test_power_start_is_the_seeded_draw_read_only(n):
+    x = pde._power_start(n)
+    assert np.array_equal(x, np.random.default_rng(7).standard_normal(n))
+    assert not x.flags.writeable and pde._power_start(n) is x
+
+
+@pytest.mark.parametrize("m", [builtin_example_metric(), radial_metric(euclidean_profile())],
+                         ids=lambda m: m.label)
+def test_power_iteration_fails_fast_on_a_nan_rayleigh_quotient(m):
+    solver, factor = _counting_solver(make_grid(m, 1.0, 64, 64))
+    solver.areas[3] = np.nan
+    with pytest.raises(pde.ResolutionError, match=r"Rayleigh quotient nan at step 1$"):
+        solver.smallest_eigenvalue()
+    assert factor.solves == 1
+
+
 def test_lambda1_grid_disk(flat, flat_grid):
     est = lambda1_grid(flat, flat_grid)
     assert est.moment_value == pytest.approx(J01SQ, rel=0.02)
@@ -715,6 +902,15 @@ def test_radial_metric_samples_one_value_per_radius():
     assert m.w(r[:, None], t[None, :]).shape == (5, 1)
     assert m.jet(r[:, None], t[None, :]).r.shape == (5, 7)
     assert make_grid(m, 1.0, 16, 12)._sample_w(r, t).shape == (5, 1)
+
+
+def test_radial_sample_is_a_writable_column_copy(flat):
+    # w(r) = r of the flat disk returns a view of its argument
+    grid = make_grid(flat, 1.0, 16, 12)
+    radii = grid.radii[1:]
+    w = grid._sample_w(radii, grid.thetas)
+    assert w.shape == (16, 1) and w.flags.writeable and w.flags.owndata
+    assert np.array_equal(w[:, 0], radii) and not np.shares_memory(w, radii)
 
 
 def test_compact_w_results_give_full_grid_arrays(flat):
