@@ -2,10 +2,14 @@
 
 The Laplacian is discretized in divergence form, which makes the operator
 symmetric in the area-weighted inner product; the tests keep the expanded
-coordinate form as its reference.  A single factorization is reused across
-all hierarchy levels and the inverse power iteration: LAPACK's LDL^T of a
-symmetric positive definite tridiagonal (pttrf) on a rotationally
-symmetric grid, SuperLU on any other.
+coordinate form as its reference.  The flux matrix's sparse pattern depends
+only on the grid's shape: ``_flux_pattern`` builds it once per (n_r,
+n_theta), as read-only int32 arrays (the faces, each entry's CSC slot, and
+the CSC indices and indptr), and keeps the last FLUX_PATTERNS shapes, so
+``_assemble_flux`` fills only the values.  A single factorization is
+reused across all hierarchy levels and the inverse power iteration:
+LAPACK's LDL^T of a symmetric positive definite tridiagonal (pttrf) on a
+rotationally symmetric grid, SuperLU on any other.
 
 The metric is sampled on broadcast axes (radii[:, None], thetas[None, :]),
 never on a materialized mesh, and whether a grid is constant in theta is
@@ -59,6 +63,9 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
 # largest relative gap between the moment-ratio and power eigenvalues
 AGREEMENT_TOL = 0.05
+# most flux patterns held at once, one per grid shape: a 512^2 pattern
+# holds 15 MiB, so a resolution sweep keeps only the last few
+FLUX_PATTERNS = 4
 
 
 class ResolutionError(RuntimeError):
@@ -193,35 +200,64 @@ def _conductances(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:
     return w_face_r * (dt / dr), dr / dt / w_face_t
 
 
+@functools.lru_cache(maxsize=FLUX_PATTERNS)
+def _flux_pattern(n_r: int, n_theta: int) -> tuple[np.ndarray, ...]:
+    """Read-only int32 sparse pattern of the flux matrix of a grid of n_r
+    rings of n_theta nodes: the faces (p, q), one per interior face
+    (center-ring 1, ring i-ring i+1, then angular: node j of a ring to
+    node j + 1, the last to the first); each entry's CSC slot, for the
+    entries (p, q), (q, p) and the diagonal in that order; and the CSC
+    ``indices`` and ``indptr``.  Entries that share a slot are summed: the
+    self-loop angular faces at n_theta = 1 into the diagonal, the two
+    angular faces of a ring at n_theta = 2 into one coupling."""
+    nt, n = n_theta, 1 + (n_r - 1) * n_theta
+    ring = np.arange(1, n, dtype=np.int32).reshape(n_r - 1, nt)
+    p = np.concatenate([np.zeros(nt, dtype=np.int32), ring[:-1].ravel(), ring.ravel()])
+    q = np.concatenate([ring[0], ring[1:].ravel(),
+                        np.concatenate([ring[:, 1:], ring[:, :1]], axis=1).ravel()])
+    diag = np.arange(n, dtype=np.int32)
+    # column-major (col, row) keys, in sorted runs that the stable sort merges
+    keys = np.concatenate([q, p, diag]).astype(np.int64)
+    keys *= n
+    keys += np.concatenate([p, q, diag])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.concatenate([[True], keys[1:] != keys[:-1]])  # of each slot
+    slot = np.empty(len(keys), dtype=np.int32)
+    slot[order] = np.cumsum(first, dtype=np.int32) - 1
+    cols, rows = np.divmod(keys[first], n)
+    indices = rows.astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    pattern = p, q, slot, indices, indptr
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
+
+
 def _assemble_flux(
     c_radial: np.ndarray, c_angular: np.ndarray, n_theta: int
 ) -> csc_matrix:
     """Symmetric flux matrix A over the unknowns (center, rings 1..n_r-1)
     of a grid of n_r = len(c_radial) rings of n_theta nodes, from face
     conductances as from ``_conductances``.  The discrete Laplacian is
-    (A x + c_radial[-1] * boundary) / areas."""
+    (A x + c_radial[-1] * boundary) / areas.
+
+    The pattern comes from ``_flux_pattern``, built once per (n_r,
+    n_theta) and shared: the matrix's ``indices`` and ``indptr`` are its
+    read-only int32 arrays, and a build fills only the values."""
     nr, nt = len(c_radial), n_theta
     if c_radial.shape != (nr, nt):
         c_radial = np.broadcast_to(c_radial, (nr, nt))
     if c_angular.shape != (nr - 1, nt):
         c_angular = np.broadcast_to(c_angular, (nr - 1, nt))
-    ring = 1 + np.arange((nr - 1) * nt).reshape(nr - 1, nt)
-    # one (p, q, c) per interior face: center-ring 1, ring i-ring i+1, angular
-    # (node j of a ring to node j + 1, the last to the first)
-    p = np.concatenate([np.zeros(nt, dtype=np.int64), ring[:-1].ravel(),
-                        ring.ravel()])
-    q = np.concatenate([ring[0], ring[1:].ravel(),
-                        np.concatenate([ring[:, 1:], ring[:, :1]], axis=1).ravel()])
+    p, q, slot, indices, indptr = _flux_pattern(nr, nt)
     c = np.concatenate([c_radial[0], c_radial[1:-1].ravel(), c_angular.ravel()])
-    n_unknowns = 1 + (nr - 1) * nt
+    n_unknowns = len(indptr) - 1
     diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
-    diag[ring[-1]] -= c_radial[-1]  # face to the Dirichlet ring
-    idx = np.arange(n_unknowns)
-    return csc_matrix(
-        (np.concatenate([c, c, diag]),
-         (np.concatenate([p, q, idx]), np.concatenate([q, p, idx]))),
-        shape=(n_unknowns, n_unknowns),
-    )
+    diag[-nt:] -= c_radial[-1]  # face to the Dirichlet ring
+    data = np.bincount(slot, np.concatenate([c, c, diag]), len(indices))
+    return csc_matrix((data, indices, indptr), shape=(n_unknowns, n_unknowns))
 
 
 def apply_laplacian(f: GridField) -> GridField:

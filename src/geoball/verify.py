@@ -9,7 +9,8 @@ eigenvalue.  Margins are normalized and a pass flag is margin >= -tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import functools
+from dataclasses import dataclass, asdict, replace
 
 from .hierarchy import RadialHierarchy, averaged_moment, radial_hierarchy
 from .model import (
@@ -88,15 +89,20 @@ def _sign(direction: str) -> float:
 _REVERSED = str.maketrans("<>", "><")
 
 
+def _stated(ctx: VerificationContext, inequality: str) -> str:
+    """inequality, written for the model<=M direction, as the asserted
+    direction states it: for model>=M its '<' and '>' are swapped."""
+    return inequality if ctx.sign > 0 else inequality.translate(_REVERSED)
+
+
 def _entry(ctx: VerificationContext, name: str, inequality: str, lhs: float,
            rhs: float, scale: float) -> Entry:
-    """Margin ctx.sign*(lhs - rhs) normalized by scale, passed at -ctx.tol.
-    inequality is written for the model<=M direction; for model>=M its
-    '<' and '>' are swapped."""
+    """Margin ctx.sign*(lhs - rhs) normalized by scale, passed at -ctx.tol,
+    of inequality as ``_stated`` states it."""
     margin = ctx.sign * (lhs - rhs) / max(abs(scale), 1e-300)
     return Entry(
         name=name,
-        inequality=inequality if ctx.sign > 0 else inequality.translate(_REVERSED),
+        inequality=_stated(ctx, inequality),
         lhs=lhs,
         rhs=rhs,
         margin=float(margin),
@@ -115,7 +121,8 @@ class VerificationContext:
     entries read its levels, the averaged moments its spectrum), and the
     sphere lengths and ball areas at the sampled radii R/4, R/2, R, both
     from one tensor-rule pass.  Build it with
-    ``VerificationContext.build``."""
+    ``VerificationContext.build``.  ``pointwise_entries`` are computed
+    once, on first read."""
 
     model: ModelSpace
     k_max: int
@@ -173,6 +180,14 @@ class VerificationContext:
         """Equality cases are grid-limited and get the looser threshold."""
         return EQUALITY_TOL if self.hypothesis.direction == "equal" else INEQ_TOL
 
+    @functools.cached_property
+    def pointwise_entries(self) -> tuple[Entry, ...]:
+        """hierarchy_pointwise(k) for k = 1..k_max, one ``_pointwise_entry``
+        each; the mean exit time's entry is the k = 1 one."""
+        return tuple(_pointwise_entry(self, k, f"hierarchy_pointwise(k={k})",
+                                      "transplant >= grid")
+                     for k in range(1, self.k_max + 1))
+
 
 def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
                      inequality: str) -> Entry:
@@ -192,9 +207,10 @@ def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
 
 def verify_mean_exit(ctx: VerificationContext) -> Entry:
     """Transplanted model exit time dominates the metric exit time (per
-    the asserted direction), checked pointwise on the grid."""
-    return _pointwise_entry(ctx, 1, "mean_exit_transplant",
-                            "transplant >= exit_time")
+    the asserted direction), checked pointwise on the grid: the k = 1
+    pointwise entry under its own name and inequality."""
+    return replace(ctx.pointwise_entries[0], name="mean_exit_transplant",
+                   inequality=_stated(ctx, "transplant >= exit_time"))
 
 
 def verify_isoperimetric_volumes(ctx: VerificationContext) -> list[Entry]:
@@ -222,10 +238,7 @@ def verify_moment_spectrum(ctx: VerificationContext) -> list[Entry]:
     """Pointwise hierarchy domination and averaged-moment comparison for
     k = 1..ctx.k_max."""
     R, model, k_max = ctx.grid_hierarchy.spectrum.radius, ctx.model, ctx.k_max
-    entries = [
-        _pointwise_entry(ctx, k, f"hierarchy_pointwise(k={k})", "transplant >= grid")
-        for k in range(1, k_max + 1)
-    ]
+    entries = list(ctx.pointwise_entries)
     spec_model = ctx.model_hierarchy.spectrum()
     vol_s_metric = ctx.sphere_lengths[R]
     for k in range(1, k_max + 1):

@@ -4,15 +4,17 @@ library, every private attribute a test sets is read by the library, the
 library samples on broadcast axes, never on an np.meshgrid mesh, it
 builds one sparse matrix, the flux stencil, in one place, it seeds jets
 only in the two ``jet`` methods, it imports only the scipy modules it
-runs, and it writes no gate as ``any`` of a comparison, which a NaN
-passes."""
+runs, it writes no gate as ``any`` of a comparison, which a NaN passes,
+and every array its cached functions return is read-only."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TESTS = Path(__file__).resolve().parent
@@ -299,3 +301,55 @@ def test_planted_any_of_comparisons_are_found():
               "if not np.all(x >= 0): pass\nif bad.any(): pass\n"
               "if any(isinstance(a, int) for a in xs): pass\nif np.any(~(x >= 0)): pass\n")
     assert _any_of_comparisons(source) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+# every functools.cache or lru_cache function of the library, with small
+# arguments to call it on
+CACHED_CALLS = {"quadrature._gauss_legendre": (4,), "pde._power_start": (5,),
+                "pde._flux_pattern": (5, 2)}
+
+
+def _cached_functions(source: str) -> list[str]:
+    """Functions of a module decorated with ``cache`` or ``lru_cache``, as
+    an attribute or a bare name, with or without arguments."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for d in fn.decorator_list:
+            target = d.func if isinstance(d, ast.Call) else d
+            if (getattr(target, "id", None) or getattr(target, "attr", None)) in (
+                    "cache", "lru_cache"):
+                found.append(fn.name)
+    return found
+
+
+def _writable_arrays(result) -> list[np.ndarray]:
+    """The writable numpy arrays of a result, inside tuples and lists too."""
+    if isinstance(result, np.ndarray):
+        return [result] if result.flags.writeable else []
+    if isinstance(result, (tuple, list)):
+        return [a for item in result for a in _writable_arrays(item)]
+    return []
+
+
+def test_cached_functions_return_read_only_arrays():
+    # every later caller shares a cached array: one caller's write would
+    # corrupt them all (a flux pattern, every later flux of its shape)
+    found = {f"{p.stem}.{name}" for p in MODULES for name in _cached_functions(p.read_text())}
+    assert found == set(CACHED_CALLS)
+    for qualname, args in CACHED_CALLS.items():
+        module, name = qualname.split(".")
+        result = getattr(importlib.import_module(f"geoball.{module}"), name)(*args)
+        assert _writable_arrays(result) == [], qualname
+
+
+def test_planted_cached_functions_and_writable_arrays_are_found():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.cache\ndef _a(n): pass\n@lru_cache(maxsize=2)\ndef _b(n): pass\n"
+              "@functools.lru_cache\ndef _c(n): pass\n@staticmethod\ndef _d(n): pass\n"
+              "class K:\n    @cache\n    def e(self): pass\ndef _f(n): pass\n")
+    assert _cached_functions(source) == ["_a", "_b", "_c", "e"]
+    frozen, writable = np.zeros(2), np.zeros(3)
+    frozen.setflags(write=False)
+    assert [a.shape for a in _writable_arrays((frozen, [writable, (frozen, 1.0)]))] == [(3,)]

@@ -349,6 +349,60 @@ def test_flux_assembly_matches_the_roll_reference(n_theta, full):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def test_interleaved_shapes_share_no_pattern_state():
+    # each shape's pattern is built on its first flux and read back on its
+    # second, between builds of the other shapes
+    pde._flux_pattern.cache_clear()
+    rng = np.random.default_rng(25)
+    for _ in range(2):
+        for n_theta in (1, 2, 12):
+            c_radial = rng.uniform(0.5, 2.0, (9, n_theta))
+            c_angular = rng.uniform(0.5, 2.0, (8, n_theta))
+            flux = pde._assemble_flux(c_radial, c_angular, n_theta)
+            ref = _assemble_flux_reference(c_radial, c_angular, n_theta)
+            for a, b in ((flux.indptr, ref.indptr), (flux.indices, ref.indices),
+                         (flux.data, ref.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    info = pde._flux_pattern.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
+
+
+def test_second_solver_of_a_shape_reuses_its_pattern():
+    grid = make_grid(builtin_example_metric(), 1.0, 16, 12)
+    first = HierarchySolver(grid)
+    hits = pde._flux_pattern.cache_info().hits
+    second = HierarchySolver(make_grid(perturbed_flat_metric(0.5, 4), 1.0, 16, 12))
+    assert pde._flux_pattern.cache_info().hits == hits + 1
+    assert np.shares_memory(second.flux.indices, first.flux.indices)
+    assert np.shares_memory(second.flux.indptr, first.flux.indptr)
+
+
+def test_flux_pattern_is_read_only_int32():
+    pattern = pde._flux_pattern(9, 12)
+    for a in pattern:
+        assert a.dtype == np.int32 and not a.flags.writeable
+    flux = HierarchySolver(make_grid(builtin_example_metric(), 1.0, 9, 12)).flux
+    with pytest.raises(ValueError, match="read-only"):
+        flux.indices[0] = 1
+
+
+def test_256_squared_pattern_holds_at_most_4_mib():
+    assert sum(a.nbytes for a in pde._flux_pattern(256, 256)) <= 4 << 20
+
+
+def test_pattern_cache_is_bounded_and_rebuilds_an_evicted_shape():
+    pde._flux_pattern.cache_clear()
+    kept = pde._flux_pattern(5, 2)
+    saved = [a.copy() for a in kept]
+    for n_r in range(6, 7 + pde.FLUX_PATTERNS):
+        pde._flux_pattern(n_r, 2)
+        assert pde._flux_pattern.cache_info().currsize <= pde.FLUX_PATTERNS
+    rebuilt = pde._flux_pattern(5, 2)
+    assert rebuilt is not kept  # evicted, then built again
+    for a, b in zip(rebuilt, saved):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def _expand(grid, x):
     """P x: the ring values x (center first) repeated along theta."""
     return np.concatenate([x[:1], np.repeat(x[1:], grid.n_theta)])

@@ -228,6 +228,21 @@ def test_report_expands_only_its_pointwise_levels(example, flat_model, monkeypat
     assert built == []
 
 
+@pytest.mark.parametrize("override", [None, "model>=M"])
+@pytest.mark.parametrize("k_max", [4, 5])
+def test_one_pointwise_entry_per_level_per_report(example, flat_model, monkeypatch,
+                                                  override, k_max):
+    # mean_exit_transplant is the k = 1 pointwise entry under its own name
+    calls = _count_calls(monkeypatch, verify, "_pointwise_entry")
+    rep = run_verification(example, flat_model, 1.0, n_r=16, n_theta=16, k_max=k_max,
+                           direction_override=override)
+    assert len(calls) == k_max
+    mean_exit, k1 = rep.entries[0], rep.entries[10]
+    assert k1.name == "hierarchy_pointwise(k=1)"
+    assert (mean_exit.lhs, mean_exit.rhs, mean_exit.margin, mean_exit.passed) == (
+        k1.lhs, k1.rhs, k1.margin, k1.passed)
+
+
 def _expanded_pointwise_entry(ctx, k):
     """The pointwise entry of level k as read from the grid level expanded
     to a GridField, ring by ring."""
