@@ -5,11 +5,11 @@ symmetric in the area-weighted inner product; the tests keep the expanded
 coordinate form as its reference.  The flux matrix's sparse pattern depends
 only on the grid's shape: ``_flux_pattern`` builds it once per (n_r,
 n_theta), as read-only int32 arrays (the faces, each entry's CSC slot, and
-the CSC indices and indptr), and keeps the last FLUX_PATTERNS shapes, so
-``_assemble_flux`` fills only the values.  A single factorization is
-reused across all hierarchy levels and the inverse power iteration:
-LAPACK's LDL^T of a symmetric positive definite tridiagonal (pttrf) on a
-rotationally symmetric grid, SuperLU on any other.
+the CSC indices and indptr), and keeps the last shape's, so a repeat
+build of that shape in one process fills only the values.  A single
+factorization is reused across all hierarchy levels and the inverse power
+iteration: LAPACK's LDL^T of a symmetric positive definite tridiagonal
+(pttrf) on a rotationally symmetric grid, SuperLU on any other.
 
 The metric is sampled on broadcast axes (radii[:, None], thetas[None, :]),
 never on a materialized mesh, and whether a grid is constant in theta is
@@ -63,9 +63,10 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
 # largest relative gap between the moment-ratio and power eigenvalues
 AGREEMENT_TOL = 0.05
-# most flux patterns held at once, one per grid shape: a 512^2 pattern
-# holds 15 MiB, so a resolution sweep keeps only the last few
-FLUX_PATTERNS = 4
+# most flux patterns held at once, one per grid shape.  A pattern pays off
+# only when its shape comes back within a process: a report, lambda1_grid
+# and each CLI command build one shape, so one is held (15 MiB at 512^2)
+FLUX_PATTERNS = 1
 
 
 class ResolutionError(RuntimeError):
