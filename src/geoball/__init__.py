@@ -45,7 +45,6 @@ from .pde import (
     GridField,
     GridHierarchy,
     PolarGrid,
-    apply_laplacian,
     lambda1_grid,
     make_grid,
 )

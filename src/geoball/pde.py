@@ -28,12 +28,14 @@ other metric takes SuperLU on the whole 2-D pencil.  Each hierarchy level
 is one direct solve, checked by its normwise backward error against the
 solver's flux matrix: one sparse product per block of levels of at most
 GATE_BLOCK entries (all 24 levels of a radial grid of up to 2,730 rings
-in one), gated as soon as the block is solved.  Inverse power iteration reads its Rayleigh
-numerator off each step's solve, with no product with the flux matrix.
+in one), gated as soon as the block is solved.  Once all are solved,
+each level is checked again by the discrete divergence theorem: the flux
+it sends through the Dirichlet ring is the moment of the level before.
+Inverse power iteration reads its Rayleigh numerator off each step's
+solve, with no product with the flux matrix.
 ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
-and lambda_1.  A level becomes a 2-D field only where a caller reads its
-rings.
+and lambda_1.
 """
 
 from __future__ import annotations
@@ -261,21 +263,6 @@ def _assemble_flux(
     return csc_matrix((data, indices, indptr), shape=(n_unknowns, n_unknowns))
 
 
-def apply_laplacian(f: GridField) -> GridField:
-    """Discrete Laplacian of f on its grid: the flux-balanced second-order
-    scheme of the solver (its flux matrix, applied).  The boundary ring of
-    the result is zeroed."""
-    grid = f.grid
-    c_radial, c_angular = _conductances(grid)
-    flux = _assemble_flux(c_radial, c_angular, grid.n_theta)
-    y = flux @ np.concatenate([[f.center], f.rings[:-1].reshape(-1)])
-    y[-grid.n_theta:] += c_radial[-1] * f.rings[-1]
-    y /= np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
-    rings = np.zeros((grid.n_r, grid.n_theta))
-    rings[:-1] = y[1:].reshape(grid.n_r - 1, grid.n_theta)
-    return GridField(grid=grid, center=float(y[0]), rings=rings)
-
-
 @dataclass(frozen=True)
 class _Fill:
     """Nonzero count of one triangular factor."""
@@ -311,7 +298,13 @@ class HierarchySolver:
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
     diag(1/area) @ A.  ``flux`` is factored once, and ``hierarchy`` checks
     each level's normwise backward error against it, by one product of
-    ``flux`` with a block of levels of at most GATE_BLOCK entries.
+    ``flux`` with a block of levels of at most GATE_BLOCK entries, and
+    then every level's divergence gap.  The columns of A sum to -c_D, the
+    conductances of the faces to the Dirichlet ring, nonzero on the last
+    ring only; so A v_k = -D v_{k-1} gives c_D . v_k = areas . v_{k-1}
+    (``areas.sum()`` for k = 1), and the gap of level k is the relative
+    difference of the two sides.  It sees an error along a whole level,
+    such as a scaling, that the normwise error hides on a fine grid.
 
     On a rotationally symmetric grid (conductances and cell areas constant
     in theta: any radial metric, whose w samples the grid and
@@ -331,8 +324,7 @@ class HierarchySolver:
 
     Otherwise ``flux`` is A over every node, factored by SuperLU in a
     minimum-degree ordering of A^T + A, which suits its symmetric 5-point
-    pattern.  Either way a level's moment is ``areas @ level``, and
-    ``field`` expands a level to a ``GridField``.
+    pattern.  Either way a level's moment is ``areas @ level``.
     """
 
     def __init__(self, grid: PolarGrid):
@@ -346,6 +338,8 @@ class HierarchySolver:
             c_radial, c_angular = n_theta * c_radial, np.zeros_like(c_angular)
             n_theta, node_area = 1, n_theta * grid._node_area
         self.flux = flux = _assemble_flux(c_radial, c_angular, n_theta)
+        # c_D: conductances of the last ring's faces to the Dirichlet ring
+        self._c_dirichlet = np.broadcast_to(c_radial[-1], (n_theta,))
         self.areas = np.concatenate([[grid.center_area], node_area.reshape(-1)])
         # largest absolute row sum, from the CSC entries (row indices)
         self._flux_norm = float(np.bincount(flux.indices, np.abs(flux.data),
@@ -378,7 +372,19 @@ class HierarchySolver:
             if len(bad):
                 raise ResolutionError(f"Poisson residual {float(res[bad[0]])} too large "
                                       f"at level {start + bad[0] + 1}")
-        moments = np.concatenate([[self.grid.total_area()], levels @ self.areas])
+        moments = levels @ self.areas
+        # each level's flux through the Dirichlet ring over the moment of
+        # the level before, which the divergence theorem makes 1
+        c_d = self._c_dirichlet
+        ratio = levels[:, -len(c_d):] @ c_d
+        ratio[0] /= self.areas.sum()
+        ratio[1:] /= moments[:-1]
+        gap = np.abs(ratio - 1.0)
+        if not gap.max() <= RESIDUAL_TOL:  # a NaN gap fails too
+            k = np.flatnonzero(~(gap <= RESIDUAL_TOL))[0]
+            raise ResolutionError(f"divergence gap {float(gap[k])} too large "
+                                  f"at level {k + 1}")
+        moments = np.concatenate([[self.grid.total_area()], moments])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
 
     def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -398,14 +404,6 @@ class HierarchySolver:
             r += rhs.T
             return np.abs(r, out=r).max(axis=0) / (
                 self._flux_norm * np.abs(x).max(axis=1) + np.abs(rhs).max(axis=1))
-
-    def field(self, v: np.ndarray) -> GridField:
-        """The field of a solver vector v: center, rings 1..n_r-1 (one
-        value per ring is broadcast along theta) and the zero r = R ring."""
-        g = self.grid
-        rings = np.zeros((g.n_r, g.n_theta))
-        rings[:-1] = v[1:].reshape(g.n_r - 1, -1)
-        return GridField(grid=g, center=float(v[0]), rings=rings)
 
     def smallest_eigenvalue(self) -> float:
         """Smallest Dirichlet eigenvalue by inverse power iteration on the

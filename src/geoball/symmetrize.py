@@ -91,11 +91,6 @@ class LevelSetProfile:
         vols = np.concatenate([[0.0], self.volumes])
         return vols[idx]
 
-    def integral(self) -> float:
-        """Layer-cake integral of the field, exact for the discrete measure."""
-        incr = np.diff(np.concatenate([[0.0], self.volumes]))
-        return float(np.sum(self.values * incr))
-
 
 def _cell_values_and_areas(f: GridField):
     grid = f.grid

@@ -164,8 +164,9 @@ def _sparse_builds(source: str) -> list[str]:
 
 
 def test_flux_stencil_is_built_in_one_place():
-    # both solver routes and apply_laplacian assemble one stencil
-    # (pde._assemble_flux); a second sparse build would write it twice
+    # both solver routes assemble one stencil (pde._assemble_flux), which
+    # the tests also apply as the Laplacian; a second sparse build would
+    # write it twice
     builds = [f"{p.name} {line}" for p in MODULES for line in _sparse_builds(p.read_text())]
     assert len(builds) == 1 and builds[0].startswith("pde.py "), builds
 

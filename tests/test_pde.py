@@ -18,7 +18,6 @@ from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import (
     GridField,
     HierarchySolver,
-    apply_laplacian,
     field_from_function,
     lambda1_grid,
     make_grid,
@@ -81,11 +80,30 @@ def _face_weights(grid):
             grid._sample_w(radii[1:-1], thetas + grid.dtheta / 2))
 
 
+def _full_pencil(grid):
+    """The 2-D flux matrix of a grid over every node, the conductances of
+    its last ring's faces to the Dirichlet ring, and the cell areas."""
+    c_radial, c_angular = pde._conductances(grid)
+    return (pde._assemble_flux(c_radial, c_angular, grid.n_theta),
+            np.broadcast_to(c_radial[-1], (grid.n_theta,)),
+            np.append(grid.center_area, grid.node_area))
+
+
+def _laplacian(f):
+    """The solver's stencil applied to f: its 2-D flux on the center and
+    rings 1..n_r-1, plus the flux from the r = R ring, over the cell
+    areas; the center value first, then the ring nodes row by row."""
+    flux, c_dirichlet, areas = _full_pencil(f.grid)
+    y = flux @ np.append(f.center, f.rings[:-1])
+    y[-f.grid.n_theta:] += c_dirichlet * f.rings[-1]
+    return y / areas
+
+
 def _expanded_laplacian(f):
-    """The reference for apply_laplacian: central differences of the
+    """The reference for the stencil: central differences of the
     coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t on the
-    interior rings, and the flux balance of the center cell; the boundary
-    ring of the result is zeroed."""
+    interior rings, and the flux balance of the center cell; laid out as
+    ``_laplacian`` returns it."""
     grid = f.grid
     m, dr, dt = grid.metric, grid.dr, grid.dtheta
     ntheta = grid.n_theta
@@ -107,29 +125,26 @@ def _expanded_laplacian(f):
         - m.jet(rr, tt).t / w**3 * f_t
     )
     w_face_r, _ = _face_weights(grid)
-    center = float(
-        np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
-    )
-    rings = np.vstack([interior, np.zeros((1, ntheta))])
-    return GridField(grid=grid, center=center, rings=rings)
+    center = np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
+    return np.append(center, interior)
 
 
 def test_laplacian_of_r_squared(flat_grid):
     f = field_from_function(flat_grid, lambda r, t: np.asarray(r) ** 2
                             + 0.0 * np.asarray(t))
-    for laplacian in (apply_laplacian, _expanded_laplacian):
+    for laplacian in (_laplacian, _expanded_laplacian):
         lap = laplacian(f)
-        assert np.max(np.abs(lap.rings[:-1] - 4.0)) < 1e-10
-        assert lap.center == pytest.approx(4.0, abs=1e-10)
+        assert np.max(np.abs(lap[1:] - 4.0)) < 1e-10
+        assert lap[0] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_laplacian_of_harmonic_polynomial(flat_grid):
     f = field_from_function(
         flat_grid, lambda r, t: np.asarray(r) ** 2 * np.cos(2 * np.asarray(t))
     )
-    lap = apply_laplacian(f)
-    assert np.max(np.abs(lap.rings[:-1])) < 5e-3
-    assert abs(lap.center) < 1e-12
+    lap = _laplacian(f)
+    assert np.max(np.abs(lap[1:])) < 5e-3
+    assert abs(lap[0]) < 1e-12
 
 
 def test_laplacian_forms_agree(flat_grid):
@@ -138,9 +153,7 @@ def test_laplacian_forms_agree(flat_grid):
         lambda r, t: np.sin(np.asarray(r) * np.cos(np.asarray(t)))
         * np.cos(np.asarray(r) * np.sin(np.asarray(t))),
     )
-    a = apply_laplacian(f)
-    b = _expanded_laplacian(f)
-    assert np.max(np.abs(a.rings[:-1] - b.rings[:-1])) < 5e-3
+    assert np.max(np.abs(_laplacian(f)[1:] - _expanded_laplacian(f)[1:])) < 5e-3
 
 
 def test_laplacian_of_transplanted_exit_time_hyperbolic():
@@ -150,9 +163,9 @@ def test_laplacian_of_transplanted_exit_time_hyperbolic():
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
     f = transplant_exit_time(model, grid)
-    lap = apply_laplacian(f)
-    assert np.max(np.abs(lap.rings[:-1] + 1.0)) < 1e-3
-    assert lap.center == pytest.approx(-1.0, abs=1e-3)
+    lap = _laplacian(f)
+    assert np.max(np.abs(lap[1:] + 1.0)) < 1e-3
+    assert lap[0] == pytest.approx(-1.0, abs=1e-3)
 
 
 def test_laplacian_convergence_order(flat):
@@ -163,24 +176,24 @@ def test_laplacian_convergence_order(flat):
     errs = []
     for n in (64, 128):
         g = make_grid(flat, 1.0, n, n)
-        lap = apply_laplacian(field_from_function(g, f))
+        lap = _laplacian(field_from_function(g, f))[1:].reshape(n - 1, n)
         rr, tt = np.meshgrid(g.radii[1:-1], g.thetas, indexing="ij")
-        e2 = (lap.rings[:-1] + 2 * f(rr, tt)) ** 2
+        e2 = (lap + 2 * f(rr, tt)) ** 2
         errs.append(math.sqrt(np.sum(e2 * g.node_area) / np.sum(g.node_area)))
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.8
 
 
 def test_hierarchy_center_oracles(flat_grid):
-    solver = HierarchySolver(flat_grid)
-    fields = [solver.field(v) for v in solver.hierarchy(2).levels]
-    assert fields[0].center == pytest.approx(0.25, abs=1e-3)
-    assert fields[1].center == pytest.approx(3 / 32 / 2, abs=1e-3)
+    # the center value comes first in a solver vector
+    centers = HierarchySolver(flat_grid).hierarchy(2).levels[:, 0]
+    assert centers[0] == pytest.approx(0.25, abs=1e-3)
+    assert centers[1] == pytest.approx(3 / 32 / 2, abs=1e-3)
 
 
 def test_hierarchy_nonnegative_interior_max(flat_grid):
-    solver = HierarchySolver(flat_grid)
-    for v in map(solver.field, solver.hierarchy(3).levels):
+    for x in HierarchySolver(flat_grid).hierarchy(3).levels:
+        v = _field_reference(flat_grid, x)
         assert v.center >= 0
         assert np.all(v.rings >= -1e-14)
         # max away from the boundary
@@ -191,8 +204,7 @@ def test_hierarchy_matches_radial_route():
     model = make_space_form(-1.0, 2)
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
-    solver = HierarchySolver(grid)
-    fields = [solver.field(v) for v in solver.hierarchy(5).levels]
+    fields = [_field_reference(grid, v) for v in HierarchySolver(grid).hierarchy(5).levels]
     hier = radial_hierarchy(model, 1.0, 5)
     for k in range(1, 6):
         ref = hier.level(k)(grid.radii[1:])[:, None]
@@ -237,17 +249,8 @@ def test_level_moments_are_the_expanded_fields_integrals(m):
     spec = hier.spectrum
     assert spec.normalized[0] == solver.grid.total_area()
     assert spec.radius == solver.grid.R
-    integrals = np.array([solver.field(v).integral() for v in hier.levels])
+    integrals = np.array([_field_reference(solver.grid, v).integral() for v in hier.levels])
     assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
-
-
-@LEVEL_METRICS
-def test_level_field_is_the_node_by_node_expansion(m):
-    solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
-    for v in solver.hierarchy(3).levels:
-        f, ref = solver.field(v), _field_reference(solver.grid, v)
-        assert f.center == ref.center
-        assert np.array_equal(f.rings, ref.rings)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
@@ -263,19 +266,19 @@ def test_lambda1_grid_on_a_radial_grid_builds_no_field(curvature, monkeypatch):
     monkeypatch.setattr(GridField, "__init__", counted)
     lambda1_grid(grid.metric, grid)
     assert built == []
-    HierarchySolver(grid).field(np.zeros(grid.n_r))  # the counter counts
+    field_from_function(grid, lambda r, t: 0.0 * r)  # the counter counts
     assert built == [1]
 
 
 def test_self_adjointness(flat_grid):
-    solver = HierarchySolver(flat_grid)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(len(solver.areas))
-    y = rng.standard_normal(len(solver.areas))
-    lx = solver.flux @ x / solver.areas
-    ly = solver.flux @ y / solver.areas
-    lhs = float(np.sum(lx * y * solver.areas))
-    rhs = float(np.sum(x * ly * solver.areas))
+    # on fields that vanish on the Dirichlet ring the stencil is symmetric
+    # in the area-weighted inner product
+    areas = _full_pencil(flat_grid)[2]
+    x, y = np.random.default_rng(11).standard_normal((2, len(areas)))
+    f, g = (GridField(flat_grid, v[0], np.append(v[1:], np.zeros(flat_grid.n_theta))
+                      .reshape(flat_grid.n_r, flat_grid.n_theta)) for v in (x, y))
+    lhs = float(np.sum(_laplacian(f) * y * areas))
+    rhs = float(np.sum(x * _laplacian(g) * areas))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -420,10 +423,8 @@ class _FullPencilSolver(HierarchySolver):
     arithmetic."""
 
     def __init__(self, grid):
-        c_radial, c_angular = pde._conductances(grid)
         self.grid = grid
-        self.flux = pde._assemble_flux(c_radial, c_angular, grid.n_theta)
-        self.areas = np.concatenate([[grid.center_area], grid.node_area.reshape(-1)])
+        self.flux, self._c_dirichlet, self.areas = _full_pencil(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
 
@@ -452,10 +453,8 @@ def test_radial_pencil_matches_full_pencil(curvature, n_r, n_theta):
     assert solver._lu.shape == solver.flux.shape == (n_r, n_r)
     ref = _FullPencilSolver(grid)
     assert ref.flux.shape == (1 + (n_r - 1) * n_theta,) * 2
-    for v, v_ref in zip(map(solver.field, solver.hierarchy(24).levels),
-                        map(ref.field, ref.hierarchy(24).levels)):
-        assert _rel_err(np.append(v.rings, v.center),
-                        np.append(v_ref.rings, v_ref.center)) <= 1e-10
+    for v, v_ref in zip(solver.hierarchy(24).levels, ref.hierarchy(24).levels):
+        assert _rel_err(_expand(grid, v), v_ref) <= 1e-10
     assert solver.smallest_eigenvalue() == pytest.approx(
         ref.smallest_eigenvalue(), rel=1e-10)
 
@@ -502,9 +501,8 @@ def test_theta_varying_areas_take_the_sparse_lu():
     assert grid._node_area.shape[1] == 12
     assert solver._lu.shape == solver.flux.shape
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
-    for v, v_ref in zip(map(solver.field, solver.hierarchy(3).levels),
-                        map(ref.field, ref.hierarchy(3).levels)):
-        assert _rel_err(v.rings, v_ref.rings) <= 1e-10
+    for v, v_ref in zip(solver.hierarchy(3).levels, ref.hierarchy(3).levels):
+        assert _rel_err(v, _expand(grid, v_ref)) <= 1e-10
 
 
 def test_radial_pencil_only_for_theta_independent_grids(flat):
@@ -715,7 +713,8 @@ def test_block_gate_equals_the_per_level_reference(m, n, k_max):
 
 @pytest.mark.parametrize("m,n,scale", [
     (radial_metric(euclidean_profile()), 64, 1 + 1e-6),
-    # on this grid a 1e-6 scaling has backward error 8.9e-11, below the gate
+    # on this grid a 1e-6 scaling has backward error 8.9e-11, below this
+    # gate; the divergence gap sees it
     (builtin_example_metric(), 64, 1 + 1e-4),
 ], ids=["flat-64", "example1-64"])
 def test_gate_names_a_corrupted_level_inside_a_block(m, n, scale):
@@ -731,6 +730,42 @@ def test_gate_names_a_corrupted_level_inside_a_block(m, n, scale):
     solver.solve_poisson = corrupting
     with pytest.raises(pde.ResolutionError, match=r"too large at level 5$"):
         solver.hierarchy(24)
+
+
+@pytest.mark.parametrize("m", [builtin_example_metric(),
+                               radial_metric(space_form_profile(-1.0))], ids=lambda m: m.label)
+@pytest.mark.parametrize("n", [64, 384])
+def test_divergence_gap_names_a_scaled_level(m, n):
+    # a level scaled by 1 + 1e-6 keeps its normwise backward error below
+    # RESIDUAL_TOL on a fine grid, but its flux through the Dirichlet ring
+    # misses the moment of the level before by 1e-6
+    solver = HierarchySolver(make_grid(m, 1.0, n, n))
+    solve, solved = solver.solve_poisson, []
+
+    def scaling(rhs):
+        v = solve(rhs)
+        solved.append(v)
+        return v * (1 + 1e-6) if len(solved) == 5 else v
+
+    solver.solve_poisson = scaling
+    with pytest.raises(pde.ResolutionError, match=r"too large at level 5$"):
+        solver.hierarchy(6)
+    # with the normwise gate blind, the divergence gap alone names the level
+    solved.clear()
+    solver._backward_errors = lambda levels, start, stop: np.zeros(stop - start)
+    with pytest.raises(pde.ResolutionError,
+                       match=r"divergence gap 1\.0000\d*e-06 too large at level 5$"):
+        solver.hierarchy(6)
+
+
+@pytest.mark.parametrize("m", [radial_metric(euclidean_profile()), builtin_example_metric()],
+                         ids=lambda m: m.label)
+def test_nan_divergence_gap_fails_the_hierarchy_gate(m):
+    solver = HierarchySolver(make_grid(m, 1.0, 16, 16))
+    solver._backward_errors = lambda levels, start, stop: np.zeros(stop - start)
+    solver.solve_poisson = lambda rhs: np.full(len(rhs), np.nan)
+    with pytest.raises(pde.ResolutionError, match=r"divergence gap nan too large at level 1$"):
+        solver.hierarchy(3)
 
 
 class _CountingFlux:
@@ -982,16 +1017,12 @@ def test_compact_w_results_give_full_grid_arrays(flat):
     assert ball_area(m, 1.0) == pytest.approx(ball_area(flat, 1.0), rel=1e-14)
     solver, ref_solver = HierarchySolver(grid), HierarchySolver(ref)
     assert solver.flux.shape == (16, 16)
-    level = solver.field(solver.hierarchy(1).levels[0])
-    assert level.rings.shape == (16, 12)
-    ref_level = ref_solver.field(ref_solver.hierarchy(1).levels[0])
-    assert np.array_equal(level.rings, ref_level.rings)
+    assert np.array_equal(solver.hierarchy(1).levels, ref_solver.hierarchy(1).levels)
     f = field_from_function(grid, lambda r, t: np.asarray(r) - 0.5)
     assert f.rings.shape == (16, 12) and f.center == -0.5
     assert np.array_equal(f.rings, np.repeat(grid.radii[1:, None] - 0.5, 12, axis=1))
     f.rings[0, 0] = 1.0  # a field's rings are its own, writable array
-    lap = apply_laplacian(field_from_function(grid, lambda r, t: 3.0))
-    assert np.max(np.abs(lap.rings)) <= 1e-10 and abs(lap.center) <= 1e-10
+    assert np.max(np.abs(_laplacian(field_from_function(grid, lambda r, t: 3.0)))) <= 1e-10
     # a non-finite compact sample is named at its first (r, theta) of the
     # full grid in row-major order
     object.__setattr__(m, "w", lambda r, t: np.where(r == 0.3125, np.nan, r))

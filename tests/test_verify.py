@@ -17,7 +17,7 @@ from geoball.verify import (
     verify_moment_spectrum,
     verify_torsional,
 )
-from test_pde import _counting_solver
+from test_pde import _counting_solver, _field_reference
 
 
 @pytest.fixture(scope="module")
@@ -247,10 +247,10 @@ def _expanded_pointwise_entry(ctx, k):
     """The pointwise entry of level k as read from the grid level expanded
     to a GridField, ring by ring."""
     level = ctx.model_hierarchy.level(k)
-    solver = ctx.grid_hierarchy.solver
-    f = solver.field(ctx.grid_hierarchy.levels[k - 1])
+    grid = ctx.grid_hierarchy.solver.grid
+    f = _field_reference(grid, ctx.grid_hierarchy.levels[k - 1])
     top = float(level(0.0))
-    gap = ctx.sign * (level(solver.grid.radii[1:-1])[:, None] - f.rings[:-1])
+    gap = ctx.sign * (level(grid.radii[1:-1])[:, None] - f.rings[:-1])
     worst = min(float(gap.min()), ctx.sign * (top - f.center))
     return verify._entry(ctx, "pointwise", "transplant >= grid", ctx.sign * worst,
                          0.0, scale=top)
@@ -342,3 +342,39 @@ def test_entry_names_and_inequalities(example, flat_model, direction):
     s = 1.0 if direction == "model<=M" else -1.0
     for e in rep.entries:
         assert math.copysign(1.0, e.margin) == math.copysign(1.0, s * (e.lhs - e.rhs))
+
+
+# every margin of example1 against the Euclidean model at 32^2, in report
+# order, as recorded before the divergence-gap check joined the hierarchy
+# gate (which changed no report)
+_MARGINS_32 = {
+    "model<=M": [
+        0.008668225953426508, 0.028297202053616077, 0.0306209343087538,
+        0.060633906259083215, 0.08807192973618572, 0.11584138583382382,
+        0.2236067977499792, 0.18544972870134857, 0.39052429175126985,
+        0.7071067811865476, 0.008668225953426508, 0.013022733247169332,
+        0.017194531886870576, 0.020870354216701612, 0.023989818666664532,
+        0.3675598144133264, 0.48167788454437455, 0.57027401456885, 0.6426717895018742,
+        0.7026480423096967, 0.44162883251414353, 0.7208144162570719,
+        0.20139977392367653,
+    ],
+    "model>=M": [
+        -0.12531920716453387, -0.028297202053616077, -0.0306209343087538,
+        -0.060633906259083215, -0.08807192973618572, -0.11584138583382382,
+        -0.2236067977499792, -0.18544972870134857, -0.39052429175126985,
+        -0.7071067811865476, -0.12531920716453387, -0.25153335079731887,
+        -0.37166855061553306, -0.47565570926877215, -0.5632516425765925,
+        -0.3675598144133264, -0.48167788454437455, -0.57027401456885,
+        -0.6426717895018742, -0.7026480423096967, -0.44162883251414353,
+        -0.20139977392367653,
+    ],
+}
+
+
+@pytest.mark.parametrize("direction", ["model<=M", "model>=M"])
+def test_example_margins_at_32_squared_are_pinned(example, flat_model, direction):
+    rep = run_verification(example, flat_model, 1.0, n_r=32, n_theta=32,
+                           direction_override=direction)
+    assert [e.name for e in rep.entries] == [name for name, _ in _REPORT_TEXT[direction]]
+    assert [e.margin for e in rep.entries] == pytest.approx(
+        _MARGINS_32[direction], rel=1e-10, abs=0)
