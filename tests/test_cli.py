@@ -1,5 +1,6 @@
 """Tests for the command-line frontend and the expression parsers."""
 
+import hashlib
 import json
 import math
 
@@ -206,6 +207,36 @@ def test_cli_symmetrize(tmp_path, capsys):
     s_line = next(l for l in out.splitlines() if l.startswith("s(R)="))
     assert float(s_line.split("=")[1]) > 1.0
     assert (tmp_path / "symmetrized_profile.csv").exists()
+
+
+# geoball symmetrize at 64^2, as the sort of every cell into level sets
+# printed and wrote it: the CSV's sha256, s(R), the equimeasurability
+# deviation, the integral identity's rhs and lhs, and the exit code (1: the
+# deviation is above the default --tol at this resolution)
+SYMMETRIZE_PINS = {
+    ("example1", "euclidean"): (
+        "189f1fe8baedb983d4d3b4be3f223097d5249709ce92dcfef3d005ff327c4405",
+        "1.1792049405219049", "0.018064675320425182", "0.5003891211717717",
+        0.50040837322563458, 1),
+    ("perturbed(0.5,4)", "hyperbolic(1)"): (
+        "1c8b26940d2c3c2708d220dd79fc85972e2dda9d9786525a2dd7157f17ec7b54",
+        "1.0450689468191321", "0.015384346489719624", "0.42312260419000886",
+        0.42314665865200068, 1),
+}
+
+
+@pytest.mark.parametrize("metric,model", list(SYMMETRIZE_PINS))
+def test_cli_symmetrize_output_is_pinned(metric, model, tmp_path, capsys):
+    sha, s_R, deviation, rhs, lhs, code = SYMMETRIZE_PINS[metric, model]
+    assert main(["symmetrize", "--metric", metric, "--model", model, "--radius", "1",
+                 "--nr", "64", "--ntheta", "64", "--output", str(tmp_path)]) == code
+    csv = (tmp_path / "symmetrized_profile.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == sha
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"s(R)={s_R}", f"equimeasurability_deviation={deviation}"]
+    printed_lhs, printed_rhs = lines[3].removeprefix("integral_identity ").split()
+    assert printed_rhs == f"rhs={rhs}"
+    assert float(printed_lhs.removeprefix("lhs=")) == pytest.approx(lhs, rel=1e-13, abs=0)
 
 
 def test_cli_surface(tmp_path):
