@@ -42,7 +42,6 @@ from .surface import (
     sphere_mean_curvature,
 )
 from .pde import (
-    GridField,
     GridHierarchy,
     PolarGrid,
     lambda1_grid,

@@ -41,7 +41,6 @@ from .surface import (
 from .symmetrize import (
     check_equimeasurable,
     integral_identity_check,
-    level_profile,
     symmetrize_field,
     transplant_exit_time,
 )
@@ -241,12 +240,11 @@ def _cmd_symmetrize(args: argparse.Namespace) -> int:
     R = args.radius
     out = _output_dir(args.output)
     grid = PolarGrid(metric=m, R=R, n_r=args.nr, n_theta=args.ntheta)
-    field = transplant_exit_time(model, grid)
-    prof = level_profile(field)
+    prof = transplant_exit_time(model, grid)
     fstar = symmetrize_field(prof, model)
     s_R = ball_radius_from_volume(model, ball_area(m, R))
     deviation = check_equimeasurable(prof, fstar, model)
-    lhs, rhs = integral_identity_check(field, fstar, model)
+    lhs, rhs = integral_identity_check(prof, fstar, model)
     _write_csv(out / "symmetrized_profile.csv", ["rho", "fstar"],
                [fstar.grid, fstar.values])
     print(f"symmetrize {m.label} into {model.warping.label} R={R}")

@@ -35,7 +35,7 @@ Inverse power iteration reads its Rayleigh numerator off each step's
 solve, with no product with the flux matrix.
 ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
-and lambda_1.
+and lambda_1.  There is no field type: a level stays a solver vector.
 """
 
 from __future__ import annotations
@@ -155,40 +155,8 @@ class PolarGrid:
         return float(node_sum + self.boundary_area.sum() + self.center_area)
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Values on the ring nodes (rings[i-1] is the ring at radius i*dr)
-    plus one center value; theta is periodic with no seam column."""
-
-    grid: PolarGrid
-    center: float
-    rings: np.ndarray  # shape (n_r, n_theta); last row is the r = R ring
-
-    def __post_init__(self) -> None:
-        expected = (self.grid.n_r, self.grid.n_theta)
-        if self.rings.shape != expected:
-            raise ValueError(f"rings shape {self.rings.shape} != {expected}")
-
-    def integral(self) -> float:
-        """Area-weighted sum over the disk (boundary ring included)."""
-        g = self.grid
-        return float(
-            np.sum(self.rings[:-1] * g.node_area)
-            + np.sum(self.rings[-1] * g.boundary_area)
-            + self.center * g.center_area
-        )
-
-
 def make_grid(m: PolarMetric2D, R: float, n_r: int = 128, n_theta: int = 128) -> PolarGrid:
     return PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
-
-
-def field_from_function(grid: PolarGrid, fn) -> GridField:
-    """Sample fn(r, theta) on the grid's broadcast axes (fn must accept
-    arrays; its result is broadcast to the full rings)."""
-    rings = fn(grid.radii[1:, None], grid.thetas[None, :])
-    return GridField(grid=grid, center=float(fn(0.0, 0.0)),
-                     rings=np.array(np.broadcast_to(rings, (grid.n_r, grid.n_theta))))
 
 
 def _conductances(grid: PolarGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
-"""Schwarz symmetrization of grid fields into model spaces.
+"""Schwarz symmetrization of radial grid functions into model spaces.
 
-A field on a geodesic disk is rearranged into a radial non-increasing
-function on a model ball of equal volume; level-set volumes are preserved
-by construction, which is what the comparison statements consume.
+A non-increasing function of r on a polar grid, such as the transplanted
+exit time, is rearranged into a radial non-increasing function on a model
+ball of equal volume; level-set volumes are preserved by construction,
+which is what the comparison statements consume.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .hierarchy import radial_hierarchy
 from .model import ModelSpace, ball_radius_from_volume, ball_volume_model, balance_check
-from .pde import GridField, PolarGrid, field_from_function
+from .pde import PolarGrid
 from .surface import PolarMetric2D, ball_area, hypothesis_report
 
 PROFILE_NODES = 1025
@@ -92,36 +93,31 @@ class LevelSetProfile:
         return vols[idx]
 
 
-def _cell_values_and_areas(f: GridField):
-    grid = f.grid
-    vals = np.concatenate([[f.center], f.rings.reshape(-1)])
+def level_profile(grid: PolarGrid, center: float, rings: np.ndarray) -> LevelSetProfile:
+    """Superlevel volumes of a non-increasing function of r on grid, from
+    its center value and one value per ring (rings[i-1] at radius i*dr):
+    its superlevel sets are the center cell and the rings inside a radius,
+    so each volume is the running cell area, in ring order, at a ring's
+    end.  Runs of equal values merge; a rise is a ValueError."""
+    if np.shape(rings) != (grid.n_r,):
+        raise ValueError(f"rings shape {np.shape(rings)} != ({grid.n_r},)")
+    vals = np.append(center, rings)
+    if not np.all(vals >= 0):  # a NaN value fails too
+        raise NegativeFieldError("field has negative or NaN values")
     areas = np.concatenate(
         [[grid.center_area], grid.node_area.reshape(-1), grid.boundary_area]
     )
-    return vals, areas
-
-
-def level_profile(f: GridField) -> LevelSetProfile:
-    """Sort the cells of f's grid by value and accumulate their areas into
-    superlevel volumes."""
-    vals, areas = _cell_values_and_areas(f)
-    if not np.all(vals >= 0):  # a NaN value fails too
-        raise NegativeFieldError("field has negative or NaN values")
-    order = np.argsort(-vals, kind="stable")
-    v_sorted = vals[order]
-    a_sorted = areas[order]
-    uniq, start = np.unique(-v_sorted, return_index=True)
-    # cumulative area through the end of each tie group
-    cum = np.cumsum(a_sorted)
-    ends = np.concatenate([start[1:], [len(v_sorted)]]) - 1
+    # at the end of the center cell and of each ring
+    cum = np.cumsum(areas)[::grid.n_theta]
+    last = np.append(vals[1:] != vals[:-1], True)  # of each run of equal values
     return LevelSetProfile(
-        values=-uniq, volumes=cum[ends], total_volume=float(cum[-1])
+        values=vals[last], volumes=cum[last], total_volume=float(cum[-1])
     )
 
 
 def symmetrize_field(prof: LevelSetProfile, model: ModelSpace) -> RadialFunction:
     """Radial non-increasing rearrangement into the model space of the
-    field whose level-set profile is prof (``level_profile(f)``).
+    field whose level-set profile is prof (from ``level_profile``).
 
     The step profile (level value, symmetrized radius) is resampled with
     linear interpolation onto a uniform radial grid reaching the radius of
@@ -161,18 +157,19 @@ def check_equimeasurable(
     return float(np.max(np.abs(mu_field - mu_star)) / prof.total_volume)
 
 
-def transplant_exit_time(model: ModelSpace, grid: PolarGrid) -> GridField:
-    """Exit time of the model ball of radius grid.R read through the radial
-    coordinate of the grid."""
-    profile = radial_hierarchy(model, grid.R, 1).level(1)
-    return field_from_function(grid, lambda r, t: profile(r))
+def transplant_exit_time(model: ModelSpace, grid: PolarGrid) -> LevelSetProfile:
+    """Level-set profile of the exit time of the model ball of radius
+    grid.R read through the radial coordinate of the grid."""
+    exit_time = radial_hierarchy(model, grid.R, 1).level(1)
+    return level_profile(grid, float(exit_time(0.0)), exit_time(grid.radii[1:]))
 
 
 def integral_identity_check(
-    f: GridField, fstar: RadialFunction, model: ModelSpace
+    prof: LevelSetProfile, fstar: RadialFunction, model: ModelSpace
 ) -> tuple[float, float]:
-    """Disk integral of f versus the model-ball integral of its
-    symmetrization fstar (``symmetrize_field(level_profile(f), model)``).
+    """Disk integral of the field whose level-set profile is prof, as its
+    layer-cake sum, versus the model-ball integral of its symmetrization
+    fstar (``symmetrize_field(prof, model)``).
 
     Equimeasurable functions share all integrals, so the two must match up
     to grid error.  The model side is Simpson's rule on fstar's grid,
@@ -185,7 +182,9 @@ def integral_identity_check(
     rhs = model.sphere_constant * float(
         _simpson(fstar.values * wn, dx=spacing[0])
     )
-    return f.integral(), rhs
+    # each level value times the area of the cells that take it
+    lhs = float(np.sum(prof.values * np.diff(prof.volumes, prepend=0.0)))
+    return lhs, rhs
 
 
 def _simpson(y: np.ndarray, dx: float) -> np.float64:
@@ -225,7 +224,7 @@ def symmetrized_profile_comparison(
             "mean-curvature comparison has no uniform direction"
         )
     grid = PolarGrid(metric=m, R=R, n_r=COMPARISON_N_R, n_theta=COMPARISON_N_THETA)
-    fstar = symmetrize_field(level_profile(transplant_exit_time(model, grid)), model)
+    fstar = symmetrize_field(transplant_exit_time(model, grid), model)
     s = min(s_quad, fstar.radius)
     rho = np.linspace(0.0, s, PROFILE_NODES)
     model_profile = radial_hierarchy(model, s_quad, 1).level(1)

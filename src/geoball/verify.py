@@ -75,17 +75,6 @@ class VerificationReport:
         }
 
 
-def _sign(direction: str) -> float:
-    """+1 when model curvatures sit below the metric's, -1 when above."""
-    if direction in ("model<=M", "equal"):
-        return 1.0
-    if direction == "model>=M":
-        return -1.0
-    raise ComparisonPreconditionError(
-        "mean-curvature comparison has no uniform direction"
-    )
-
-
 _REVERSED = str.maketrans("<>", "><")
 
 
@@ -152,12 +141,13 @@ class VerificationContext:
         if direction_override not in (None, "model<=M", "model>=M"):
             raise ValueError("direction_override must be None, 'model<=M' or "
                              f"'model>=M', got {direction_override!r}")
+        grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
         hyp = hypothesis_report(m, model, R)
         if not hyp.uniform:
             raise ComparisonPreconditionError(
                 "mean-curvature comparison has no uniform direction"
             )
-        solver = HierarchySolver(PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta))
+        solver = HierarchySolver(grid)
         radii = sorted({R / 4, R / 2, float(R)})
         lengths, areas = _lengths_and_areas(m, radii)
         return cls(
@@ -173,7 +163,9 @@ class VerificationContext:
 
     @property
     def sign(self) -> float:
-        return _sign(self.direction)
+        """+1 when model curvatures sit below the metric's (or equal them),
+        -1 when above; ``build`` admits no other direction."""
+        return -1.0 if self.direction == "model>=M" else 1.0
 
     @property
     def tol(self) -> float:

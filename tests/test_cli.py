@@ -170,8 +170,7 @@ def test_cli_symmetrize_sorts_and_tabulates_once(tmp_path, monkeypatch):
             tables.append(1)
         return volume(m, r)
 
-    for module in (geoball.cli, geoball.symmetrize):
-        monkeypatch.setattr(module, "level_profile", counted_profile, raising=False)
+    monkeypatch.setattr(geoball.symmetrize, "level_profile", counted_profile)
     for module in (geoball.model, geoball.symmetrize):
         monkeypatch.setattr(module, "ball_volume_model", counted_volume)
     rc = main(["symmetrize", "--metric", "example1", "--model", "euclidean",
@@ -209,10 +208,10 @@ def test_cli_symmetrize(tmp_path, capsys):
     assert (tmp_path / "symmetrized_profile.csv").exists()
 
 
-# geoball symmetrize at 64^2, as the sort of every cell into level sets
-# printed and wrote it: the CSV's sha256, s(R), the equimeasurability
-# deviation, the integral identity's rhs and lhs, and the exit code (1: the
-# deviation is above the default --tol at this resolution)
+# geoball symmetrize at 64^2 as it was when level sets came from sorting
+# every cell: the CSV's sha256, s(R), the equimeasurability deviation, the
+# integral identity's rhs and lhs, and the exit code (1: the deviation is
+# above the default --tol at this resolution)
 SYMMETRIZE_PINS = {
     ("example1", "euclidean"): (
         "189f1fe8baedb983d4d3b4be3f223097d5249709ce92dcfef3d005ff327c4405",
@@ -237,6 +236,15 @@ def test_cli_symmetrize_output_is_pinned(metric, model, tmp_path, capsys):
     printed_lhs, printed_rhs = lines[3].removeprefix("integral_identity ").split()
     assert printed_rhs == f"rhs={rhs}"
     assert float(printed_lhs.removeprefix("lhs=")) == pytest.approx(lhs, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("flag,value", [("--nr", "3"), ("--ntheta", "7")])
+def test_cli_verify_refuses_a_bad_grid_before_the_hypothesis_scan(flag, value,
+                                                                  monkeypatch, capsys):
+    monkeypatch.setattr(geoball.verify, "hypothesis_report", None)
+    assert main(["verify", "--metric", "example1", "--model", "euclidean",
+                 "--radius", "1", flag, value]) == 2
+    assert "error: n_" in capsys.readouterr().err
 
 
 def test_cli_surface(tmp_path):

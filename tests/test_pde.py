@@ -15,13 +15,7 @@ import geoball
 from geoball.hierarchy import MomentSpectrum, radial_hierarchy
 from geoball import pde, verify
 from geoball.model import euclidean_profile, make_space_form, space_form_profile
-from geoball.pde import (
-    GridField,
-    HierarchySolver,
-    field_from_function,
-    lambda1_grid,
-    make_grid,
-)
+from geoball.pde import HierarchySolver, lambda1_grid, make_grid
 from geoball.surface import (
     MetricAuditError,
     PolarMetric2D,
@@ -89,29 +83,30 @@ def _full_pencil(grid):
             np.append(grid.center_area, grid.node_area))
 
 
-def _laplacian(f):
-    """The solver's stencil applied to f: its 2-D flux on the center and
-    rings 1..n_r-1, plus the flux from the r = R ring, over the cell
-    areas; the center value first, then the ring nodes row by row."""
-    flux, c_dirichlet, areas = _full_pencil(f.grid)
-    y = flux @ np.append(f.center, f.rings[:-1])
-    y[-f.grid.n_theta:] += c_dirichlet * f.rings[-1]
+def _laplacian(grid, center, rings):
+    """The solver's stencil applied to the field with value center at the
+    center and rings[i-1, j] at node j of ring i (rings has the shape
+    (n_r, n_theta); its last row is the r = R ring): its 2-D flux on the
+    center and rings 1..n_r-1, plus the flux from the r = R ring, over the
+    cell areas; the center value first, then the ring nodes row by row."""
+    flux, c_dirichlet, areas = _full_pencil(grid)
+    y = flux @ np.append(center, rings[:-1])
+    y[-grid.n_theta:] += c_dirichlet * rings[-1]
     return y / areas
 
 
-def _expanded_laplacian(f):
+def _expanded_laplacian(grid, center, rings):
     """The reference for the stencil: central differences of the
     coordinate form f_rr + (w_r/w) f_r + f_tt/w^2 - (w_t/w^3) f_t on the
     interior rings, and the flux balance of the center cell; laid out as
     ``_laplacian`` returns it."""
-    grid = f.grid
     m, dr, dt = grid.metric, grid.dr, grid.dtheta
     ntheta = grid.n_theta
-    vals = f.rings  # (n_r, n_theta)
+    vals = rings  # (n_r, n_theta)
     rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
     w = m.w(rr, tt)
     # rows 0..n_r-2 of `interior` are interior rings 1..n_r-1
-    below = np.vstack([np.full((1, ntheta), f.center), vals[:-2]])
+    below = np.vstack([np.full((1, ntheta), center), vals[:-2]])
     above = vals[1:]
     here = vals[:-1]
     f_r = (above - below) / (2 * dr)
@@ -125,45 +120,42 @@ def _expanded_laplacian(f):
         - m.jet(rr, tt).t / w**3 * f_t
     )
     w_face_r, _ = _face_weights(grid)
-    center = np.sum(w_face_r[0] * (vals[0] - f.center)) * dt / dr / grid.center_area
-    return np.append(center, interior)
+    balance = np.sum(w_face_r[0] * (vals[0] - center)) * dt / dr / grid.center_area
+    return np.append(balance, interior)
+
+
+def _ring_axes(grid):
+    """r and theta at every node of rings 1..n_r, shaped (n_r, n_theta)."""
+    return np.meshgrid(grid.radii[1:], grid.thetas, indexing="ij")
 
 
 def test_laplacian_of_r_squared(flat_grid):
-    f = field_from_function(flat_grid, lambda r, t: np.asarray(r) ** 2
-                            + 0.0 * np.asarray(t))
+    rr, _ = _ring_axes(flat_grid)
     for laplacian in (_laplacian, _expanded_laplacian):
-        lap = laplacian(f)
+        lap = laplacian(flat_grid, 0.0, rr**2)
         assert np.max(np.abs(lap[1:] - 4.0)) < 1e-10
         assert lap[0] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_laplacian_of_harmonic_polynomial(flat_grid):
-    f = field_from_function(
-        flat_grid, lambda r, t: np.asarray(r) ** 2 * np.cos(2 * np.asarray(t))
-    )
-    lap = _laplacian(f)
+    rr, tt = _ring_axes(flat_grid)
+    lap = _laplacian(flat_grid, 0.0, rr**2 * np.cos(2 * tt))
     assert np.max(np.abs(lap[1:])) < 5e-3
     assert abs(lap[0]) < 1e-12
 
 
 def test_laplacian_forms_agree(flat_grid):
-    f = field_from_function(
-        flat_grid,
-        lambda r, t: np.sin(np.asarray(r) * np.cos(np.asarray(t)))
-        * np.cos(np.asarray(r) * np.sin(np.asarray(t))),
-    )
-    assert np.max(np.abs(_laplacian(f)[1:] - _expanded_laplacian(f)[1:])) < 5e-3
+    rr, tt = _ring_axes(flat_grid)
+    f = (flat_grid, 0.0, np.sin(rr * np.cos(tt)) * np.cos(rr * np.sin(tt)))
+    assert np.max(np.abs(_laplacian(*f)[1:] - _expanded_laplacian(*f)[1:])) < 5e-3
 
 
 def test_laplacian_of_transplanted_exit_time_hyperbolic():
-    from geoball.symmetrize import transplant_exit_time
-
     model = make_space_form(-1.0, 2)
     m = radial_metric(space_form_profile(-1.0))
     grid = make_grid(m, 1.0, 128, 128)
-    f = transplant_exit_time(model, grid)
-    lap = _laplacian(f)
+    exit_time = radial_hierarchy(model, grid.R, 1).level(1)
+    lap = _laplacian(grid, float(exit_time(0.0)), exit_time(_ring_axes(grid)[0]))
     assert np.max(np.abs(lap[1:] + 1.0)) < 1e-3
     assert lap[0] == pytest.approx(-1.0, abs=1e-3)
 
@@ -176,7 +168,7 @@ def test_laplacian_convergence_order(flat):
     errs = []
     for n in (64, 128):
         g = make_grid(flat, 1.0, n, n)
-        lap = _laplacian(field_from_function(g, f))[1:].reshape(n - 1, n)
+        lap = _laplacian(g, f(0.0, 0.0), f(*_ring_axes(g)))[1:].reshape(n - 1, n)
         rr, tt = np.meshgrid(g.radii[1:-1], g.thetas, indexing="ij")
         e2 = (lap + 2 * f(rr, tt)) ** 2
         errs.append(math.sqrt(np.sum(e2 * g.node_area) / np.sum(g.node_area)))
@@ -193,11 +185,11 @@ def test_hierarchy_center_oracles(flat_grid):
 
 def test_hierarchy_nonnegative_interior_max(flat_grid):
     for x in HierarchySolver(flat_grid).hierarchy(3).levels:
-        v = _field_reference(flat_grid, x)
-        assert v.center >= 0
-        assert np.all(v.rings >= -1e-14)
+        center, rings = _field_reference(flat_grid, x)
+        assert center >= 0
+        assert np.all(rings >= -1e-14)
         # max away from the boundary
-        assert max(v.center, np.max(v.rings)) > np.max(v.rings[-2])
+        assert max(center, np.max(rings)) > np.max(rings[-2])
 
 
 def test_hierarchy_matches_radial_route():
@@ -208,9 +200,10 @@ def test_hierarchy_matches_radial_route():
     hier = radial_hierarchy(model, 1.0, 5)
     for k in range(1, 6):
         ref = hier.level(k)(grid.radii[1:])[:, None]
+        center, rings = fields[k - 1]
         err = max(
-            float(np.max(np.abs(ref - fields[k - 1].rings))),
-            abs(float(hier.level(k)(0.0)) - fields[k - 1].center),
+            float(np.max(np.abs(ref - rings))),
+            abs(float(hier.level(k)(0.0)) - center),
         )
         assert err < 1e-3
 
@@ -231,15 +224,16 @@ LEVEL_METRICS = pytest.mark.parametrize(
 
 
 def _field_reference(grid, x):
-    """A solver vector x as a GridField, node by node: x[0] at the center,
-    x[1 + i] (one value per ring) or x[1 + i * n_theta + j] (one per node)
-    at node j of ring i + 1, and zero on the Dirichlet ring."""
+    """A solver vector x as (center, rings), node by node: x[0] at the
+    center, x[1 + i] (one value per ring) or x[1 + i * n_theta + j] (one
+    per node) at rings[i, j], node j of ring i + 1, and zero on the
+    Dirichlet ring, rings[-1]."""
     per_ring = len(x) == grid.n_r
     rings = np.zeros((grid.n_r, grid.n_theta))
     for i in range(grid.n_r - 1):
         for j in range(grid.n_theta):
             rings[i, j] = x[1 + i] if per_ring else x[1 + i * grid.n_theta + j]
-    return GridField(grid=grid, center=float(x[0]), rings=rings)
+    return float(x[0]), rings
 
 
 @LEVEL_METRICS
@@ -249,25 +243,26 @@ def test_level_moments_are_the_expanded_fields_integrals(m):
     spec = hier.spectrum
     assert spec.normalized[0] == solver.grid.total_area()
     assert spec.radius == solver.grid.R
-    integrals = np.array([_field_reference(solver.grid, v).integral() for v in hier.levels])
+    # each node's value times its cell's area; the Dirichlet ring is zero
+    areas = _full_pencil(solver.grid)[2]
+    integrals = np.array([np.sum(np.append(center, rings[:-1]) * areas)
+                          for center, rings in (_field_reference(solver.grid, v)
+                                                for v in hier.levels)])
     assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
-def test_lambda1_grid_on_a_radial_grid_builds_no_field(curvature, monkeypatch):
-    grid = make_grid(radial_metric(space_form_profile(curvature)), 1.0, 64, 64)
-    built = []
-    init = GridField.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(GridField, "__init__", counted)
-    lambda1_grid(grid.metric, grid)
-    assert built == []
-    field_from_function(grid, lambda r, t: 0.0 * r)  # the counter counts
-    assert built == [1]
+def test_lambda1_grid_on_a_radial_grid_builds_no_field(curvature):
+    # the solver holds one value per ring of a radial grid, so lambda1_grid
+    # allocates less than one value per node of the grid would take
+    grid = make_grid(radial_metric(space_form_profile(curvature)), 1.0, 64, 1024)
+    tracemalloc.start()
+    try:
+        lambda1_grid(grid.metric, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.n_r * grid.n_theta
 
 
 def test_self_adjointness(flat_grid):
@@ -275,10 +270,10 @@ def test_self_adjointness(flat_grid):
     # in the area-weighted inner product
     areas = _full_pencil(flat_grid)[2]
     x, y = np.random.default_rng(11).standard_normal((2, len(areas)))
-    f, g = (GridField(flat_grid, v[0], np.append(v[1:], np.zeros(flat_grid.n_theta))
-                      .reshape(flat_grid.n_r, flat_grid.n_theta)) for v in (x, y))
-    lhs = float(np.sum(_laplacian(f) * y * areas))
-    rhs = float(np.sum(x * _laplacian(g) * areas))
+    f, g = ((flat_grid, v[0], np.append(v[1:], np.zeros(flat_grid.n_theta))
+             .reshape(flat_grid.n_r, flat_grid.n_theta)) for v in (x, y))
+    lhs = float(np.sum(_laplacian(*f) * y * areas))
+    rhs = float(np.sum(x * _laplacian(*g) * areas))
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -1018,11 +1013,7 @@ def test_compact_w_results_give_full_grid_arrays(flat):
     solver, ref_solver = HierarchySolver(grid), HierarchySolver(ref)
     assert solver.flux.shape == (16, 16)
     assert np.array_equal(solver.hierarchy(1).levels, ref_solver.hierarchy(1).levels)
-    f = field_from_function(grid, lambda r, t: np.asarray(r) - 0.5)
-    assert f.rings.shape == (16, 12) and f.center == -0.5
-    assert np.array_equal(f.rings, np.repeat(grid.radii[1:, None] - 0.5, 12, axis=1))
-    f.rings[0, 0] = 1.0  # a field's rings are its own, writable array
-    assert np.max(np.abs(_laplacian(field_from_function(grid, lambda r, t: 3.0)))) <= 1e-10
+    assert np.max(np.abs(_laplacian(grid, 3.0, np.full((16, 12), 3.0)))) <= 1e-10
     # a non-finite compact sample is named at its first (r, theta) of the
     # full grid in row-major order
     object.__setattr__(m, "w", lambda r, t: np.where(r == 0.3125, np.nan, r))
@@ -1035,7 +1026,3 @@ def test_grid_metric_mismatch_rejected(flat_grid):
     with pytest.raises(ValueError):
         lambda1_grid(ex, flat_grid)
 
-
-def test_gridfield_shape_checked(flat_grid):
-    with pytest.raises(ValueError):
-        GridField(grid=flat_grid, center=0.0, rings=np.zeros((3, 3)))

@@ -220,14 +220,6 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
     assert (sum(map(len, builds)), len(transplants)) == (2, 0)
 
 
-def test_report_expands_only_its_pointwise_levels(example, flat_model, monkeypatch):
-    # the 24 levels stay solver vectors, and the pointwise entries
-    # k = 1..k_max read theirs directly: no level is expanded to a field
-    built = _count_calls(monkeypatch, pde.GridField, "__init__")
-    run_verification(example, flat_model, 1.0, n_r=32, n_theta=32, k_max=3)
-    assert built == []
-
-
 @pytest.mark.parametrize("override", [None, "model>=M"])
 @pytest.mark.parametrize("k_max", [4, 5])
 def test_one_pointwise_entry_per_level_per_report(example, flat_model, monkeypatch,
@@ -245,13 +237,13 @@ def test_one_pointwise_entry_per_level_per_report(example, flat_model, monkeypat
 
 def _expanded_pointwise_entry(ctx, k):
     """The pointwise entry of level k as read from the grid level expanded
-    to a GridField, ring by ring."""
+    to (center, rings), ring by ring."""
     level = ctx.model_hierarchy.level(k)
     grid = ctx.grid_hierarchy.solver.grid
-    f = _field_reference(grid, ctx.grid_hierarchy.levels[k - 1])
+    center, rings = _field_reference(grid, ctx.grid_hierarchy.levels[k - 1])
     top = float(level(0.0))
-    gap = ctx.sign * (level(grid.radii[1:-1])[:, None] - f.rings[:-1])
-    worst = min(float(gap.min()), ctx.sign * (top - f.center))
+    gap = ctx.sign * (level(grid.radii[1:-1])[:, None] - rings[:-1])
+    worst = min(float(gap.min()), ctx.sign * (top - center))
     return verify._entry(ctx, "pointwise", "transplant >= grid", ctx.sign * worst,
                          0.0, scale=top)
 
