@@ -102,13 +102,12 @@ def _expanded_laplacian(grid, center, rings):
     ``_laplacian`` returns it."""
     m, dr, dt = grid.metric, grid.dr, grid.dtheta
     ntheta = grid.n_theta
-    vals = rings  # (n_r, n_theta)
     rr, tt = np.meshgrid(grid.radii[1:-1], grid.thetas, indexing="ij")
     w = m.w(rr, tt)
     # rows 0..n_r-2 of `interior` are interior rings 1..n_r-1
-    below = np.vstack([np.full((1, ntheta), center), vals[:-2]])
-    above = vals[1:]
-    here = vals[:-1]
+    below = np.vstack([np.full((1, ntheta), center), rings[:-2]])
+    above = rings[1:]
+    here = rings[:-1]
     f_r = (above - below) / (2 * dr)
     f_rr = (above - 2 * here + below) / dr**2
     f_t = (np.roll(here, -1, axis=1) - np.roll(here, 1, axis=1)) / (2 * dt)
@@ -120,7 +119,7 @@ def _expanded_laplacian(grid, center, rings):
         - m.jet(rr, tt).t / w**3 * f_t
     )
     w_face_r, _ = _face_weights(grid)
-    balance = np.sum(w_face_r[0] * (vals[0] - center)) * dt / dr / grid.center_area
+    balance = np.sum(w_face_r[0] * (rings[0] - center)) * dt / dr / grid.center_area
     return np.append(balance, interior)
 
 
