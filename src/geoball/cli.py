@@ -33,7 +33,6 @@ from .surface import (
     _lengths_and_areas,
     ball_area,
     gauss_curvature,
-    hypothesis_report,
     perturbed_flat_metric,
     radial_metric,
     sphere_mean_curvature,
@@ -206,14 +205,10 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     m = parse_metric_expr(args.metric)
     model = ModelSpace(warping=parse_warping_expr(args.model), dim=2)
-    override = None
-    if args.flip_direction:
-        hyp = hypothesis_report(m, model, args.radius)
-        override = "model>=M" if hyp.direction in ("model<=M", "equal") else "model<=M"
     report = run_verification(
         m, model, args.radius,
         n_r=args.nr, n_theta=args.ntheta, k_max=args.kmax,
-        direction_override=override,
+        direction_override="reversed" if args.flip_direction else None,
     )
     out = _output_dir(args.output)
     with open(out / "verification.json", "w") as fh:

@@ -23,8 +23,13 @@ everything the solver is asked for lives in Fourier mode 0 (see
 ``HierarchySolver``), and its pencil is the same stencil on one angle: one
 tridiagonal system over the center and the rings, the k = 0 system of the
 classical fast Poisson solver on a disk (Buzbee, Golub & Nielson 1970),
-factored as LDL^T (Golub & Van Loan, Matrix Computations, 4.3.6).  Any
-other metric takes SuperLU on the whole 2-D pencil.  Each hierarchy level
+factored as LDL^T (Golub & Van Loan, Matrix Computations, 4.3.6).  When
+the samples are instead invariant under a dihedral group D_c about the
+pole (example1 has D_2, perturbed(eps, mode) D_{2 mode}), so is everything
+the solver is asked for, and it takes SuperLU on the sector [0, pi/c]:
+the same stencil on the sector's n_theta/(2c) + 1 angles, weighted by the
+sizes of their orbits.  A metric with neither symmetry takes SuperLU on
+the whole 2-D pencil.  Each hierarchy level
 is one direct solve, checked by its normwise backward error against the
 solver's flux matrix: one sparse product per block of levels of at most
 GATE_BLOCK entries (all 24 levels of a radial grid of up to 2,730 rings
@@ -65,6 +70,10 @@ POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
 # largest relative gap between the moment-ratio and power eigenvalues
 AGREEMENT_TOL = 0.05
+# largest relative gap between a grid sample and its value at its orbit's
+# angle under a dihedral symmetry of the grid; on example1 and
+# perturbed(eps, mode) at 24^2-512^2 the gaps are <= 9.7e-16
+SYMMETRY_TOL = 1e-14
 # most flux patterns held at once, one per grid shape.  A pattern pays off
 # only when its shape comes back within a process: a report, lambda1_grid
 # and each CLI command build one shape, so one is held (15 MiB at 512^2)
@@ -259,6 +268,38 @@ class _TridiagonalFactor:
         return np.negative(x, out=x)
 
 
+def _dihedral_order(n_theta: int, c_radial: np.ndarray, c_angular: np.ndarray,
+                    node_area: np.ndarray) -> int:
+    """Largest c with 2c | n_theta such that the radial conductances and
+    node areas (node columns) and the angular conductances (face columns)
+    are invariant under the dihedral group D_c about the pole, generated by
+    the reflection (node j to -j, face j to n_theta-1-j) and the rotation
+    by n_theta/c columns; 0 when not even the reflection is a symmetry.
+    Invariant means that each sample is within SYMMETRY_TOL relative of
+    its value at its orbit's angle in the sector 0..q, q = n_theta/(2c):
+    node j's is min(r, 2q - r) and face j's min(r, 2q - 1 - r), with
+    r = j mod 2q.  A one-column sample is invariant under every map."""
+    j = np.arange(n_theta)
+
+    def invariant(node_cols: np.ndarray, face_cols: np.ndarray,
+                  rows: slice = slice(None)) -> bool:
+        return all(a.shape[1] == 1
+                   or np.all(np.abs(a[rows, cols] - a[rows]) <= SYMMETRY_TOL * np.abs(a[rows]))
+                   for a, cols in ((c_radial, node_cols), (node_area, node_cols),
+                                   (c_angular, face_cols)))
+
+    for c in range(n_theta // 2, 0, -1):
+        if n_theta % (2 * c) == 0:
+            q = n_theta // (2 * c)
+            r = j % (2 * q)
+            nodes, faces = np.minimum(r, 2 * q - r), np.minimum(r, 2 * q - 1 - r)
+            # the outermost row of each sample rules out most groups at the
+            # cost of one row
+            if invariant(nodes, faces, slice(-1, None)) and invariant(nodes, faces):
+                return c
+    return 0
+
+
 class HierarchySolver:
     """Direct solver for the Dirichlet Poisson hierarchy on a grid.
 
@@ -290,21 +331,49 @@ class HierarchySolver:
     -flux is then positive definite and factored as LDL^T by LAPACK
     (``_TridiagonalFactor``).
 
-    Otherwise ``flux`` is A over every node, factored by SuperLU in a
-    minimum-degree ordering of A^T + A, which suits its symmetric 5-point
-    pattern.  Either way a level's moment is ``areas @ level``.
+    Otherwise, when the conductances and node areas are invariant to
+    SYMMETRY_TOL under the dihedral group D_c about the pole (see
+    ``_dihedral_order``, which finds the largest c with 2c | n_theta), so
+    are v_0 = 1, every level and the first eigenfunction, which is simple
+    and positive: the solver keeps the invariant subspace, P^T A P and
+    P^T D P with P the expansion from the sector's angles 0..q,
+    q = n_theta/(2c).  That is the same stencil on q + 1 angles, with each
+    node's radial conductances and area times the size of its orbit (c on
+    the two mirror angles, 2c between them), each angular face times 2c
+    and the wrap face from angle q to angle 0 cut; a vector holds
+    q + 1 values per ring.  The folded pencil keeps the full pencil's
+    smallest eigenvalue.
+
+    ``flux``, over every node of a metric with neither symmetry, or over
+    the sector's, is factored by SuperLU in a minimum-degree ordering of
+    A^T + A, which suits its symmetric 5-point pattern.  Every route's
+    moment of a level is ``areas @ level``, and its divergence gap and
+    backward error are taken on its own ``flux``.
     """
 
     def __init__(self, grid: PolarGrid):
         self.grid = grid
         c_radial, c_angular = _conductances(grid)
-        n_theta, node_area = grid.n_theta, grid.node_area
+        n_theta = grid.n_theta
         radial = c_radial.shape[1] == c_angular.shape[1] == grid._node_area.shape[1] == 1
+        # orbit sizes of the angles the solver keeps and of the angular
+        # faces from each to the next
         if radial:
             # on one angle a ring's angular face joins it to itself and
             # carries no flux: the pencil is tridiagonal
-            c_radial, c_angular = n_theta * c_radial, np.zeros_like(c_angular)
-            n_theta, node_area = 1, n_theta * grid._node_area
+            weight, face_weight = np.array([float(n_theta)]), np.zeros(1)
+        elif c := _dihedral_order(n_theta, c_radial, c_angular, grid._node_area):
+            # the sector's angles 0..q; its wrap face from q to 0 is cut
+            q = n_theta // (2 * c)
+            weight = np.full(q + 1, 2.0 * c)
+            weight[[0, -1]] = c  # the mirror angles
+            face_weight = np.append(np.full(q, 2.0 * c), 0.0)
+        else:
+            weight = face_weight = np.ones(n_theta)
+        n_theta = len(weight)
+        c_radial = weight * c_radial[:, :n_theta]
+        c_angular = face_weight * c_angular[:, :n_theta]
+        node_area = weight * grid._node_area[:, :n_theta]
         self.flux = flux = _assemble_flux(c_radial, c_angular, n_theta)
         # c_D: conductances of the last ring's faces to the Dirichlet ring
         self._c_dirichlet = np.broadcast_to(c_radial[-1], (n_theta,))

@@ -133,20 +133,25 @@ class VerificationContext:
         k_max: int = 5,
         direction_override: str | None = None,
     ) -> "VerificationContext":
-        """direction_override forces the asserted inequality direction
-        ('model<=M' or 'model>=M'; any other value is a ValueError).  Raises
-        ComparisonPreconditionError when the hypothesis has no uniform direction."""
+        """direction_override forces the asserted inequality direction:
+        'model<=M' or 'model>=M', or 'reversed' for the opposite of the
+        hypothesis scan's ('model>=M' when it reads 'equal'); any other
+        value is a ValueError.  Raises ComparisonPreconditionError when the
+        hypothesis has no uniform direction."""
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if direction_override not in (None, "model<=M", "model>=M"):
-            raise ValueError("direction_override must be None, 'model<=M' or "
-                             f"'model>=M', got {direction_override!r}")
+        if direction_override not in (None, "model<=M", "model>=M", "reversed"):
+            raise ValueError("direction_override must be None, 'model<=M', "
+                             f"'model>=M' or 'reversed', got {direction_override!r}")
         grid = PolarGrid(metric=m, R=R, n_r=n_r, n_theta=n_theta)
         hyp = hypothesis_report(m, model, R)
         if not hyp.uniform:
             raise ComparisonPreconditionError(
                 "mean-curvature comparison has no uniform direction"
             )
+        if direction_override == "reversed":
+            direction_override = ("model<=M" if hyp.direction == "model>=M"
+                                  else "model>=M")
         solver = HierarchySolver(grid)
         radii = sorted({R / 4, R / 2, float(R)})
         lengths, areas = _lengths_and_areas(m, radii)
@@ -186,8 +191,10 @@ def _pointwise_entry(ctx: VerificationContext, k: int, name: str,
     """Worst gap, in the asserted direction, between the transplanted model
     level v_k and the grid level v_k over the center and the interior
     rings (the least for model<=M, the largest for model>=M), normalized by
-    the model's v_k(0).  A radial grid's level holds one column of ring
-    values, which broadcasts against the model's."""
+    the model's v_k(0).  A level holds one value per ring of a radial grid
+    and one per angle of the sector a symmetric grid is solved on; each
+    broadcasts against the model's ring values, and the extreme over an
+    orbit of nodes is its representative's value."""
     level, v = ctx.model_hierarchy.level(k), ctx.grid_hierarchy.levels[k - 1]
     top = float(level(0.0))
     grid = ctx.grid_hierarchy.solver.grid
@@ -287,8 +294,9 @@ def run_verification(
     direction_override: str | None = None,
 ) -> VerificationReport:
     """Full harness.  direction_override forces the asserted inequality
-    direction ('model<=M' or 'model>=M'); it exists as a negative control
-    and must make a healthy run fail."""
+    direction ('model<=M', 'model>=M' or 'reversed', as
+    ``VerificationContext.build`` reads it); it exists as a negative
+    control and must make a healthy run fail."""
     ctx = VerificationContext.build(m, model, R, n_r, n_theta, k_max,
                                     direction_override)
     entries: list[Entry] = [verify_mean_exit(ctx)]

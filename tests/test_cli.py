@@ -247,6 +247,26 @@ def test_cli_verify_refuses_a_bad_grid_before_the_hypothesis_scan(flag, value,
     assert "error: n_" in capsys.readouterr().err
 
 
+def test_cli_flipped_verify_scans_the_hypothesis_once(tmp_path, monkeypatch):
+    scans, scan = [], geoball.verify.hypothesis_report
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    for module in (geoball.cli, geoball.verify):
+        monkeypatch.setattr(module, "hypothesis_report", counting, raising=False)
+    argv = ["verify", "--metric", "example1", "--model", "euclidean", "--radius", "1",
+            "--flip-direction", "--output", str(tmp_path)]
+    assert main(argv + ["--nr", "16", "--ntheta", "16"]) == 1
+    doc = json.loads((tmp_path / "verification.json").read_text())
+    assert doc["hypothesis"]["direction"] == "model>=M"
+    assert len(scans) == 1
+    # a bad grid is refused before any scan
+    assert main(argv + ["--nr", "3"]) == 2
+    assert len(scans) == 1
+
+
 def test_cli_surface(tmp_path):
     code = main([
         "surface", "--metric", "radial(euclidean)", "--radius", "2",

@@ -222,16 +222,27 @@ LEVEL_METRICS = pytest.mark.parametrize(
           builtin_example_metric()], ids=["flat", "hyperbolic", "example1"])
 
 
+def _orbit_angles(grid, m):
+    """For each angle j of the grid, the angle of a solver vector with m
+    values per ring that holds its node's value: 0 for one value per ring,
+    j for one per node, and on a sector of the dihedral group D_c (the
+    angles 0..q, m = q + 1, n_theta = 2cq) the angle of j's orbit there:
+    the rotation by 2q columns and the reflection j -> -j take j to
+    min(j mod 2q, 2q - j mod 2q)."""
+    if m in (1, grid.n_theta):
+        return [0 if m == 1 else j for j in range(grid.n_theta)]
+    q = m - 1
+    return [min(j % (2 * q), 2 * q - j % (2 * q)) for j in range(grid.n_theta)]
+
+
 def _field_reference(grid, x):
     """A solver vector x as (center, rings), node by node: x[0] at the
-    center, x[1 + i] (one value per ring) or x[1 + i * n_theta + j] (one
-    per node) at rings[i, j], node j of ring i + 1, and zero on the
-    Dirichlet ring, rings[-1]."""
-    per_ring = len(x) == grid.n_r
+    center, x[1 + i * m + s] at rings[i, j], node j of ring i + 1, where x
+    holds m values per ring and s is j's angle among them
+    (``_orbit_angles``), and zero on the Dirichlet ring, rings[-1]."""
+    m = (len(x) - 1) // (grid.n_r - 1)
     rings = np.zeros((grid.n_r, grid.n_theta))
-    for i in range(grid.n_r - 1):
-        for j in range(grid.n_theta):
-            rings[i, j] = x[1 + i] if per_ring else x[1 + i * grid.n_theta + j]
+    rings[:-1] = x[1:].reshape(grid.n_r - 1, m)[:, _orbit_angles(grid, m)]
     return float(x[0]), rings
 
 
@@ -307,11 +318,18 @@ def _loop_flux(grid):
 
 
 def test_vectorized_flux_matches_loop_assembly():
+    # example1 folds onto the sector [0, pi/2]: its flux and areas are
+    # P^T A P and P^T D P of the loop assembly A and the cell areas D
     grid = make_grid(builtin_example_metric(), 1.0, 16, 12)
-    flux = HierarchySolver(grid).flux
-    ref = _loop_flux(grid)
+    solver = HierarchySolver(grid)
+    flux = solver.flux
+    p = np.column_stack([_expand(grid, e) for e in np.eye(1 + 15 * 4)])
+    ref = p.T @ _loop_flux(grid) @ p
+    assert flux.shape == ref.shape == (1 + 15 * 4,) * 2
     assert np.all(np.abs(flux.toarray() - ref) <= 1e-14 * np.abs(ref))
     assert (flux != flux.T).nnz == 0
+    areas = p.T @ _full_pencil(grid)[2]
+    assert np.all(np.abs(solver.areas - areas) <= 1e-14 * areas)
 
 
 def _assemble_flux_reference(c_radial, c_angular, n_theta):
@@ -404,23 +422,29 @@ def test_pattern_cache_is_bounded_and_rebuilds_an_evicted_shape():
 
 
 def _expand(grid, x):
-    """P x: the ring values x (center first) repeated along theta."""
-    return np.concatenate([x[:1], np.repeat(x[1:], grid.n_theta)])
+    """P x: a solver vector (center first) expanded to the center and every
+    node of rings 1..n_r-1, as the full 2-D pencil orders them; ring values
+    are repeated along theta."""
+    center, rings = _field_reference(grid, x)
+    return np.append(center, rings[:-1])
 
 
-class _FullPencilSolver(HierarchySolver):
+class _UnfoldedSolver(HierarchySolver):
     """HierarchySolver on the full 2-D pencil of its grid: the flux matrix
     over every node and the cell areas, factored by the general route's
-    sparse LU, whatever the grid's symmetry.  Inverse power iteration
-    starts from P x_0, the expansion of the radial solver's start vector,
-    so on a radial grid both iterate the same sequence in exact
-    arithmetic."""
+    sparse LU, whatever the grid's symmetry."""
 
     def __init__(self, grid):
         self.grid = grid
         self.flux, self._c_dirichlet, self.areas = _full_pencil(grid)
         self._flux_norm = float(np.max(np.abs(self.flux).sum(axis=1)))
         self._lu = splu(self.flux, permc_spec="MMD_AT_PLUS_A")
+
+
+class _FullPencilSolver(_UnfoldedSolver):
+    """_UnfoldedSolver whose inverse power iteration starts from P x_0,
+    the expansion of the radial solver's start vector, so on a radial grid
+    both iterate the same sequence in exact arithmetic."""
 
     def smallest_eigenvalue(self):
         x = _expand(self.grid, np.random.default_rng(7).standard_normal(self.grid.n_r))
@@ -433,6 +457,15 @@ class _FullPencilSolver(HierarchySolver):
                 return lam
             lam_prev, x = lam, y
         raise pde.ResolutionError("inverse power iteration did not converge")
+
+
+def _asymmetric_metric():
+    """w = r + 0.3 r^3 (1 + 0.5 cos(theta) + 0.2 sin(2 theta)): no
+    reflection of the grid maps its samples to themselves, so the solver
+    keeps every node."""
+    return PolarMetric2D(
+        w=lambda r, t: r + 0.3 * r**3 * (1.0 + 0.5 * np.cos(t) + 0.2 * np.sin(2 * t)),
+        R_valid=10.0, label="asymmetric")
 
 
 def _rel_err(a, b):
@@ -489,14 +522,15 @@ def test_theta_varying_areas_take_the_sparse_lu():
     grid = make_grid(_node_only_metric(), 1.0, 16, 12)
     solver = HierarchySolver(grid)
     # the face samples are constant along every ring and kept as one
-    # column each; the node samples are not
+    # column each; the node samples are not, but have cos(6 theta)'s D_6
+    # symmetry, so the solver keeps the sector [0, pi/6], two angles
     c_radial, c_angular = pde._conductances(grid)
     assert c_radial.shape[1] == c_angular.shape[1] == 1
     assert grid._node_area.shape[1] == 12
-    assert solver._lu.shape == solver.flux.shape
+    assert solver._lu.shape == solver.flux.shape == (1 + 15 * 2,) * 2
     ref = HierarchySolver(make_grid(radial_metric(euclidean_profile()), 1.0, 16, 12))
     for v, v_ref in zip(solver.hierarchy(3).levels, ref.hierarchy(3).levels):
-        assert _rel_err(v, _expand(grid, v_ref)) <= 1e-10
+        assert _rel_err(_expand(grid, v), _expand(grid, v_ref)) <= 1e-10
 
 
 def test_radial_pencil_only_for_theta_independent_grids(flat):
@@ -505,6 +539,74 @@ def test_radial_pencil_only_for_theta_independent_grids(flat):
     for m in (builtin_example_metric(), _almost_flat_metric()):
         solver = HierarchySolver(make_grid(m, 1.0, 16, 12))
         assert solver._lu.shape == solver.flux.shape
+
+
+def _dihedral_order(grid):
+    return pde._dihedral_order(grid.n_theta, *pde._conductances(grid), grid._node_area)
+
+
+# (metric, n_r, n_theta, c): the largest dihedral group D_c with 2c | n_theta
+# that maps the grid's samples to themselves
+@pytest.mark.parametrize("m,n_r,n_theta,c", [
+    (builtin_example_metric(), 16, 12, 2),
+    (builtin_example_metric(), 16, 18, 1),  # D_2, but 4 does not divide 18
+    (perturbed_flat_metric(0.5, 4), 16, 16, 8),
+    (perturbed_flat_metric(0.5, 4), 16, 12, 2),  # D_8's subgroup D_2: 2c | 12
+    (perturbed_flat_metric(0.123456, 3), 9, 24, 6),
+    (_node_only_metric(), 16, 12, 6),
+], ids=["example1-12", "example1-18", "perturbed4-16", "perturbed4-12",
+        "perturbed3-24", "node-only-12"])
+def test_sector_solve_matches_the_full_grid(m, n_r, n_theta, c):
+    grid = make_grid(m, 1.0, n_r, n_theta)
+    solver, full = HierarchySolver(grid), _UnfoldedSolver(grid)
+    assert _dihedral_order(grid) == c
+    assert solver.flux.shape == (1 + (n_r - 1) * (n_theta // (2 * c) + 1),) * 2
+    hier, ref = solver.hierarchy(24), full.hierarchy(24)
+    for v, v_ref in zip(hier.levels, ref.levels):
+        assert _rel_err(_expand(grid, v), v_ref) <= 1e-11
+    a, a_ref = hier.spectrum.normalized, ref.spectrum.normalized
+    assert a[0] == a_ref[0] and np.all(np.abs(a[1:] - a_ref[1:]) <= 1e-11 * a_ref[1:])
+    # the first eigenfunction is invariant, so the sector's pencil keeps
+    # the full pencil's smallest eigenvalue
+    lam, lam_full = (eigh(-s.flux.toarray(), np.diag(s.areas), eigvals_only=True,
+                          subset_by_index=[0, 0])[0] for s in (solver, full))
+    assert lam == pytest.approx(lam_full, rel=1e-12, abs=0)
+    assert solver.smallest_eigenvalue() == pytest.approx(lam_full, rel=pde.POWER_TOL)
+
+
+@pytest.mark.parametrize("m,angles", [(builtin_example_metric(), 17),
+                                      (perturbed_flat_metric(0.5, 4), 5)],
+                         ids=lambda x: getattr(x, "label", x))
+def test_symmetric_metrics_solve_on_their_sector(m, angles):
+    # example1 (D_2) keeps [0, pi/2] and perturbed(0.5, 4) (D_8) [0, pi/8]
+    grid = make_grid(m, 1.0, 64, 64)
+    solver = HierarchySolver(grid)
+    assert solver.flux.shape == solver._lu.shape == (1 + 63 * angles,) * 2
+    assert len(solver.areas) == 1 + 63 * angles
+    full = _UnfoldedSolver(grid)
+    for v, v_ref in zip(solver.hierarchy(24).levels, full.hierarchy(24).levels):
+        assert _rel_err(_expand(grid, v), v_ref) <= 1e-11
+
+
+@pytest.mark.parametrize("m", [
+    _asymmetric_metric(),
+    # off its reflection by 2e-12 relative, 200 times SYMMETRY_TOL
+    PolarMetric2D(w=lambda r, t: r * (1.0 + 1e-12 * np.sin(t)), R_valid=10.0,
+                  label="nearly-symmetric")], ids=lambda m: m.label)
+def test_metric_without_symmetry_keeps_every_node(m):
+    # no reflection maps the samples to themselves: the solver is the
+    # full 2-D pencil's, bit for bit
+    grid = make_grid(m, 1.0, 32, 32)
+    assert _dihedral_order(grid) == 0
+    solver, ref = HierarchySolver(grid), _UnfoldedSolver(grid)
+    for a, b in ((solver.flux.data, ref.flux.data), (solver.flux.indices, ref.flux.indices),
+                 (solver.flux.indptr, ref.flux.indptr), (solver.areas, ref.areas),
+                 (solver._c_dirichlet, ref._c_dirichlet)):
+        assert np.array_equal(a, b)
+    hier, ref_hier = solver.hierarchy(24), ref.hierarchy(24)
+    assert np.array_equal(hier.levels, ref_hier.levels)
+    assert np.array_equal(hier.spectrum.normalized, ref_hier.spectrum.normalized)
+    assert hier.lambda1() == ref_hier.lambda1()
 
 
 class _CountingFactor:
@@ -678,12 +780,14 @@ def _reference_backward_error(solver, x, rhs):
 @pytest.mark.parametrize("m,n,k_max", [
     (radial_metric(euclidean_profile()), 384, 24),
     (radial_metric(space_form_profile(-1.0)), 384, 24),
-    (builtin_example_metric(), 64, 24),  # blocks of 16 levels: 16 + 8
-    (builtin_example_metric(), 128, 24),
-    (builtin_example_metric(), 128, 23),  # blocks of 4 levels: 5 x 4 + 3
+    (builtin_example_metric(), 64, 24),  # on its sector: one block
+    (builtin_example_metric(), 128, 24),  # on its sector: blocks of 15 levels, 15 + 9
+    (builtin_example_metric(), 128, 23),
     (perturbed_flat_metric(0.5, 4), 128, 24),
+    (_asymmetric_metric(), 64, 24),  # every node: blocks of 16 levels, 16 + 8
+    (_asymmetric_metric(), 128, 23),  # every node: blocks of 4 levels, 5 x 4 + 3
 ], ids=["flat-384", "hyperbolic-384", "example1-64", "example1-128",
-        "example1-128-k23", "perturbed-128"])
+        "example1-128-k23", "perturbed-128", "asymmetric-64", "asymmetric-128-k23"])
 def test_block_gate_equals_the_per_level_reference(m, n, k_max):
     solver = HierarchySolver(make_grid(m, 1.0, n, n))
     gated, gate = [], solver._backward_errors
@@ -748,8 +852,10 @@ def test_divergence_gap_names_a_scaled_level(m, n):
     solved.clear()
     solver._backward_errors = lambda levels, start, stop: np.zeros(stop - start)
     with pytest.raises(pde.ResolutionError,
-                       match=r"divergence gap 1\.0000\d*e-06 too large at level 5$"):
+                       match=r"divergence gap \S+ too large at level 5$") as info:
         solver.hierarchy(6)
+    gap = float(str(info.value).split()[2])
+    assert abs(gap - 1e-6) <= 1e-10
 
 
 @pytest.mark.parametrize("m", [radial_metric(euclidean_profile()), builtin_example_metric()],
@@ -786,7 +892,7 @@ def test_radial_gate_is_one_sparse_product(flat):
 
 
 def test_gate_products_and_memory_are_bounded_by_the_block():
-    solver = HierarchySolver(make_grid(builtin_example_metric(), 1.0, 128, 128))
+    solver = HierarchySolver(make_grid(_asymmetric_metric(), 1.0, 128, 128))
     solver.flux = counting = _CountingFlux(solver.flux)
     n, k_max = len(solver.areas), pde.LAMBDA1_LEVELS
     solver.hierarchy(k_max)
