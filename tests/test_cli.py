@@ -238,6 +238,41 @@ def test_cli_symmetrize_output_is_pinned(metric, model, tmp_path, capsys):
     assert float(printed_lhs.removeprefix("lhs=")) == pytest.approx(lhs, rel=1e-13, abs=0)
 
 
+# sha256 of every CSV that geoball surface (64^2, R = 1) and geoball model
+# (hyperbolic(1), dim 3, R = 1, default --kmax and --grid) write, as the
+# per-cell "%.17g" writer wrote them
+CSV_PINS = {
+    ("surface", "example1"): {
+        "surface_curvature.csv":
+            "e4f8b1881e4b593c2fff0b8e353bbefe436b033c82cff3d2563f41420f548208",
+        "surface_volumes.csv":
+            "d59f5da4d3eeb7870ef4895bce2b221f121453e531602b71f3f37437dc3f8ad8"},
+    ("surface", "perturbed(0.5,4)"): {
+        "surface_curvature.csv":
+            "3e360237eca2eae50550f900b32d451edb6d832e26b0ae27f1d8273574196e28",
+        "surface_volumes.csv":
+            "124b2712df270a6761ff5da0fd219e911fa93b8ced26a11938266df481c39a3b"},
+    ("model", "hyperbolic(1)"): {
+        "model_profile.csv":
+            "a5c934eb9a1781e0d212d8dd09ef9574e2882ab7dde8438727ad1f0180d4c485",
+        "model_moments.csv":
+            "3a3abcbbd087d026b78a5840d122ca6ed46fe2971529d9b73fdf8e20f9a7b396",
+        "model_ratios.csv":
+            "16076efcd1f7d4547fdeb75592c89ac161d6ce78d369e05350b36f84aae08ca0"},
+}
+
+
+@pytest.mark.parametrize("command,expr", list(CSV_PINS))
+def test_cli_csv_output_is_pinned(command, expr, tmp_path):
+    if command == "surface":
+        argv = ["surface", "--metric", expr, "--nr", "64", "--ntheta", "64"]
+    else:
+        argv = ["model", "--warping", expr, "--dim", "3"]
+    assert main(argv + ["--radius", "1", "--output", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.glob("*.csv")} == CSV_PINS[command, expr]
+
+
 @pytest.mark.parametrize("flag,value", [("--nr", "3"), ("--ntheta", "7")])
 def test_cli_verify_refuses_a_bad_grid_before_the_hypothesis_scan(flag, value,
                                                                   monkeypatch, capsys):
