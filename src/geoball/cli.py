@@ -148,10 +148,18 @@ def _output_dir(arg: str | None) -> Path:
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """The bytes np.savetxt writes with fmt=FLOAT_FMT, delimiter="," and
-    the header line, formatted in one pass over the whole table."""
+    the header line.  Each distinct float64 bit pattern of the table is
+    formatted once, all in one pass, and the strings are laid out in table
+    order: a curvature table repeats its r and theta columns down the rows
+    and its curvatures across mirror angles.  The key is the bit pattern
+    (the int64 view), not the value: 0.0 == -0.0, but they print "0" and
+    "-0".  Distinct NaN payloads are distinct keys that all print "nan"."""
     table = np.column_stack(columns)
-    row = ",".join([FLOAT_FMT] * table.shape[1]) + "\n"
-    text = (row * len(table)) % tuple(table.ravel().tolist())
+    bits, cell = np.unique(table.view(np.int64), return_inverse=True)
+    strings = np.array(("\n".join([FLOAT_FMT] * len(bits))
+                        % tuple(bits.view(np.float64).tolist())).split("\n"), dtype=object)
+    row = ",".join(["%s"] * table.shape[1]) + "\n"
+    text = (row * len(table)) % tuple(strings[cell.ravel()].tolist())
     path.write_text(",".join(header) + "\n" + text)
 
 

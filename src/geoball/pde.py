@@ -427,7 +427,9 @@ class HierarchySolver:
     def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Normwise backward error of each of levels[start:stop] as a
         solution of flux x = -rhs, rhs = areas * (the level before it, 1
-        before the first), by one sparse product.  Dividing elementwise by
+        before the first), by one sparse product.  The product comes out
+        one row per node; its sum with rhs is laid out one row per level,
+        so every maximum reads contiguous memory.  Dividing elementwise by
         the near-pole cell areas would only amplify bare float64 roundoff.
         A level that underflowed to zero gives 0/0 = NaN, which the
         caller's gate refuses."""
@@ -436,10 +438,9 @@ class HierarchySolver:
         rhs[0] = levels[start - 1] if start else 1.0
         rhs[1:] = x[:-1]
         rhs *= self.areas
-        r = self.flux @ x.T
         with np.errstate(invalid="ignore"):
-            r += rhs.T
-            return np.abs(r, out=r).max(axis=0) / (
+            r = np.add((self.flux @ x.T).T, rhs, order="C")
+            return np.abs(r, out=r).max(axis=1) / (
                 self._flux_norm * np.abs(x).max(axis=1) + np.abs(rhs).max(axis=1))
 
     def smallest_eigenvalue(self) -> float:

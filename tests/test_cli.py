@@ -375,6 +375,20 @@ def test_write_csv_matches_per_value_format(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+# a table the writer formats value by value once: 0.0 and -0.0 down a
+# column and across a row, values repeated down columns and across rows,
+# NaNs of three bit patterns, infinities and subnormals
+_REPEATS = np.array([
+    [0.0, -0.0, 0.1, np.nan],
+    [-0.0, 0.0, 0.1, -np.nan],
+    [0.0, 5e-324, -0.0, np.inf],
+    [0.1, -5e-324, 0.0, -np.inf],
+    [0.0, -0.0, 2.2250738585072009e-308, 0.1],
+    [-0.0, 0.1, 0.1, -0.0],
+])
+_REPEATS.view(np.int64)[5, 3] = 0x7FF0000000000001  # a signalling NaN payload
+
+
 @pytest.mark.parametrize("values", [
     np.array([
         [np.nan, np.inf, -np.inf, -0.0],
@@ -382,9 +396,11 @@ def test_write_csv_matches_per_value_format(tmp_path):
         [2.0**-1074 * 3, -2.2250738585072014e-308, 1.0, -123456789.0],
     ]),
     np.array([[np.nan, -0.0, 1e300, 5e-324]]),
-], ids=["specials", "one-row"])
+    _REPEATS,
+    _REPEATS[:, 1:2],
+], ids=["specials", "one-row", "repeats", "one-column"])
 def test_write_csv_matches_savetxt_bytes(tmp_path, values):
-    header = ["a", "b", "c", "d"]
+    header = ["a", "b", "c", "d"][:values.shape[1]]
     _write_csv(tmp_path / "fast.csv", header, list(values.T))
     np.savetxt(tmp_path / "ref.csv", values, fmt=FLOAT_FMT, delimiter=",",
                header=",".join(header), comments="")

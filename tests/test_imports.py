@@ -5,7 +5,8 @@ library samples on broadcast axes, never on an np.meshgrid mesh, it
 builds one sparse matrix, the flux stencil, in one place, it seeds jets
 only in the two ``jet`` methods, it imports only the scipy modules it
 runs, it writes no gate as ``any`` of a comparison, which a NaN passes,
-and every array its cached functions return is read-only."""
+every array its cached functions return is read-only, and it writes CSV
+tables only through ``cli._write_csv``."""
 
 import ast
 import importlib
@@ -182,25 +183,36 @@ def test_planted_sparse_builds_are_found():
 JET_SEEDS = {"WarpingProfile.jet", "PolarMetric2D.jet"}
 
 
-def _jet_constructions(source: str) -> list[str]:
-    """Every ``_Jet(...)`` call of a module outside class _Jet, by bare name
-    or as an attribute, with its enclosing class.function (``<module>`` at
-    top level) and line."""
+def _scoped_nodes(source: str, skip_class: str = "") -> list[tuple[str, ast.AST]]:
+    """Every node of a module outside class skip_class, in source order,
+    with its enclosing class.function (``<module>`` at top level)."""
     found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef) and child.name == "_Jet":
+            if isinstance(child, ast.ClassDef) and child.name == skip_class:
                 continue
-            if (isinstance(child, ast.Call)
-                    and (getattr(child.func, "id", None)
-                         or getattr(child.func, "attr", None)) == "_Jet"):
-                found.append(f"{'.'.join(scope) or '<module>'} (line {child.lineno})")
+            found.append((".".join(scope) or "<module>", child))
             named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, scope + (child.name,) if named else scope)
 
     visit(ast.parse(source), ())
     return found
+
+
+def _call_name(node: ast.AST) -> str | None:
+    """The bare or attribute name a call calls; None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _jet_constructions(source: str) -> list[str]:
+    """Every ``_Jet(...)`` call of a module outside class _Jet, by bare name
+    or as an attribute, with its enclosing class.function (``<module>`` at
+    top level) and line."""
+    return [f"{scope} (line {n.lineno})" for scope, n in _scoped_nodes(source, "_Jet")
+            if _call_name(n) == "_Jet"]
 
 
 def test_jets_are_seeded_only_by_the_jet_methods():
@@ -354,3 +366,43 @@ def test_planted_cached_functions_and_writable_arrays_are_found():
     frozen, writable = np.zeros(2), np.zeros(3)
     frozen.setflags(write=False)
     assert [a.shape for a in _writable_arrays((frozen, [writable, (frozen, 1.0)]))] == [(3,)]
+
+
+# the calls that could write a table's text a second way
+TEXT_WRITERS = {"savetxt", "write_text"}
+
+
+def _csv_writers(source: str) -> list[str]:
+    """Every ``savetxt`` or ``write_text`` call of a module, by bare name or
+    as an attribute, and every import of the csv module, with its enclosing
+    class.function (``<module>`` at top level) and line."""
+    found = []
+    for scope, n in _scoped_nodes(source):
+        if isinstance(n, ast.Import):
+            modules = [a.name for a in n.names]
+        else:
+            modules = [n.module or ""] if isinstance(n, ast.ImportFrom) else []
+        if any(m.split(".")[0] == "csv" for m in modules):
+            found.append(f"{scope} import csv (line {n.lineno})")
+        elif _call_name(n) in TEXT_WRITERS:
+            found.append(f"{scope} {_call_name(n)} (line {n.lineno})")
+    return found
+
+
+def test_csv_tables_are_written_in_one_place():
+    # every CSV goes through cli._write_csv, whose bytes the tests pin
+    # against np.savetxt; a second writer could format a table another way
+    sites = [f"{p.stem}.{site}" for p in sorted(SRC.glob("*.py"))
+             for site in _csv_writers(p.read_text())]
+    assert [site.split(" (")[0] for site in sites] == ["cli._write_csv write_text"], sites
+
+
+def test_planted_csv_writers_are_found():
+    source = ("import csv\nfrom csv import writer\nimport numpy as np, os.path\n"
+              "def _write_csv(p, t):\n    p.write_text(t)\n"
+              "class T:\n    def save(self, p):\n        np.savetxt(p, self.a)\n"
+              "Path('x').write_text('y')\nsavetxt(p, a)\nprint(csv)\n")
+    assert _csv_writers(source) == [
+        "<module> import csv (line 1)", "<module> import csv (line 2)",
+        "_write_csv write_text (line 5)", "T.save savetxt (line 8)",
+        "<module> write_text (line 9)", "<module> savetxt (line 10)"]
