@@ -32,7 +32,7 @@ sizes of their orbits.  A metric with neither symmetry takes SuperLU on
 the whole 2-D pencil.  Each hierarchy level
 is one direct solve, checked by its normwise backward error against the
 solver's flux matrix: one sparse product per block of levels of at most
-GATE_BLOCK entries (all 24 levels of a radial grid of up to 2,730 rings
+GATE_BLOCK entries (all 12 levels of a radial grid of up to 5,461 rings
 in one), gated as soon as the block is solved.  Once all are solved,
 each level is checked again by the discrete divergence theorem: the flux
 it sends through the Dirichlet ring is the moment of the level before.
@@ -40,13 +40,18 @@ Inverse power iteration reads its Rayleigh numerator off each step's
 solve, with no product with the flux matrix.
 ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
-and lambda_1.  There is no field type: a level stays a solver vector.
+and lambda_1.  Every route's pencil is a symmetric A with a diagonal D,
+so n levels also give the moments n + 1..2n, each the overlap of two
+levels (Golub & Meurant, Matrices, Moments and Quadrature with
+Applications, 2010): 12 levels give the 24 moments of the eigenvalue
+estimate.  There is no field type: a level stays a solver vector.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,12 +63,14 @@ from scipy.sparse.linalg import splu
 from .hierarchy import MomentSpectrum, lambda1_from_moments
 from .surface import TWO_PI, MetricAuditError, PolarMetric2D
 
-# hierarchy depth behind the moment-ratio eigenvalue estimate
-LAMBDA1_LEVELS = 24
+# hierarchy depth behind the moment-ratio eigenvalue estimate: its levels
+# give the 2 * LAMBDA1_LEVELS moments the estimate reads
+LAMBDA1_LEVELS = 12
 # largest normwise backward error of a hierarchy solve
 RESIDUAL_TOL = 1e-10
 # most level entries the backward-error gate takes in one sparse product
-# (0.5 MB of float64), which bounds its temporaries
+# (0.5 MB of float64), which bounds its temporaries: the LAMBDA1_LEVELS
+# levels of a radial grid of up to 5,461 rings in one
 GATE_BLOCK = 1 << 16
 # inverse power iteration: relative eigenvalue change to stop at, step budget
 POWER_TOL = 1e-8
@@ -106,6 +113,9 @@ class PolarGrid:
     _node_area: np.ndarray = field(init=False, repr=False)  # (n_r-1, 1 or n_theta)
 
     def __post_init__(self) -> None:
+        for name in ("n_r", "n_theta"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_theta < 2 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 2, got {self.n_theta}")
         if self.n_r < 4:
@@ -388,20 +398,21 @@ class HierarchySolver:
         """Solve L v = rhs by one direct solve of the flux system."""
         return self._lu.solve(self.areas * rhs)
 
-    def hierarchy(self, k_max: int) -> GridHierarchy:
-        """Normalized hierarchy v_k = u_k/k!, k = 1..k_max, one direct
-        solve per level, with its moments.  The levels are gated in blocks
-        of at most GATE_BLOCK entries, each as soon as it is solved."""
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
-        if k_max > 64:
-            warnings.warn("k_max > 64: deep hierarchy may lose accuracy", RuntimeWarning)
+    def hierarchy(self, depth: int) -> GridHierarchy:
+        """Normalized hierarchy v_k = u_k/k!, k = 1..depth, one direct
+        solve per level, with its moments (see ``GridHierarchy``).  The
+        levels are gated in blocks of at most GATE_BLOCK entries, each as
+        soon as it is solved, and then by the divergence theorem."""
+        if depth < 1:
+            raise ValueError("depth must be >= 1")
+        if depth > 64:
+            warnings.warn("depth > 64: deep hierarchy may lose accuracy", RuntimeWarning)
         n = len(self.areas)
-        levels = np.empty((k_max, n))
+        levels = np.empty((depth, n))
         v = np.ones(n)
         block = max(1, GATE_BLOCK // n)  # levels per gate block
-        for start in range(0, k_max, block):
-            stop = min(start + block, k_max)
+        for start in range(0, depth, block):
+            stop = min(start + block, depth)
             for k in range(start, stop):
                 levels[k] = v = self.solve_poisson(-v)
             res = self._backward_errors(levels, start, stop)
@@ -421,8 +432,32 @@ class HierarchySolver:
             k = np.flatnonzero(~(gap <= RESIDUAL_TOL))[0]
             raise ResolutionError(f"divergence gap {float(gap[k])} too large "
                                   f"at level {k + 1}")
-        moments = np.concatenate([[self.grid.total_area()], moments])
+        moments = np.concatenate([[self.grid.total_area()], moments,
+                                  self._moments_past(levels, moments)])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
+
+    def _moments_past(self, levels: np.ndarray, moments: np.ndarray) -> np.ndarray:
+        """A_(n+j) = v_j . areas v_n, j = 1..min(n, 2 LAMBDA1_LEVELS - n),
+        of n = len(levels) levels with moments A_1..A_n, by one product
+        (none when n >= 2 LAMBDA1_LEVELS).  The identity is
+        checked on A_n against v_(n//2) . areas v_(n - n//2) for n >= 2: a
+        relative gap that is not <= RESIDUAL_TOL, as for a pencil that is
+        not symmetric, raises ResolutionError, and so does a moment that is
+        not > 0 (an underflow or a NaN), naming it."""
+        n = len(levels)
+        if n >= 2:
+            half = n // 2
+            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is a NaN gap
+                gap = abs(levels[half - 1] @ (self.areas * levels[n - half - 1])
+                          / moments[-1] - 1.0)
+            if not gap <= RESIDUAL_TOL:  # a NaN gap fails too
+                raise ResolutionError(f"overlap gap {gap} too large at moment {n}")
+        past = levels[:max(0, 2 * LAMBDA1_LEVELS - n)] @ (self.areas * levels[-1])
+        bad = np.flatnonzero(~(past > 0))
+        if len(bad):
+            k = bad[0]
+            raise ResolutionError(f"moment {n + k + 1} is {float(past[k])}, not positive")
+        return past
 
     def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Normwise backward error of each of levels[start:stop] as a
@@ -483,10 +518,15 @@ class GridEigenvalue:
 
 @dataclass(frozen=True)
 class GridHierarchy:
-    """Normalized Poisson hierarchy v_1..v_k of a polar disk and its
+    """Normalized Poisson hierarchy v_1..v_n of a polar disk and its
     moments, from one factorization.  ``levels`` holds v_k as row k - 1,
     one solver vector each; ``spectrum`` holds the disk's area, then
-    A_k = areas @ v_k (the Dirichlet ring is zero).  Build it with
+    A_k = areas @ v_k (the Dirichlet ring is zero) for k <= n and
+    A_(n+j) = v_j @ (areas * v_n) past n, up to
+    K = min(2n, max(n, 2 LAMBDA1_LEVELS)).  With D = diag(areas) and
+    M = -A^-1, v_k = (MD)^k 1 and A_k = 1 . D(MD)^k 1.  A^T = A gives
+    v_j . D v_l = 1 . (DM)^j D (MD)^l 1, and (DM)^j D = D(MD)^j makes that
+    1 . D(MD)^(j+l) 1 = A_(j+l).  Build it with
     ``HierarchySolver.hierarchy``."""
 
     solver: HierarchySolver
@@ -507,8 +547,8 @@ class GridHierarchy:
 
 
 def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
-    """``GridHierarchy.lambda1`` of LAMBDA1_LEVELS levels on a grid of the
-    metric m; the benchmark calls it."""
+    """``GridHierarchy.lambda1`` of LAMBDA1_LEVELS levels (2 LAMBDA1_LEVELS
+    moments) on a grid of the metric m; the benchmark calls it."""
     if m is not grid.metric:
         raise ValueError("grid was built for a different metric")
     return HierarchySolver(grid).hierarchy(LAMBDA1_LEVELS).lambda1()

@@ -104,9 +104,10 @@ class VerificationContext:
     """What the report's checks share, computed once for one (metric,
     model, R, grid): the hypothesis scan, the asserted direction (the
     hypothesis direction unless overridden), one grid hierarchy
-    v_1..v_max(k_max, 24) from one factorization (the pointwise entries
-    read its level vectors, the averaged moments, the rigidity and the
-    eigenvalue its spectrum), one model hierarchy on [0, R] (the pointwise
+    v_1..v_max(k_max, 12) from one factorization, with the moments
+    A_0..A_max(k_max, 24) its levels give (the pointwise entries read its
+    level vectors, the averaged moments, the rigidity and the eigenvalue
+    its spectrum), one model hierarchy on [0, R] (the pointwise
     entries read its levels, the averaged moments its spectrum), and the
     sphere lengths and ball areas at the sampled radii R/4, R/2, R, both
     from one tensor-rule pass.  Build it with

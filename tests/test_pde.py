@@ -47,6 +47,24 @@ def test_grid_area_matches_quadrature(flat, flat_grid):
     assert g.total_area() == pytest.approx(ball_area(ex, 1.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("field,n_r,n_theta", [
+    ("n_r", 16.5, 16), ("n_theta", 16, 16.0), ("n_r", "16", 16), ("n_theta", 16, None)])
+def test_grid_rejects_ring_counts_that_are_not_integers(field, n_r, n_theta):
+    def w(r, t):
+        raise AssertionError("w was sampled")
+
+    # swapped in after the metric audit, so that the grid must not sample
+    m = PolarMetric2D(w=lambda r, t: r + 0.0 * t, R_valid=10.0, label="unsampled")
+    object.__setattr__(m, "w", w)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        pde.PolarGrid(metric=m, R=1.0, n_r=n_r, n_theta=n_theta)
+
+
+def test_grid_takes_numpy_integer_ring_counts(flat):
+    grid = pde.PolarGrid(metric=flat, R=1.0, n_r=np.int64(16), n_theta=np.int32(16))
+    assert grid.total_area() == make_grid(flat, 1.0, 16, 16).total_area()
+
+
 def test_grid_requires_even_theta(flat):
     with pytest.raises(ValueError):
         make_grid(flat, 1.0, 32, 31)
@@ -249,16 +267,21 @@ def _field_reference(grid, x):
 @LEVEL_METRICS
 def test_level_moments_are_the_expanded_fields_integrals(m):
     solver = HierarchySolver(make_grid(m, 1.0, 64, 64))
-    hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
+    n = pde.LAMBDA1_LEVELS
+    hier = solver.hierarchy(n)
     spec = hier.spectrum
     assert spec.normalized[0] == solver.grid.total_area()
     assert spec.radius == solver.grid.R
+    assert len(spec.normalized) == 1 + 2 * n
     # each node's value times its cell's area; the Dirichlet ring is zero
     areas = _full_pencil(solver.grid)[2]
-    integrals = np.array([np.sum(np.append(center, rings[:-1]) * areas)
-                          for center, rings in (_field_reference(solver.grid, v)
-                                                for v in hier.levels)])
-    assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
+    fields = [np.append(center, rings[:-1])
+              for center, rings in (_field_reference(solver.grid, v) for v in hier.levels)]
+    integrals = np.array([np.sum(f * areas) for f in fields])
+    assert np.all(np.abs(spec.normalized[1:n + 1] - integrals) <= 1e-14 * integrals)
+    # past the levels, moment n + j is the overlap of fields j and n
+    overlaps = np.array([np.sum(f * fields[-1] * areas) for f in fields])
+    assert np.all(np.abs(spec.normalized[n + 1:] - overlaps) <= 1e-14 * overlaps)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
@@ -764,7 +787,78 @@ def test_nan_backward_error_fails_the_hierarchy_gate(m):
     # on a disk of radius 1e-7 levels 22-24 underflow to zero, whose
     # backward error is 0/0: the radial pencil and the 2-D route alike
     with pytest.raises(pde.ResolutionError, match="residual nan too large at level 22"):
+        HierarchySolver(make_grid(m, 1e-7, 16, 16)).hierarchy(24)
+
+
+@pytest.mark.parametrize("m", [radial_metric(euclidean_profile()),
+                               perturbed_flat_metric(0.5, 4)], ids=lambda m: m.label)
+def test_underflowed_moment_past_the_levels_fails_the_hierarchy_gate(m):
+    # lambda1_grid's 12 levels solve on that disk, but moment 21, the
+    # overlap of levels 9 and 12, underflows to zero
+    with pytest.raises(pde.ResolutionError, match=r"^moment 21 is 0\.0, not positive$"):
         lambda1_grid(m, make_grid(m, 1e-7, 16, 16))
+
+
+@pytest.mark.parametrize("m,n", [
+    (radial_metric(euclidean_profile()), 384), (radial_metric(space_form_profile(-1.0)), 384),
+    (builtin_example_metric(), 64), (builtin_example_metric(), 256),
+    (perturbed_flat_metric(0.5, 4), 128), (_asymmetric_metric(), 64),
+], ids=["flat-384", "hyperbolic-384", "example1-64", "example1-256", "perturbed-128",
+        "asymmetric-64"])
+def test_moments_past_the_levels_match_solved_levels(m, n):
+    # the radial pencil, the sector and every node: 12 levels give the
+    # moments 13..24 that 24 solved levels give
+    solver = HierarchySolver(make_grid(m, 1.0, n, n))
+    short, deep = (solver.hierarchy(k).spectrum.normalized for k in (12, 24))
+    assert len(short) == len(deep) == 25
+    assert np.array_equal(short[:13], deep[:13])
+    assert np.all(np.abs(short[13:] - deep[13:]) <= 1e-13 * deep[13:])
+
+
+@pytest.mark.parametrize("depth,moments", [(1, 2), (5, 10), (12, 24), (13, 24), (24, 24),
+                                           (30, 30)])
+def test_hierarchy_depth_sets_its_moment_count(flat, depth, moments):
+    hier = HierarchySolver(make_grid(flat, 1.0, 16, 16)).hierarchy(depth)
+    assert hier.levels.shape[0] == depth and hier.spectrum.k_max == moments
+
+
+def _skewed(solver, eps):
+    """solver with eps added at (1, 2) and taken off at (2, 2) of its flux:
+    every column sum, so the divergence theorem, is kept, but the pencil
+    is no longer symmetric."""
+    n = len(solver.areas)
+    solver.flux = (solver.flux + csc_matrix(([eps, -eps], ([1, 2], [2, 2])),
+                                            shape=(n, n))).tocsc()
+    solver._flux_norm = float(np.max(np.abs(solver.flux).sum(axis=1)))
+    solver._lu = splu(solver.flux, permc_spec="MMD_AT_PLUS_A")
+    return solver
+
+
+@pytest.mark.parametrize("m", [builtin_example_metric(), _asymmetric_metric()],
+                         ids=lambda m: m.label)
+def test_overlap_gap_fails_a_pencil_that_is_not_symmetric(m):
+    solver = _skewed(HierarchySolver(make_grid(m, 1.0, 16, 16)), 0.1)
+    # every level solves its own pencil, so only the overlap sees it
+    with pytest.raises(pde.ResolutionError, match=r"^overlap gap \S+ too large at moment 12$"):
+        solver.hierarchy(12)
+    # no moment is read past the levels of a 24-level hierarchy, whose
+    # last level's moment is checked all the same
+    with pytest.raises(pde.ResolutionError, match="at moment 24$"):
+        solver.hierarchy(24)
+    # with eps = 0 the pencil is the solver's own, and passes
+    _skewed(HierarchySolver(make_grid(m, 1.0, 16, 16)), 0.0).hierarchy(12)
+
+
+def test_moment_gates_past_the_levels_fail_on_nan(flat):
+    solver = HierarchySolver(make_grid(flat, 1.0, 16, 16))
+    levels = solver.hierarchy(12).levels.copy()
+    moments = levels @ solver.areas
+    levels[0, 3] = np.nan  # in moment 13 only
+    with pytest.raises(pde.ResolutionError, match=r"^moment 13 is nan, not positive$"):
+        solver._moments_past(levels, moments)
+    levels[5, 3] = np.nan  # in the overlap of levels 6 and 6
+    with pytest.raises(pde.ResolutionError, match=r"^overlap gap nan too large at moment 12$"):
+        solver._moments_past(levels, moments)
 
 
 def _reference_backward_error(solver, x, rhs):
@@ -896,12 +990,12 @@ def test_gate_products_and_memory_are_bounded_by_the_block():
     solver.flux = counting = _CountingFlux(solver.flux)
     n, k_max = len(solver.areas), pde.LAMBDA1_LEVELS
     solver.hierarchy(k_max)
-    assert counting.products == math.ceil(k_max * n / pde.GATE_BLOCK) == 6
+    assert counting.products == math.ceil(k_max * n / pde.GATE_BLOCK) == 3
     solver.smallest_eigenvalue()
-    assert counting.products == 6
+    assert counting.products == 3
     # beyond the levels themselves, the gate holds a few block-sized
-    # temporaries (about 3.2 blocks here); a gate of all 24 levels at once
-    # would hold about 18
+    # temporaries (about 3.2 blocks here); a gate of all 12 levels at once
+    # would hold about 9
     tracemalloc.start()
     try:
         solver.hierarchy(k_max)
@@ -975,9 +1069,12 @@ def test_grid_hierarchy_holds_its_levels_moments_and_eigenvalue(m):
     hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
     assert isinstance(hier, geoball.GridHierarchy) and hier.solver is solver
     assert hier.levels.shape == (pde.LAMBDA1_LEVELS, len(solver.areas))
-    # the spectrum is taken from the levels solved in the same call
+    # the spectrum is taken from the levels solved in the same call: their
+    # moments, then the overlaps of each level with the last
+    levels = hier.levels
     assert np.array_equal(hier.spectrum.normalized,
-                          np.append(grid.total_area(), hier.levels @ solver.areas))
+                          np.concatenate([[grid.total_area()], levels @ solver.areas,
+                                          levels @ (solver.areas * levels[-1])]))
     assert hier.lambda1() == lambda1_grid(m, grid)
 
 
