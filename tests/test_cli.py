@@ -273,6 +273,32 @@ def test_cli_csv_output_is_pinned(command, expr, tmp_path):
             for p in tmp_path.glob("*.csv")} == CSV_PINS[command, expr]
 
 
+# sha256 of the verification.json that geoball verify (64^2, R = 1, against
+# the euclidean model, default --kmax) writes, and its exit code (1: the
+# flipped direction is the negative control and must fail)
+VERIFY_PINS = {
+    ("example1", False): (
+        "619d606f0ab3412df0d951c4a5e0516784fc1decbd664ca8616a716ca8067ff2", 0),
+    ("perturbed(0.5,4)", False): (
+        "1609272428a15458b3d3debaf15caccf23ad9df026faf21724f265a9d9e66dcb", 0),
+    ("example1", True): (
+        "3d071955c7d5b309b17c71cebd87c614ad0cc39fcf7b2fdd034a8bed93c17255", 1),
+    ("perturbed(0.5,4)", True): (
+        "d5b31c0bdbbc8a1a861165126b9be79ea1bf960fa6d8879083f60e81b5454518", 1),
+}
+
+
+@pytest.mark.parametrize("metric,flip", list(VERIFY_PINS),
+                         ids=lambda x: {True: "flipped", False: "hypothesis"}.get(x, x))
+def test_cli_verification_json_is_pinned(metric, flip, tmp_path):
+    sha, code = VERIFY_PINS[metric, flip]
+    argv = ["verify", "--metric", metric, "--model", "euclidean", "--radius", "1",
+            "--nr", "64", "--ntheta", "64", "--output", str(tmp_path)]
+    assert main(argv + ["--flip-direction"] * flip) == code
+    report = (tmp_path / "verification.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == sha
+
+
 @pytest.mark.parametrize("flag,value", [("--nr", "3"), ("--ntheta", "7")])
 def test_cli_verify_refuses_a_bad_grid_before_the_hypothesis_scan(flag, value,
                                                                   monkeypatch, capsys):
