@@ -32,7 +32,7 @@ sizes of their orbits.  A metric with neither symmetry takes SuperLU on
 the whole 2-D pencil.  Each hierarchy level
 is one direct solve, checked by its normwise backward error against the
 solver's flux matrix: one sparse product per block of levels of at most
-GATE_BLOCK entries (all 12 levels of a radial grid of up to 5,461 rings
+GATE_BLOCK entries (all 5 levels of a radial grid of up to 13,107 rings
 in one), gated as soon as the block is solved.  Once all are solved,
 each level is checked again by the discrete divergence theorem: the flux
 it sends through the Dirichlet ring is the moment of the level before.
@@ -40,11 +40,12 @@ Inverse power iteration reads its Rayleigh numerator off each step's
 solve, with no product with the flux matrix.
 ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
 its levels as solver vectors, their moments (one product with the areas)
-and lambda_1.  Every route's pencil is a symmetric A with a diagonal D,
-so n levels also give the moments n + 1..2n, each the overlap of two
-levels (Golub & Meurant, Matrices, Moments and Quadrature with
-Applications, 2010): 12 levels give the 24 moments of the eigenvalue
-estimate.  There is no field type: a level stays a solver vector.
+and lambda_1.  On every route -A is an irreducible M-matrix, so two
+consecutive levels bracket lambda_1 by the Collatz-Wielandt bound
+(Meyer, Matrix Analysis and Applied Linear Algebra, 2000, 8.3), and the
+power value, a Rayleigh quotient of the symmetric pencil, must fall
+inside the bracket.  There is no field type: a level stays a solver
+vector.
 """
 
 from __future__ import annotations
@@ -60,23 +61,24 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .hierarchy import MomentSpectrum, lambda1_from_moments
+from .hierarchy import MomentSpectrum
 from .surface import TWO_PI, MetricAuditError, PolarMetric2D
 
-# hierarchy depth behind the moment-ratio eigenvalue estimate: its levels
-# give the 2 * LAMBDA1_LEVELS moments the estimate reads
-LAMBDA1_LEVELS = 12
+# hierarchy level L that, with level L - 1, brackets the grid lambda_1
+# around the power eigenvalue (``GridHierarchy.lambda1``): to 3e-3
+# relative on example1 at 256^2 and the flat disk at 384^2.  Deeper levels
+# close the bracket inside the power iteration's own error (1.2e-10 on
+# example1 at 256^2, where levels 23 and 24 bracket it to 1.2e-13)
+LAMBDA1_LEVELS = 5
 # largest normwise backward error of a hierarchy solve
 RESIDUAL_TOL = 1e-10
 # most level entries the backward-error gate takes in one sparse product
 # (0.5 MB of float64), which bounds its temporaries: the LAMBDA1_LEVELS
-# levels of a radial grid of up to 5,461 rings in one
+# levels of a radial grid of up to 13,107 rings in one
 GATE_BLOCK = 1 << 16
 # inverse power iteration: relative eigenvalue change to stop at, step budget
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
-# largest relative gap between the moment-ratio and power eigenvalues
-AGREEMENT_TOL = 0.05
 # largest relative gap between a grid sample and its value at its orbit's
 # angle under a dihedral symmetry of the grid; on example1 and
 # perturbed(eps, mode) at 24^2-512^2 the gaps are <= 9.7e-16
@@ -400,9 +402,10 @@ class HierarchySolver:
 
     def hierarchy(self, depth: int) -> GridHierarchy:
         """Normalized hierarchy v_k = u_k/k!, k = 1..depth, one direct
-        solve per level, with its moments (see ``GridHierarchy``).  The
-        levels are gated in blocks of at most GATE_BLOCK entries, each as
-        soon as it is solved, and then by the divergence theorem."""
+        solve per level, with its moments A_0..A_depth (see
+        ``GridHierarchy``).  The levels are gated in blocks of at most
+        GATE_BLOCK entries, each as soon as it is solved, and then by the
+        divergence theorem."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if depth > 64:
@@ -432,32 +435,8 @@ class HierarchySolver:
             k = np.flatnonzero(~(gap <= RESIDUAL_TOL))[0]
             raise ResolutionError(f"divergence gap {float(gap[k])} too large "
                                   f"at level {k + 1}")
-        moments = np.concatenate([[self.grid.total_area()], moments,
-                                  self._moments_past(levels, moments)])
+        moments = np.concatenate([[self.grid.total_area()], moments])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
-
-    def _moments_past(self, levels: np.ndarray, moments: np.ndarray) -> np.ndarray:
-        """A_(n+j) = v_j . areas v_n, j = 1..min(n, 2 LAMBDA1_LEVELS - n),
-        of n = len(levels) levels with moments A_1..A_n, by one product
-        (none when n >= 2 LAMBDA1_LEVELS).  The identity is
-        checked on A_n against v_(n//2) . areas v_(n - n//2) for n >= 2: a
-        relative gap that is not <= RESIDUAL_TOL, as for a pencil that is
-        not symmetric, raises ResolutionError, and so does a moment that is
-        not > 0 (an underflow or a NaN), naming it."""
-        n = len(levels)
-        if n >= 2:
-            half = n // 2
-            with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is a NaN gap
-                gap = abs(levels[half - 1] @ (self.areas * levels[n - half - 1])
-                          / moments[-1] - 1.0)
-            if not gap <= RESIDUAL_TOL:  # a NaN gap fails too
-                raise ResolutionError(f"overlap gap {gap} too large at moment {n}")
-        past = levels[:max(0, 2 * LAMBDA1_LEVELS - n)] @ (self.areas * levels[-1])
-        bad = np.flatnonzero(~(past > 0))
-        if len(bad):
-            k = bad[0]
-            raise ResolutionError(f"moment {n + k + 1} is {float(past[k])}, not positive")
-        return past
 
     def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
         """Normwise backward error of each of levels[start:stop] as a
@@ -512,8 +491,9 @@ def _power_start(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridEigenvalue:
-    moment_value: float
     power_value: float
+    lower: float
+    upper: float
 
 
 @dataclass(frozen=True)
@@ -521,34 +501,38 @@ class GridHierarchy:
     """Normalized Poisson hierarchy v_1..v_n of a polar disk and its
     moments, from one factorization.  ``levels`` holds v_k as row k - 1,
     one solver vector each; ``spectrum`` holds the disk's area, then
-    A_k = areas @ v_k (the Dirichlet ring is zero) for k <= n and
-    A_(n+j) = v_j @ (areas * v_n) past n, up to
-    K = min(2n, max(n, 2 LAMBDA1_LEVELS)).  With D = diag(areas) and
-    M = -A^-1, v_k = (MD)^k 1 and A_k = 1 . D(MD)^k 1.  A^T = A gives
-    v_j . D v_l = 1 . (DM)^j D (MD)^l 1, and (DM)^j D = D(MD)^j makes that
-    1 . D(MD)^(j+l) 1 = A_(j+l).  Build it with
-    ``HierarchySolver.hierarchy``."""
+    A_k = areas @ v_k (the Dirichlet ring is zero) for k = 1..n.  With
+    D = diag(areas) and M = -A^-1, v_k = (MD)^k 1 and A_k = 1 . D(MD)^k 1.
+    Build it with ``HierarchySolver.hierarchy``."""
 
     solver: HierarchySolver
     levels: np.ndarray  # (k, len(solver.areas))
     spectrum: MomentSpectrum
 
     def lambda1(self) -> GridEigenvalue:
-        """First Dirichlet eigenvalue two ways: the moment-ratio limit of
-        the spectrum and inverse power iteration on the solver's pencil.
-        Disagreement beyond AGREEMENT_TOL relative raises ResolutionError."""
-        est = lambda1_from_moments(self.spectrum)
+        """First Dirichlet eigenvalue by inverse power iteration on the
+        solver's pencil, inside the Collatz-Wielandt bracket of levels
+        L - 1 and L, L = min(n, LAMBDA1_LEVELS), v_0 = 1: the least and the
+        largest entry of v_(L-1)/v_L.  On every route -A is an irreducible
+        M-matrix, so M > 0, and MD v_(L-1) = v_L puts 1/lambda_1, the
+        dominant eigenvalue of MD, between the least and the largest of
+        v_L/v_(L-1).  The power value is a Rayleigh quotient of the
+        symmetric pencil, so it lies above lambda_1, and at L = 5 it lies
+        within the bracket; one outside it, or a NaN, raises
+        ResolutionError."""
+        L = min(len(self.levels), LAMBDA1_LEVELS)
+        ratio = (self.levels[L - 2] if L > 1 else 1.0) / self.levels[L - 1]
+        lower, upper = float(ratio.min()), float(ratio.max())
         power = self.solver.smallest_eigenvalue()
-        if not abs(est.value - power) <= AGREEMENT_TOL * power:  # NaN fails too
-            raise ResolutionError(
-                f"eigenvalue routes disagree: moments={est.value}, power={power}"
-            )
-        return GridEigenvalue(moment_value=est.value, power_value=power)
+        if not lower <= power <= upper:  # a NaN fails too
+            raise ResolutionError(f"power eigenvalue {power} outside the bracket "
+                                  f"[{lower}, {upper}] of levels {L - 1} and {L}")
+        return GridEigenvalue(power, lower, upper)
 
 
 def lambda1_grid(m: PolarMetric2D, grid: PolarGrid) -> GridEigenvalue:
-    """``GridHierarchy.lambda1`` of LAMBDA1_LEVELS levels (2 LAMBDA1_LEVELS
-    moments) on a grid of the metric m; the benchmark calls it."""
+    """``GridHierarchy.lambda1`` of LAMBDA1_LEVELS levels on a grid of the
+    metric m; the benchmark calls it."""
     if m is not grid.metric:
         raise ValueError("grid was built for a different metric")
     return HierarchySolver(grid).hierarchy(LAMBDA1_LEVELS).lambda1()

@@ -104,13 +104,13 @@ class VerificationContext:
     """What the report's checks share, computed once for one (metric,
     model, R, grid): the hypothesis scan, the asserted direction (the
     hypothesis direction unless overridden), one grid hierarchy
-    v_1..v_max(k_max, 12) from one factorization, with the moments
-    A_0..A_max(k_max, 24) its levels give (the pointwise entries read its
-    level vectors, the averaged moments, the rigidity and the eigenvalue
-    its spectrum), one model hierarchy on [0, R] (the pointwise
-    entries read its levels, the averaged moments its spectrum), and the
-    sphere lengths and ball areas at the sampled radii R/4, R/2, R, both
-    from one tensor-rule pass.  Build it with
+    v_1..v_max(k_max, 5) from one factorization, with their moments
+    A_0..A_max(k_max, 5) (the pointwise entries read its level vectors,
+    the averaged moments and the rigidity its spectrum, the eigenvalue its
+    power iteration, bracketed by levels 4 and 5), one model hierarchy on
+    [0, R] (the pointwise entries read its levels, the averaged moments
+    its spectrum), and the sphere lengths and ball areas at the sampled
+    radii R/4, R/2, R, both from one tensor-rule pass.  Build it with
     ``VerificationContext.build``.  ``pointwise_entries`` are computed
     once, on first read."""
 

@@ -12,7 +12,7 @@ from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
 
 import geoball
-from geoball.hierarchy import MomentSpectrum, radial_hierarchy
+from geoball.hierarchy import radial_hierarchy
 from geoball import pde, verify
 from geoball.model import euclidean_profile, make_space_form, space_form_profile
 from geoball.pde import HierarchySolver, lambda1_grid, make_grid
@@ -272,16 +272,13 @@ def test_level_moments_are_the_expanded_fields_integrals(m):
     spec = hier.spectrum
     assert spec.normalized[0] == solver.grid.total_area()
     assert spec.radius == solver.grid.R
-    assert len(spec.normalized) == 1 + 2 * n
+    assert len(spec.normalized) == 1 + n
     # each node's value times its cell's area; the Dirichlet ring is zero
     areas = _full_pencil(solver.grid)[2]
     fields = [np.append(center, rings[:-1])
               for center, rings in (_field_reference(solver.grid, v) for v in hier.levels)]
     integrals = np.array([np.sum(f * areas) for f in fields])
-    assert np.all(np.abs(spec.normalized[1:n + 1] - integrals) <= 1e-14 * integrals)
-    # past the levels, moment n + j is the overlap of fields j and n
-    overlaps = np.array([np.sum(f * fields[-1] * areas) for f in fields])
-    assert np.all(np.abs(spec.normalized[n + 1:] - overlaps) <= 1e-14 * overlaps)
+    assert np.all(np.abs(spec.normalized[1:] - integrals) <= 1e-14 * integrals)
 
 
 @pytest.mark.parametrize("curvature", [0.0, -1.0])
@@ -790,13 +787,17 @@ def test_nan_backward_error_fails_the_hierarchy_gate(m):
         HierarchySolver(make_grid(m, 1e-7, 16, 16)).hierarchy(24)
 
 
-@pytest.mark.parametrize("m", [radial_metric(euclidean_profile()),
-                               perturbed_flat_metric(0.5, 4)], ids=lambda m: m.label)
-def test_underflowed_moment_past_the_levels_fails_the_hierarchy_gate(m):
-    # lambda1_grid's 12 levels solve on that disk, but moment 21, the
-    # overlap of levels 9 and 12, underflows to zero
-    with pytest.raises(pde.ResolutionError, match=r"^moment 21 is 0\.0, not positive$"):
-        lambda1_grid(m, make_grid(m, 1e-7, 16, 16))
+def test_flat_lambda1_grid_scales_as_one_over_r_squared_down_to_radius_1e_7(flat):
+    # the 5 levels lambda1_grid reads do not underflow on that disk
+    lam_r2 = [lambda1_grid(flat, make_grid(flat, R, 16, 16)).power_value * R**2
+              for R in (1.0, 1e-7)]
+    assert lam_r2[1] == pytest.approx(lam_r2[0], rel=1e-9, abs=0)
+
+
+def test_lambda1_grid_is_finite_on_a_perturbed_disk_of_radius_1e_7():
+    m = perturbed_flat_metric(0.5, 4)
+    ev = lambda1_grid(m, make_grid(m, 1e-7, 16, 16))
+    assert math.isfinite(ev.power_value) and ev.lower <= ev.power_value <= ev.upper
 
 
 @pytest.mark.parametrize("m,n", [
@@ -806,59 +807,22 @@ def test_underflowed_moment_past_the_levels_fails_the_hierarchy_gate(m):
 ], ids=["flat-384", "hyperbolic-384", "example1-64", "example1-256", "perturbed-128",
         "asymmetric-64"])
 def test_moments_past_the_levels_match_solved_levels(m, n):
-    # the radial pencil, the sector and every node: 12 levels give the
-    # moments 13..24 that 24 solved levels give
+    # the radial pencil, the sector and every node are symmetric, which
+    # puts the power value, a Rayleigh quotient, above lambda_1: so the
+    # overlaps v_j . areas v_12 of 12 levels are the moments 13..24 that
+    # 24 solved levels give (Golub & Meurant 2010)
     solver = HierarchySolver(make_grid(m, 1.0, n, n))
-    short, deep = (solver.hierarchy(k).spectrum.normalized for k in (12, 24))
-    assert len(short) == len(deep) == 25
-    assert np.array_equal(short[:13], deep[:13])
-    assert np.all(np.abs(short[13:] - deep[13:]) <= 1e-13 * deep[13:])
+    short, deep = solver.hierarchy(12), solver.hierarchy(24).spectrum.normalized
+    past = short.levels @ (solver.areas * short.levels[-1])
+    assert np.array_equal(short.spectrum.normalized, deep[:13])
+    assert np.all(np.abs(past - deep[13:]) <= 1e-13 * deep[13:])
 
 
-@pytest.mark.parametrize("depth,moments", [(1, 2), (5, 10), (12, 24), (13, 24), (24, 24),
+@pytest.mark.parametrize("depth,moments", [(1, 1), (5, 5), (12, 12), (13, 13), (24, 24),
                                            (30, 30)])
 def test_hierarchy_depth_sets_its_moment_count(flat, depth, moments):
     hier = HierarchySolver(make_grid(flat, 1.0, 16, 16)).hierarchy(depth)
     assert hier.levels.shape[0] == depth and hier.spectrum.k_max == moments
-
-
-def _skewed(solver, eps):
-    """solver with eps added at (1, 2) and taken off at (2, 2) of its flux:
-    every column sum, so the divergence theorem, is kept, but the pencil
-    is no longer symmetric."""
-    n = len(solver.areas)
-    solver.flux = (solver.flux + csc_matrix(([eps, -eps], ([1, 2], [2, 2])),
-                                            shape=(n, n))).tocsc()
-    solver._flux_norm = float(np.max(np.abs(solver.flux).sum(axis=1)))
-    solver._lu = splu(solver.flux, permc_spec="MMD_AT_PLUS_A")
-    return solver
-
-
-@pytest.mark.parametrize("m", [builtin_example_metric(), _asymmetric_metric()],
-                         ids=lambda m: m.label)
-def test_overlap_gap_fails_a_pencil_that_is_not_symmetric(m):
-    solver = _skewed(HierarchySolver(make_grid(m, 1.0, 16, 16)), 0.1)
-    # every level solves its own pencil, so only the overlap sees it
-    with pytest.raises(pde.ResolutionError, match=r"^overlap gap \S+ too large at moment 12$"):
-        solver.hierarchy(12)
-    # no moment is read past the levels of a 24-level hierarchy, whose
-    # last level's moment is checked all the same
-    with pytest.raises(pde.ResolutionError, match="at moment 24$"):
-        solver.hierarchy(24)
-    # with eps = 0 the pencil is the solver's own, and passes
-    _skewed(HierarchySolver(make_grid(m, 1.0, 16, 16)), 0.0).hierarchy(12)
-
-
-def test_moment_gates_past_the_levels_fail_on_nan(flat):
-    solver = HierarchySolver(make_grid(flat, 1.0, 16, 16))
-    levels = solver.hierarchy(12).levels.copy()
-    moments = levels @ solver.areas
-    levels[0, 3] = np.nan  # in moment 13 only
-    with pytest.raises(pde.ResolutionError, match=r"^moment 13 is nan, not positive$"):
-        solver._moments_past(levels, moments)
-    levels[5, 3] = np.nan  # in the overlap of levels 6 and 6
-    with pytest.raises(pde.ResolutionError, match=r"^overlap gap nan too large at moment 12$"):
-        solver._moments_past(levels, moments)
 
 
 def _reference_backward_error(solver, x, rhs):
@@ -988,7 +952,7 @@ def test_radial_gate_is_one_sparse_product(flat):
 def test_gate_products_and_memory_are_bounded_by_the_block():
     solver = HierarchySolver(make_grid(_asymmetric_metric(), 1.0, 128, 128))
     solver.flux = counting = _CountingFlux(solver.flux)
-    n, k_max = len(solver.areas), pde.LAMBDA1_LEVELS
+    n, k_max = len(solver.areas), 12
     solver.hierarchy(k_max)
     assert counting.products == math.ceil(k_max * n / pde.GATE_BLOCK) == 3
     solver.smallest_eigenvalue()
@@ -1051,9 +1015,9 @@ def test_power_iteration_fails_fast_on_a_nan_rayleigh_quotient(m):
 
 def test_lambda1_grid_disk(flat, flat_grid):
     est = lambda1_grid(flat, flat_grid)
-    assert est.moment_value == pytest.approx(J01SQ, rel=0.02)
     assert est.power_value == pytest.approx(J01SQ, rel=0.02)
-    assert est.moment_value == pytest.approx(est.power_value, rel=0.02)
+    # levels 4 and 5 bracket the grid's lambda_1 to 2e-3 relative
+    assert est.lower <= est.power_value <= est.upper <= (1 + 2e-3) * est.lower
 
 
 def test_lambda1_grid_scaling(flat):
@@ -1069,21 +1033,42 @@ def test_grid_hierarchy_holds_its_levels_moments_and_eigenvalue(m):
     hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
     assert isinstance(hier, geoball.GridHierarchy) and hier.solver is solver
     assert hier.levels.shape == (pde.LAMBDA1_LEVELS, len(solver.areas))
-    # the spectrum is taken from the levels solved in the same call: their
-    # moments, then the overlaps of each level with the last
-    levels = hier.levels
+    # the spectrum is the area and the moments of the levels solved in the
+    # same call
     assert np.array_equal(hier.spectrum.normalized,
-                          np.concatenate([[grid.total_area()], levels @ solver.areas,
-                                          levels @ (solver.areas * levels[-1])]))
+                          np.concatenate([[grid.total_area()], hier.levels @ solver.areas]))
     assert hier.lambda1() == lambda1_grid(m, grid)
 
 
-def test_grid_eigenvalue_gate_fails_on_nan_moments(flat):
+@pytest.mark.parametrize("m,n", [
+    (radial_metric(euclidean_profile()), 24), (builtin_example_metric(), 24),
+    (_asymmetric_metric(), 24)], ids=lambda x: getattr(x, "label", x))
+def test_bracket_encloses_the_dense_eigenvalue(m, n):
+    # the radial pencil, the example1 sector and every node of a metric
+    # with no symmetry, against a dense eigensolve of (-flux, areas)
+    solver = HierarchySolver(make_grid(m, 1.0, n, n))
+    ev = solver.hierarchy(pde.LAMBDA1_LEVELS).lambda1()
+    lam = eigh(-solver.flux.toarray(), np.diag(solver.areas), eigvals_only=True,
+               subset_by_index=[0, 0])[0]
+    assert ev.lower <= lam <= ev.power_value <= ev.upper
+
+
+@pytest.mark.parametrize("plant", ["above-upper", "nan-power", "nan-level"])
+def test_grid_eigenvalue_gate_fails_outside_the_bracket(flat, plant):
     solver = HierarchySolver(make_grid(flat, 1.0, 16, 16))
     hier = solver.hierarchy(pde.LAMBDA1_LEVELS)
-    spec = MomentSpectrum(np.full_like(hier.spectrum.normalized, np.nan), 1.0)
-    with pytest.raises(pde.ResolutionError, match="moments=nan"):
-        pde.GridHierarchy(solver, hier.levels, spec).lambda1()
+    upper = hier.lambda1().upper
+    if plant == "nan-level":
+        levels = hier.levels.copy()
+        levels[3, 5] = np.nan
+        hier = pde.GridHierarchy(solver, levels, hier.spectrum)
+    else:
+        planted = 1.01 * upper if plant == "above-upper" else math.nan
+        solver.smallest_eigenvalue = lambda: planted
+    with pytest.raises(pde.ResolutionError,
+                       match=r"^power eigenvalue \S+ outside the bracket \[\S+, \S+\] "
+                             r"of levels 4 and 5$"):
+        hier.lambda1()
 
 
 def _nan_where(bad):

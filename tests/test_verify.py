@@ -17,7 +17,7 @@ from geoball.verify import (
     verify_moment_spectrum,
     verify_torsional,
 )
-from test_pde import _counting_solver, _CountingFlux, _field_reference
+from test_pde import _counting_solver, _CountingFactor, _CountingFlux, _field_reference
 
 
 @pytest.fixture(scope="module")
@@ -220,16 +220,17 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
     assert (sum(map(len, builds)), len(transplants)) == (2, 0)
 
 
-def test_256_squared_report_solves_12_levels_in_4_gate_blocks(example, flat_model,
-                                                             monkeypatch):
-    # 12 levels give the report's 24 moments; its sector holds 16,576
-    # unknowns, so the gate takes blocks of 3 levels
+def test_256_squared_report_solves_5_levels_in_2_gate_blocks(example, flat_model,
+                                                            monkeypatch):
+    # the report reads levels 1..5; its sector holds 16,576 unknowns, so
+    # the gate takes blocks of 3 levels, 3 + 2
     solvers = []
 
     class CountingSolver(pde.HierarchySolver):
         def __init__(self, grid):
             super().__init__(grid)
             self.flux, self.level_solves = _CountingFlux(self.flux), 0
+            self._lu = _CountingFactor(self._lu)
             solvers.append(self)
 
         def solve_poisson(self, rhs):
@@ -239,8 +240,10 @@ def test_256_squared_report_solves_12_levels_in_4_gate_blocks(example, flat_mode
     monkeypatch.setattr(verify, "HierarchySolver", CountingSolver)
     run_verification(example, flat_model, 1.0, n_r=256, n_theta=256)
     [solver] = solvers
-    assert len(solver.areas) == 16576
-    assert (solver.level_solves, solver.flux.products) == (12, 4)
+    assert len(solver.areas) == 16576 and pde.GATE_BLOCK // 16576 == 3
+    assert (solver.level_solves, solver.flux.products) == (5, 2)
+    # 16 direct solves: the 5 levels and 11 power steps
+    assert solver._lu.solves == 16
 
 
 @pytest.mark.parametrize("override", [None, "model>=M"])
