@@ -807,8 +807,8 @@ def test_lambda1_grid_is_finite_on_a_perturbed_disk_of_radius_1e_7():
 ], ids=["flat-384", "hyperbolic-384", "example1-64", "example1-256", "perturbed-128",
         "asymmetric-64"])
 def test_moments_past_the_levels_match_solved_levels(m, n):
-    # the radial pencil, the sector and every node are symmetric, which
-    # puts the power value, a Rayleigh quotient, above lambda_1: so the
+    # the radial pencil, the sector and every node are symmetric (which
+    # keeps the power value, a Rayleigh quotient, above lambda_1), so the
     # overlaps v_j . areas v_12 of 12 levels are the moments 13..24 that
     # 24 solved levels give (Golub & Meurant 2010)
     solver = HierarchySolver(make_grid(m, 1.0, n, n))
