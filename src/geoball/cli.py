@@ -218,9 +218,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_r=args.nr, n_theta=args.ntheta, k_max=args.kmax,
         direction_override="reversed" if args.flip_direction else None,
     )
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     out = _output_dir(args.output)
     with open(out / "verification.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write(text)
     print(f"verify {m.label} vs {model.warping.label} R={args.radius} "
           f"direction={report.direction}")
     failed = None

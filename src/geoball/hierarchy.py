@@ -41,6 +41,10 @@ class MomentCrossCheckError(RuntimeError):
     """Moment routes or resolutions disagree beyond tolerance."""
 
 
+class MomentOverflowError(RuntimeError):
+    """A raw moment A_k = k! * (A_k / k!) that a double cannot hold."""
+
+
 class EigenvalueConvergenceError(RuntimeError):
     """The collocated model-ball eigenvalue did not settle, or the
     collocated operator is not finite or singular."""
@@ -58,10 +62,16 @@ class MomentSpectrum:
         return len(self.normalized) - 1
 
     def moment(self, k: int) -> float:
-        """Raw moment A_k = k! * normalized[k]."""
+        """Raw moment A_k = k! * normalized[k]; one that is not finite in
+        double precision raises MomentOverflowError."""
         if not 0 <= k <= self.k_max:
             raise IndexError(f"k={k} outside 0..{self.k_max}")
-        return math.factorial(k) * float(self.normalized[k])
+        x = float(self.normalized[k])
+        # 170! is the largest factorial a double holds
+        if k > 170 or not math.isfinite(a_k := math.factorial(k) * x):
+            raise MomentOverflowError(
+                f"moment A_{k} = {k}! * {x!r} is not finite in double precision")
+        return a_k
 
     def ratios(self) -> np.ndarray:
         """rho_k = normalized[k-1] / normalized[k] = k*A_(k-1)/A_k, k = 1..k_max."""

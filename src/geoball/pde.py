@@ -30,12 +30,10 @@ the solver is asked for, and it takes SuperLU on the sector [0, pi/c]:
 the same stencil on the sector's n_theta/(2c) + 1 angles, weighted by the
 sizes of their orbits.  A metric with neither symmetry takes SuperLU on
 the whole 2-D pencil.  Each hierarchy level
-is one direct solve, checked by its normwise backward error against the
-solver's flux matrix: one sparse product per block of levels of at most
-GATE_BLOCK entries (all 5 levels of a radial grid of up to 13,107 rings
-in one), gated as soon as the block is solved.  Once all are solved,
-each level is checked again by the discrete divergence theorem: the flux
-it sends through the Dirichlet ring is the moment of the level before.
+is one direct solve.  Once all are solved, every level is checked by its
+normwise backward error against the solver's flux matrix, in one sparse
+product, and then by the discrete divergence theorem: the flux it sends
+through the Dirichlet ring is the moment of the level before.
 Inverse power iteration reads its Rayleigh numerator off each step's
 solve, with no product with the flux matrix.
 ``HierarchySolver.hierarchy`` returns one ``GridHierarchy``:
@@ -53,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,10 +69,6 @@ from .surface import TWO_PI, MetricAuditError, PolarMetric2D
 LAMBDA1_LEVELS = 5
 # largest normwise backward error of a hierarchy solve
 RESIDUAL_TOL = 1e-10
-# most level entries the backward-error gate takes in one sparse product
-# (0.5 MB of float64), which bounds its temporaries: the LAMBDA1_LEVELS
-# levels of a radial grid of up to 13,107 rings in one
-GATE_BLOCK = 1 << 16
 # inverse power iteration: relative eigenvalue change to stop at, step budget
 POWER_TOL = 1e-8
 POWER_MAX_ITER = 500
@@ -121,7 +114,7 @@ class PolarGrid:
         if self.n_theta < 2 or self.n_theta % 2 != 0:
             raise ValueError(f"n_theta must be even and >= 2, got {self.n_theta}")
         if self.n_r < 4:
-            raise ValueError("n_r must be >= 4")
+            raise ValueError(f"n_r must be >= 4, got {self.n_r}")
         self.metric._check_radius(self.R)
         # np.linspace(0, R, n_r + 1) bit for bit, without its checks
         radii = np.arange(self.n_r + 1) * (self.R / self.n_r)
@@ -262,8 +255,8 @@ class _Fill:
 class _TridiagonalFactor:
     """LDL^T factor of -flux, for a tridiagonal flux whose negative is
     positive definite (LAPACK pttrf).  It offers what the solver reads of
-    a SuperLU factor, and the fill a trace reports: ``solve``, ``shape``
-    and ``L.nnz + U.nnz``, where L is unit lower bidiagonal and U = D L^T
+    a SuperLU factor, and the fill a trace reports: ``solve`` and
+    ``L.nnz + U.nnz``, where L is unit lower bidiagonal and U = D L^T
     upper bidiagonal, 2n - 1 nonzeros each."""
 
     def __init__(self, flux: csc_matrix):
@@ -271,7 +264,7 @@ class _TridiagonalFactor:
         if info != 0:
             raise ResolutionError(
                 f"radial pencil is not negative definite: pttrf info = {info}")
-        self._d, self._e, self.shape = d, e, flux.shape
+        self._d, self._e = d, e
         self.L = self.U = _Fill(2 * len(d) - 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -318,13 +311,12 @@ class HierarchySolver:
     Unknowns: one center node plus rings 1..n_r-1 (the r = R ring is the
     Dirichlet boundary).  The flux matrix A is symmetric; the Laplacian is
     diag(1/area) @ A.  ``flux`` is factored once, and ``hierarchy`` checks
-    each level's normwise backward error against it, by one product of
-    ``flux`` with a block of levels of at most GATE_BLOCK entries, and
-    then every level's divergence gap.  The columns of A sum to -c_D, the
-    conductances of the faces to the Dirichlet ring, nonzero on the last
-    ring only; so A v_k = -D v_{k-1} gives c_D . v_k = areas . v_{k-1}
-    (``areas.sum()`` for k = 1), and the gap of level k is the relative
-    difference of the two sides.  It sees an error along a whole level,
+    every level's normwise backward error against it, by one product of
+    ``flux`` with all the levels, and then every level's divergence gap.
+    The columns of A sum to -c_D, the conductances of the faces to the
+    Dirichlet ring, nonzero on the last ring only; so A v_k = -D v_{k-1}
+    gives c_D . v_k = areas . v_{k-1} (``areas.sum()`` for k = 1), and the
+    gap of level k is the relative difference of the two sides.  It sees an error along a whole level,
     such as a scaling, that the normwise error hides on a fine grid.
 
     On a rotationally symmetric grid (conductances and cell areas constant
@@ -403,26 +395,17 @@ class HierarchySolver:
     def hierarchy(self, depth: int) -> GridHierarchy:
         """Normalized hierarchy v_k = u_k/k!, k = 1..depth, one direct
         solve per level, with its moments A_0..A_depth (see
-        ``GridHierarchy``).  The levels are gated in blocks of at most
-        GATE_BLOCK entries, each as soon as it is solved, and then by the
-        divergence theorem."""
+        ``GridHierarchy``).  Once every level is solved, the levels are
+        gated by their backward errors and then by the divergence
+        theorem."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if depth > 64:
-            warnings.warn("depth > 64: deep hierarchy may lose accuracy", RuntimeWarning)
         n = len(self.areas)
         levels = np.empty((depth, n))
         v = np.ones(n)
-        block = max(1, GATE_BLOCK // n)  # levels per gate block
-        for start in range(0, depth, block):
-            stop = min(start + block, depth)
-            for k in range(start, stop):
-                levels[k] = v = self.solve_poisson(-v)
-            res = self._backward_errors(levels, start, stop)
-            bad = np.flatnonzero(~(res <= RESIDUAL_TOL))  # a NaN residual fails too
-            if len(bad):
-                raise ResolutionError(f"Poisson residual {float(res[bad[0]])} too large "
-                                      f"at level {start + bad[0] + 1}")
+        for k in range(depth):
+            levels[k] = v = self.solve_poisson(-v)
+        _gate("Poisson residual", self._backward_errors(levels))
         moments = levels @ self.areas
         # each level's flux through the Dirichlet ring over the moment of
         # the level before, which the divergence theorem makes 1
@@ -430,32 +413,27 @@ class HierarchySolver:
         ratio = levels[:, -len(c_d):] @ c_d
         ratio[0] /= self.areas.sum()
         ratio[1:] /= moments[:-1]
-        gap = np.abs(ratio - 1.0)
-        if not gap.max() <= RESIDUAL_TOL:  # a NaN gap fails too
-            k = np.flatnonzero(~(gap <= RESIDUAL_TOL))[0]
-            raise ResolutionError(f"divergence gap {float(gap[k])} too large "
-                                  f"at level {k + 1}")
+        _gate("divergence gap", np.abs(ratio - 1.0))
         moments = np.concatenate([[self.grid.total_area()], moments])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
 
-    def _backward_errors(self, levels: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Normwise backward error of each of levels[start:stop] as a
-        solution of flux x = -rhs, rhs = areas * (the level before it, 1
-        before the first), by one sparse product.  The product comes out
-        one row per node; its sum with rhs is laid out one row per level,
-        so every maximum reads contiguous memory.  Dividing elementwise by
-        the near-pole cell areas would only amplify bare float64 roundoff.
-        A level that underflowed to zero gives 0/0 = NaN, which the
-        caller's gate refuses."""
-        x = levels[start:stop]
-        rhs = np.empty_like(x)
-        rhs[0] = levels[start - 1] if start else 1.0
-        rhs[1:] = x[:-1]
+    def _backward_errors(self, levels: np.ndarray) -> np.ndarray:
+        """Normwise backward error of each level as a solution of
+        flux x = -rhs, rhs = areas * (the level before it, 1 before the
+        first), by one sparse product.  The product comes out one row per
+        node; its sum with rhs is laid out one row per level, so every
+        maximum reads contiguous memory.  Dividing elementwise by the
+        near-pole cell areas would only amplify bare float64 roundoff.  A
+        level that underflowed to zero gives 0/0 = NaN, which the gate
+        refuses."""
+        rhs = np.empty_like(levels)
+        rhs[0] = 1.0
+        rhs[1:] = levels[:-1]
         rhs *= self.areas
         with np.errstate(invalid="ignore"):
-            r = np.add((self.flux @ x.T).T, rhs, order="C")
+            r = np.add((self.flux @ levels.T).T, rhs, order="C")
             return np.abs(r, out=r).max(axis=1) / (
-                self._flux_norm * np.abs(x).max(axis=1) + np.abs(rhs).max(axis=1))
+                self._flux_norm * np.abs(levels).max(axis=1) + np.abs(rhs).max(axis=1))
 
     def smallest_eigenvalue(self) -> float:
         """Smallest Dirichlet eigenvalue by inverse power iteration on the
@@ -478,6 +456,15 @@ class HierarchySolver:
                 return lam
             lam_prev, x = lam, y
         raise ResolutionError("inverse power iteration did not converge")
+
+
+def _gate(name: str, errors: np.ndarray) -> None:
+    """Raise ResolutionError naming the first level whose error is above
+    RESIDUAL_TOL; a NaN error fails too."""
+    bad = np.flatnonzero(~(errors <= RESIDUAL_TOL))
+    if len(bad):
+        raise ResolutionError(f"{name} {float(errors[bad[0]])} too large "
+                              f"at level {bad[0] + 1}")
 
 
 @functools.cache

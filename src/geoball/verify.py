@@ -139,8 +139,8 @@ class VerificationContext:
         hypothesis scan's ('model>=M' when it reads 'equal'); any other
         value is a ValueError.  Raises ComparisonPreconditionError when the
         hypothesis has no uniform direction."""
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        if not 1 <= k_max <= 170:  # 170! is the largest factorial a double holds
+            raise ValueError(f"k_max must be in 1..170, got {k_max}")
         if direction_override not in (None, "model<=M", "model>=M", "reversed"):
             raise ValueError("direction_override must be None, 'model<=M', "
                              f"'model>=M' or 'reversed', got {direction_override!r}")

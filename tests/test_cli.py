@@ -1,5 +1,6 @@
 """Tests for the command-line frontend and the expression parsers."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -305,7 +306,8 @@ def test_cli_verify_refuses_a_bad_grid_before_the_hypothesis_scan(flag, value,
     monkeypatch.setattr(geoball.verify, "hypothesis_report", None)
     assert main(["verify", "--metric", "example1", "--model", "euclidean",
                  "--radius", "1", flag, value]) == 2
-    assert "error: n_" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_") and err.endswith(f", got {value}\n")
 
 
 def test_cli_flipped_verify_scans_the_hypothesis_once(tmp_path, monkeypatch):
@@ -495,6 +497,37 @@ def test_cli_nonpositive_count_exit_code(argv, tmp_path, capsys):
         main(argv + ["--output", str(tmp_path)])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("radius,kmax,message", [
+    ("1", "171", "k_max must be in 1..170, got 171"),
+    # the model's A_132 is the first moment past 1.8e308
+    ("5", "150", "moment A_132 = 132! * "),
+], ids=["kmax-171", "radius-5-kmax-150"])
+def test_cli_verify_moment_a_double_cannot_hold_is_one_line(radius, kmax, message,
+                                                            tmp_path, capsys):
+    argv = ["verify", "--metric", "example1", "--model", "euclidean", "--radius", radius,
+            "--nr", "16", "--ntheta", "16", "--kmax", kmax, "--output", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_verify_writes_no_json_for_a_non_finite_report(tmp_path, monkeypatch, capsys):
+    run = geoball.cli.run_verification
+
+    def with_nan_margin(*args, **kwargs):
+        report = run(*args, **kwargs)
+        entries = (dataclasses.replace(report.entries[0], margin=math.nan),)
+        return dataclasses.replace(report, entries=entries + report.entries[1:])
+
+    monkeypatch.setattr(geoball.cli, "run_verification", with_nan_margin)
+    assert main(["verify", "--metric", "example1", "--model", "euclidean", "--radius", "1",
+                 "--nr", "16", "--ntheta", "16", "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Out of range float values") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

@@ -13,6 +13,7 @@ from geoball import hierarchy
 from geoball.hierarchy import (
     EigenvalueConvergenceError,
     MomentCrossCheckError,
+    MomentOverflowError,
     MomentSpectrum,
     averaged_moment,
     lambda1_from_moments,
@@ -377,3 +378,13 @@ def test_radial_function_rejects_nan_grids_and_values():
         RadialFunction(grid=bad, values=1.0 - grid)
     with pytest.raises(ValueError, match="finite"):
         RadialFunction(grid=grid, values=1.0 - bad)
+
+
+@pytest.mark.parametrize("k,normalized", [(171, 1e-300), (150, 1e300), (3, math.nan)],
+                         ids=["factorial", "product", "nan"])
+def test_moment_a_double_cannot_hold_raises(k, normalized):
+    spec = MomentSpectrum(np.append(np.full(k, 0.5), normalized), 1.0)
+    with pytest.raises(MomentOverflowError, match=f"^moment A_{k} = {k}! "):
+        spec.moment(k)
+    # the finite moments below it are k! * normalized[k], as before
+    assert spec.moment(k - 1) == math.factorial(k - 1) * 0.5

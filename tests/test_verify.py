@@ -1,6 +1,7 @@
 """Tests for the comparison-theorem harness."""
 
 import math
+import warnings
 
 import pytest
 
@@ -163,6 +164,21 @@ def test_direction_override_must_name_a_direction(example, flat_model, override,
                          direction_override=override)
 
 
+@pytest.mark.parametrize("k_max", [0, 171])
+def test_k_max_a_double_cannot_hold_is_refused_before_the_grid(example, flat_model, k_max):
+    # 170! is the largest factorial a double holds; n_r = 3 would be
+    # refused by the grid
+    with pytest.raises(ValueError, match=f"^k_max must be in 1..170, got {k_max}$"):
+        VerificationContext.build(example, flat_model, 1.0, n_r=3, k_max=k_max)
+
+
+def test_16_squared_report_at_k_max_70_passes_without_warning(example, flat_model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_verification(example, flat_model, 1.0, n_r=16, n_theta=16, k_max=70)
+    assert report.all_passed and len(report.entries) == 153
+
+
 def test_report_serialization(example_report):
     doc = example_report.to_dict()
     assert set(doc) == {"hypothesis", "entries", "provenance"}
@@ -220,10 +236,10 @@ def test_each_quantity_computed_once_per_report(example, flat_model, monkeypatch
     assert (sum(map(len, builds)), len(transplants)) == (2, 0)
 
 
-def test_256_squared_report_solves_5_levels_in_2_gate_blocks(example, flat_model,
-                                                            monkeypatch):
-    # the report reads levels 1..5; its sector holds 16,576 unknowns, so
-    # the gate takes blocks of 3 levels, 3 + 2
+def test_256_squared_report_solves_5_levels_in_one_gate_product(example, flat_model,
+                                                                monkeypatch):
+    # the report reads levels 1..5 of its sector's 16,576 unknowns, and
+    # the gate takes all 5 in one product
     solvers = []
 
     class CountingSolver(pde.HierarchySolver):
@@ -240,8 +256,8 @@ def test_256_squared_report_solves_5_levels_in_2_gate_blocks(example, flat_model
     monkeypatch.setattr(verify, "HierarchySolver", CountingSolver)
     run_verification(example, flat_model, 1.0, n_r=256, n_theta=256)
     [solver] = solvers
-    assert len(solver.areas) == 16576 and pde.GATE_BLOCK // 16576 == 3
-    assert (solver.level_solves, solver.flux.products) == (5, 2)
+    assert len(solver.areas) == 16576
+    assert (solver.level_solves, solver.flux.products) == (5, 1)
     # 16 direct solves: the 5 levels and 11 power steps
     assert solver._lu.solves == 16
 
