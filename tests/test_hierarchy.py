@@ -1,5 +1,6 @@
 """Tests for the radial hierarchy, moments and eigenvalue extraction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,9 @@ from geoball.hierarchy import (
 )
 from geoball.model import (
     ModelSpace,
+    balance_check,
+    ball_radius_from_volume,
+    ball_volume_model,
     euclidean_profile,
     make_space_form,
     polynomial_profile,
@@ -204,10 +208,11 @@ def test_moment_cross_check_fails_on_nan_moments():
 
 def test_hierarchy_underflow_truncates_with_one_warning():
     m = make_space_form(0.0, 2)
-    with pytest.warns(RuntimeWarning, match="underflow") as caught:
-        spec = radial_hierarchy(m, 1e-5, 80).spectrum()
+    with pytest.warns(RuntimeWarning, match="underflow at level 28") as caught:
+        hier = radial_hierarchy(m, 1e-5, 80)
     assert len(caught) == 1
-    assert spec.k_max + 1 == 27
+    assert len(hier.levels) == 28  # v_0..v_27; v_28 fell below UNDERFLOW_FLOOR
+    assert hier.spectrum().k_max + 1 == 27
 
 
 def test_averaged_moment_normalization():
@@ -388,3 +393,47 @@ def test_moment_a_double_cannot_hold_raises(k, normalized):
         spec.moment(k)
     # the finite moments below it are k! * normalized[k], as before
     assert spec.moment(k - 1) == math.factorial(k - 1) * 0.5
+
+
+# sha256 of float.hex of the model layer's outputs on B_R (see
+# _model_layer_values), one case per warping, dimension and radius
+MODEL_LAYER_PINS = {
+    ("sphere(0.7)", 2, 0.5): "15abf63810bc7a8ffa64d4e791fc7b79647766a9f441671b2654f6c3718b85aa",
+    ("sphere(0.7)", 3, 1.25): "499816053b213a595cf488140f6c0253460a4ceaf9ac1a45bc2a6158f5730bae",
+    ("sphere(0.7)", 4, 2.0): "36ee75f4ac8292b6bdaa8f91b0d7776e0a4f488612b8cc14d85652e0f7998929",
+    ("euclidean", 2, 1.25): "d04f6d212f388e5a11cc1f61f901df0e6aa4afcc7eb7c6cf9f86f4cb5a4c6972",
+    ("euclidean", 3, 2.0): "14faa0199e08010a2591633c9ec14fdd0140b3f90bdea44fa2f0d19014c41b5b",
+    ("euclidean", 4, 0.5): "a40ce34544008bef4d71a60d9831d7667ef43f7c477fb0e4eb127f276f4061b0",
+    ("hyperbolic(1)", 2, 2.0): "2b7881eed45db576987be4884d39516b40f28c733e9a39eac89bbd7ae50600ca",
+    ("hyperbolic(1)", 3, 0.5): "114657ab2c6553f62bba19b08fa381c23bbdd436f79c7806f693091c97f8c588",
+    ("hyperbolic(1)", 4, 1.25): "c101571aad977ab3dd475e772cdb31774f4d1abb362eee3d1f407f0f0abc9521",
+    ("poly(0.1,0.01)", 2, 0.75): "b71e534846d782246acc4cab3669cae38e75ed64681a1c6a5bc8e69094660282",
+    ("poly(0.1,0.01)", 3, 1.5): "b815cf758b0e37f4cdcd74b0d8d789259b7dae45ccf8818a7662a2c608121a3d",
+    ("poly(0.1,0.01)", 4, 1.0): "ca40d81bef9059932d9d51b7161120bedd67011cb21a1c71416327abfd18a61e",
+}
+MODEL_LAYER_PROFILES = {
+    "sphere(0.7)": lambda: space_form_profile(0.7),
+    "euclidean": euclidean_profile,
+    "hyperbolic(1)": lambda: space_form_profile(-1.0),
+    "poly(0.1,0.01)": lambda: polynomial_profile((0.1, 0.01)),
+}
+
+
+def _model_layer_values(m, R):
+    """A_0/0!..A_40/40! and lambda_1 of one hierarchy pass, the ball volume
+    at R and on 512 radii in (0, R], the radius of that volume and the
+    balance margin."""
+    hier = radial_hierarchy(m, R, 41)
+    vol = ball_volume_model(m, R)
+    return [*hier.spectrum().normalized, hier.lambda1(), vol,
+            *ball_volume_model(m, np.linspace(R / 512, R, 512)),
+            ball_radius_from_volume(m, vol), balance_check(m, R).min_margin]
+
+
+@pytest.mark.parametrize("warping,n,R", list(MODEL_LAYER_PINS))
+def test_model_layer_is_pinned(warping, n, R):
+    m = ModelSpace(warping=MODEL_LAYER_PROFILES[warping](), dim=n)
+    values = _model_layer_values(m, R)
+    assert len(values) == 41 + 1 + 1 + 512 + 2
+    digest = hashlib.sha256(" ".join(map(float.hex, map(float, values))).encode())
+    assert digest.hexdigest() == MODEL_LAYER_PINS[warping, n, R]
