@@ -85,17 +85,34 @@ class EigenvalueEstimate:
     converged: bool
 
 
+@functools.cache
+def _chebyshev(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only Chebyshev nodes x_j = cos(j pi/N), j = 0..N, the weights c_j
+    of the differentiation matrix and their reciprocals 1/c_j, which are
+    also the barycentric weights (-1)^j, halved at both ends.  O(N) per N:
+    the (N+1)^2 tables are built per call."""
+    j = np.arange(N + 1)
+    x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(j pi/N); x[N-j] == -x[j]
+    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
+    tables = x, c, 1 / c
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
     """Chebyshev nodes x_j = cos(j pi/N), j = 0..N, d/dr at r = R x_j, and
     u'' + (n-1)(w'/w) u' collocated on the even extension of u to [-R, R]
     (N odd: no node at r = 0), folded onto the M = (N-1)/2 nodes in (0, R)
     with u(+-R) = 0: an M x M matrix.  A non-finite w'/w raises
     EigenvalueConvergenceError."""
-    j = np.arange(N + 1)
-    x = np.sin(np.pi * (N - 2 * j) / (2 * N))  # cos(j pi/N); x[N-j] == -x[j]
-    c = np.where((j == 0) | (j == N), 2.0, 1.0) * (-1.0) ** j
-    D = np.outer(c, 1 / c) / (R * (x[:, None] - x[None, :] + np.eye(N + 1)))
-    D -= np.diag(D.sum(axis=1))  # d/dr at the nodes (Trefethen's cheb.m)
+    x, c, inv_c = _chebyshev(N)
+    dx = np.subtract.outer(x, x)
+    dx.flat[:: N + 2] = 1.0  # the identity on the diagonal, where x_i - x_i = 0
+    dx *= R
+    D = np.multiply.outer(c, inv_c)
+    D /= dx
+    D.reshape(-1)[:: N + 2] -= D.sum(axis=1)  # d/dr at the nodes (Trefethen's cheb.m)
     M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
     eta = mean_curvature_model(m, R * x[1 : M + 1])
     if not np.all(np.isfinite(eta)):
@@ -115,10 +132,14 @@ def _lu_factor(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
-def _next_level(lu: tuple[np.ndarray, np.ndarray], v: np.ndarray) -> np.ndarray:
-    """v_(k+1) at the N + 1 nodes from v_k: L v_(k+1) = -v_k, unfolded."""
-    u = dgetrs(*lu, -v[1 : len(v) // 2])[0]
-    return np.concatenate(([0.0], u, u[::-1], [0.0]))
+def _unfold(u: np.ndarray) -> np.ndarray:
+    """Values u at the M nodes in (0, R) (last axis), even in r and 0 at
+    r = +-R, at all N + 1 = 2M + 2 nodes: [0, u, u reversed, 0]."""
+    M = u.shape[-1]
+    v = np.zeros(u.shape[:-1] + (2 * M + 2,))
+    v[..., 1 : M + 1] = u
+    v[..., M + 1 : -1] = u[..., ::-1]
+    return v
 
 
 def _barycentric(nodes: np.ndarray, weights: np.ndarray, values: np.ndarray,
@@ -160,14 +181,13 @@ class RadialHierarchy:
     model: ModelSpace
     nodes: np.ndarray  # R cos(j pi/N), j = 0..N: from R down to -R
     flux: np.ndarray  # row 0 of the differentiation matrix: d/dr at r = R
-    levels: tuple[np.ndarray, ...]  # index k: v_k at the nodes, even in r
+    levels: np.ndarray  # (depth + 1, N + 1); row k: v_k at the nodes, even in r
     operators: tuple[np.ndarray, np.ndarray]  # folded L at the previous, settled N
 
     def _interpolant(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """The polynomial through node values (one column per function),
         with the closed-form Chebyshev weights (-1)^j, halved at both ends."""
-        wi = (-1.0) ** np.arange(len(self.nodes))
-        wi[[0, -1]] *= 0.5
+        wi = _chebyshev(len(self.nodes) - 1)[2]
         return functools.partial(_barycentric, self.nodes, wi, values)
 
     def level(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -191,9 +211,8 @@ class RadialHierarchy:
         density = m.sphere_constant * m.warping.w(r) ** (m.dim - 1)
         lagrange = self._interpolant(np.eye(N + 1))(r)  # column j: l_j at r
         weights = panels.cumulative(lagrange.T * density, N)[:, -1]
-        levels = np.stack(self.levels)
-        bulk = (levels[:-1] * weights).sum(axis=1)
-        boundary = -(levels[1:] * self.flux).sum(axis=1) * sphere_volume_model(m, R)
+        bulk = (self.levels[:-1] * weights).sum(axis=1)
+        boundary = -(self.levels[1:] * self.flux).sum(axis=1) * sphere_volume_model(m, R)
         # written as "not within" so that a NaN moment fails it
         bad = np.flatnonzero(~(np.abs(bulk - boundary)
                                <= CROSS_CHECK_TOL * np.maximum(abs(bulk), abs(boundary))))
@@ -222,36 +241,42 @@ class RadialHierarchy:
 def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
     """Levels v_0..v_depth of B_R from one pass (fewer after an underflow);
     the moments A_0..A_k need depth k + 1.  The matrix L of
-    ``_folded_operator`` is LU-factored once, and v_k solves L v_k = -v_(k-1).
+    ``_folded_operator`` is LU-factored once, and v_k solves L v_k = -v_(k-1)
+    on the folded nodes in (0, R); the levels are unfolded once, at the end.
     N runs through CHEBYSHEV_N until A_1, from the boundary flux of v_2,
     moves by at most HIERARCHY_REL_TOL relative: that does not depend on
-    depth, so a deeper pass only appends levels.  MomentCrossCheckError is
-    raised when nothing settles (near a sphere's cut locus), and
-    EigenvalueConvergenceError at once by a singular or non-finite L."""
+    depth, so a deeper pass only appends levels, and the settled rung's v_1
+    and v_2 are its first two.  MomentCrossCheckError is raised when nothing
+    settles (near a sphere's cut locus), and EigenvalueConvergenceError at
+    once by a singular or non-finite L."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m._check_radius(R)
     prev, coarse = math.nan, None
     for N in CHEBYSHEV_N:
         x, D, L = _folded_operator(m, R, N)
-        lu = _lu_factor(L)
+        lu, piv = _lu_factor(L)
+        u1 = dgetrs(lu, piv, np.full(len(L), -1.0))[0]
+        u2 = dgetrs(lu, piv, -u1)[0]
         # A_1 up to the factor -Vol(S_R), which the relative change ignores
-        a1 = float(D[0] @ _next_level(lu, _next_level(lu, np.ones(N + 1))))
+        a1 = float(D[0] @ _unfold(u2))
         if abs(a1 - prev) <= HIERARCHY_REL_TOL * abs(a1):  # a NaN never settles
             break
         prev, coarse = a1, L
     else:
         raise MomentCrossCheckError(
             f"moment A_1 of '{m.warping.label}' on B_{R} unsettled at N={N}")
-    levels = [np.ones(N + 1)]
-    for _ in range(depth):
-        v = _next_level(lu, levels[-1])
-        if v.max() < UNDERFLOW_FLOOR:
-            warnings.warn(f"hierarchy underflow at level {len(levels)}; truncating",
-                          RuntimeWarning)
+    folded = np.ones((depth + 1, len(L)))  # row 0: v_0 = 1
+    for k in range(1, depth + 1):
+        u = (u1, u2)[k - 1] if k <= 2 else dgetrs(lu, piv, -folded[k - 1])[0]
+        if u.max() < UNDERFLOW_FLOOR:
+            warnings.warn(f"hierarchy underflow at level {k}; truncating", RuntimeWarning)
+            folded = folded[:k]
             break
-        levels.append(v)
-    return RadialHierarchy(m, R * x, D[0], tuple(levels), (coarse, L))
+        folded[k] = u
+    levels = _unfold(folded)
+    levels[0] = 1.0
+    return RadialHierarchy(m, R * x, D[0], levels, (coarse, L))
 
 
 def moment_spectrum(m: ModelSpace, R: float, k_max: int) -> MomentSpectrum:

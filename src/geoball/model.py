@@ -196,6 +196,8 @@ class ModelSpace:
     def _check_radius(self, r: float | np.ndarray, allow_zero: bool = False) -> None:
         """Raise DomainError unless every radius in r lies in (0, r_max),
         or in [0, r_max) with allow_zero."""
+        if isinstance(r, float) and (0 <= r if allow_zero else 0 < r) and r < self.r_max:
+            return
         r = np.asarray(r, dtype=float)
         lo_ok = r >= 0 if allow_zero else r > 0
         bad = ~(lo_ok & (r < self.r_max))
@@ -283,21 +285,21 @@ def ball_volume_model(m: ModelSpace, r: float | np.ndarray) -> float | np.ndarra
     volumes do not settle within the doubling budget.
     """
     panels = GaussPanels(r)
-    m._check_radius(panels.radii, allow_zero=True)
+    m._check_radius(r, allow_zero=True)
     n_g, prev = GAUSS_NODES, None
-    while n_g <= GAUSS_NODES_MAX:
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):
+        while n_g <= GAUSS_NODES_MAX:
             wn = m.warping.w(panels.nodes(n_g)) ** (m.dim - 1)
             vols = m.sphere_constant * panels.cumulative(wn, n_g)
-        if not np.isfinite(vols[-1]):  # the cumulative sum carries NaN and inf
-            if np.isnan(vols[-1]):
-                break
-            raise DomainError(f"ball volume of model '{m.warping.label}' "
-                              f"overflows below radius {panels.radii[-1]}")
-        # a NaN change compares False, so it counts as unsettled
-        if prev is not None and np.all(np.abs(vols - prev) <= VOLUME_REL_TOL * vols):
-            return float(vols[0]) if np.ndim(r) == 0 else vols
-        n_g, prev = 2 * n_g, vols
+            if not math.isfinite(vols[-1]):  # the cumulative sum carries NaN and inf
+                if math.isnan(vols[-1]):
+                    break
+                raise DomainError(f"ball volume of model '{m.warping.label}' "
+                                  f"overflows below radius {panels.radii[-1]}")
+            # a NaN change compares False, so it counts as unsettled
+            if prev is not None and (np.abs(vols - prev) <= VOLUME_REL_TOL * vols).all():
+                return float(vols[0]) if np.ndim(r) == 0 else vols
+            n_g, prev = 2 * n_g, vols
     raise QuadratureError(
         f"ball volumes of model '{m.warping.label}' did not converge to "
         f"rel_tol={VOLUME_REL_TOL} on [0, {panels.radii[-1]}]"
@@ -398,22 +400,22 @@ def _invert_volume(m: ModelSpace, V: float, lo: float, hi: float, vol: float) ->
     most RADIUS_STEP_ULPS ulp, or when no double is left inside the
     bracket."""
     r = hi
-    while True:
-        if vol < V:
-            lo = r
-        else:
-            hi = r
-        vol = np.float64(vol)  # V(r) = 0 divides without raising
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        while True:
+            if vol < V:
+                lo = r
+            else:
+                hi = r
+            vol = np.float64(vol)  # V(r) = 0 divides without raising
             slope = r * (sphere_volume_model(m, r) / vol)  # r V' alone may overflow
             step = r * np.expm1(np.log(V / vol) / slope)  # V / vol: no cancellation
-        if not 0 < slope < math.inf:  # False for NaN
-            step = math.nan
-        r_next = r + step
-        if abs(step) <= RADIUS_STEP_ULPS * math.ulp(r):  # False for NaN
-            return float(r_next)
-        if not lo < r_next < hi:
-            r_next = 0.5 * (lo + hi)
-            if not lo < r_next < hi:
+            if not 0 < slope < math.inf:  # False for NaN
+                step = math.nan
+            r_next = r + step
+            if abs(step) <= RADIUS_STEP_ULPS * math.ulp(r):  # False for NaN
                 return float(r_next)
-        r, vol = r_next, ball_volume_model(m, r_next)
+            if not lo < r_next < hi:
+                r_next = 0.5 * (lo + hi)
+                if not lo < r_next < hi:
+                    return float(r_next)
+            r, vol = r_next, ball_volume_model(m, r_next)

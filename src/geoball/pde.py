@@ -396,8 +396,8 @@ class HierarchySolver:
         """Normalized hierarchy v_k = u_k/k!, k = 1..depth, one direct
         solve per level, with its moments A_0..A_depth (see
         ``GridHierarchy``).  Once every level is solved, the levels are
-        gated by their backward errors and then by the divergence
-        theorem."""
+        gated by their backward errors and by the divergence theorem; the
+        error names the first level that fails either gate."""
         if depth < 1:
             raise ValueError("depth must be >= 1")
         n = len(self.areas)
@@ -405,15 +405,16 @@ class HierarchySolver:
         v = np.ones(n)
         for k in range(depth):
             levels[k] = v = self.solve_poisson(-v)
-        _gate("Poisson residual", self._backward_errors(levels))
+        residual = self._backward_errors(levels)
         moments = levels @ self.areas
         # each level's flux through the Dirichlet ring over the moment of
         # the level before, which the divergence theorem makes 1
         c_d = self._c_dirichlet
         ratio = levels[:, -len(c_d):] @ c_d
-        ratio[0] /= self.areas.sum()
-        ratio[1:] /= moments[:-1]
-        _gate("divergence gap", np.abs(ratio - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a level gone to 0
+            ratio[0] /= self.areas.sum()
+            ratio[1:] /= moments[:-1]
+        _gate(("Poisson residual", residual), ("divergence gap", np.abs(ratio - 1.0)))
         moments = np.concatenate([[self.grid.total_area()], moments])
         return GridHierarchy(self, levels, MomentSpectrum(moments, self.grid.R))
 
@@ -458,13 +459,16 @@ class HierarchySolver:
         raise ResolutionError("inverse power iteration did not converge")
 
 
-def _gate(name: str, errors: np.ndarray) -> None:
-    """Raise ResolutionError naming the first level whose error is above
-    RESIDUAL_TOL; a NaN error fails too."""
+def _gate(*gates: tuple[str, np.ndarray]) -> None:
+    """Raise ResolutionError naming the first level whose error in any of
+    the (name, per-level errors) gates is above RESIDUAL_TOL, and the
+    earlier gate of those it fails; a NaN error fails too."""
+    errors = np.stack([e for _, e in gates], axis=1)  # one row per level
     bad = np.flatnonzero(~(errors <= RESIDUAL_TOL))
     if len(bad):
-        raise ResolutionError(f"{name} {float(errors[bad[0]])} too large "
-                              f"at level {bad[0] + 1}")
+        k, g = divmod(int(bad[0]), len(gates))
+        raise ResolutionError(f"{gates[g][0]} {float(errors[k, g])} too large "
+                              f"at level {k + 1}")
 
 
 @functools.cache

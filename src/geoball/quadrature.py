@@ -32,9 +32,12 @@ class GaussPanels:
 
     def __init__(self, radii: float | np.ndarray):
         rs = np.atleast_1d(np.asarray(radii, dtype=float))
-        if rs.ndim != 1 or rs.size == 0 or not np.all(np.diff(rs) >= 0):
+        if rs.shape == (1,):
+            left = 0.0
+        elif rs.ndim != 1 or rs.size == 0 or not np.all(np.diff(rs) >= 0):
             raise ValueError("radii must be a scalar or a sorted, non-empty 1-D array")
-        left = np.concatenate(([0.0], rs[:-1]))
+        else:
+            left = np.concatenate(([0.0], rs[:-1]))
         self.radii = rs
         self._half, self._mid = 0.5 * (rs - left), 0.5 * (rs + left)
 
@@ -48,4 +51,4 @@ class GaussPanels:
         along the last axis of values; leading axes index functions."""
         wts = _gauss_legendre(n_g)[1]
         per_panel = values.reshape(*values.shape[:-1], len(self.radii), n_g) @ wts
-        return np.cumsum(self._half * per_panel, axis=-1)
+        return (self._half * per_panel).cumsum(axis=-1)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BarycentricInterpolator
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
 
 from geoball import hierarchy
@@ -156,13 +157,39 @@ def test_levels_interpolate_bit_for_bit_as_scipy(b, n, R):
 
 
 def test_folded_solves_match_lu_factor_and_lu_solve():
-    _, _, L = hierarchy._folded_operator(make_space_form(-1.0, 3), 1.5, 33)
+    m = make_space_form(-1.0, 3)
+    _, _, L = hierarchy._folded_operator(m, 1.5, 65)
     lu, piv = hierarchy._lu_factor(L)
     ref_lu, ref_piv = lu_factor(L)
     assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
-    v = np.linspace(1.0, 2.0, 34)
-    u = hierarchy._next_level((lu, piv), v)
-    assert np.array_equal(u[1:17], lu_solve((ref_lu, ref_piv), -v[1:17]))
+    hier = radial_hierarchy(m, 1.5, 4)
+    assert len(hier.nodes) == 66  # settled at N = 65
+    u = np.ones(32)
+    for v in hier.levels[1:]:
+        u = lu_solve((ref_lu, ref_piv), -u)
+        assert np.array_equal(v, np.concatenate(([0.0], u, u[::-1], [0.0])))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 41])
+def test_model_hierarchy_solves_each_level_once(depth, monkeypatch):
+    # every rung solves v_1 and v_2 for its A_1; the settled rung's are the
+    # hierarchy's first two levels, so only v_3..v_depth are solved again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dgetrs(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "dgetrs", counted)
+    rungs = set()
+    for b, n, R in [(0.0, 2, 1.0), (-1.0, 3, 1.5), (0.7, 4, 2.0), (-1.0, 3, 20.0)]:
+        calls.clear()
+        hier = radial_hierarchy(make_space_form(b, n), R, depth)
+        rung = hierarchy.CHEBYSHEV_N.index(len(hier.nodes) - 1) + 1
+        rungs.add(rung)
+        assert len(hier.levels) == depth + 1
+        assert len(calls) == 2 * rung + max(depth - 2, 0)
+    assert len(rungs) > 1
 
 
 @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])

@@ -319,7 +319,7 @@ def test_planted_any_of_comparisons_are_found():
 # every functools.cache or lru_cache function of the library, with small
 # arguments to call it on
 CACHED_CALLS = {"quadrature._gauss_legendre": (4,), "pde._power_start": (5,),
-                "pde._flux_pattern": (5, 2)}
+                "pde._flux_pattern": (5, 2), "hierarchy._chebyshev": (5,)}
 
 
 def _cached_functions(source: str) -> list[str]:

@@ -793,17 +793,29 @@ def test_nan_backward_error_fails_the_hierarchy_gate(m):
 
 
 def test_gates_refuse_a_deep_hierarchy_without_a_depth_limit():
-    # the gates, not a depth limit, refuse the levels that lost accuracy:
-    # on this grid level 374 has backward error 2.6e-10, and level 372
-    # a divergence gap of 1.3e-10
+    # the gates, not a depth limit, refuse the levels that lost accuracy,
+    # and name the first of them whichever gate it fails: on this grid
+    # level 372 has a divergence gap of 1.3e-10, two levels before the
+    # first backward error above the tolerance (2.6e-10 at level 374)
     solver = HierarchySolver(make_grid(builtin_example_metric(), 1.0, 16, 16))
-    with pytest.raises(pde.ResolutionError,
-                       match=r"^Poisson residual \S+ too large at level 374$"):
-        solver.hierarchy(1000)
-    with pytest.raises(pde.ResolutionError,
-                       match=r"^divergence gap \S+ too large at level 372$"):
-        solver.hierarchy(373)
+    for depth in (1000, 373):
+        with pytest.raises(pde.ResolutionError,
+                           match=r"^divergence gap \S+ too large at level 372$"):
+            solver.hierarchy(depth)
     assert len(solver.hierarchy(371).levels) == 371
+
+
+@pytest.mark.parametrize("residual,gap,message", [
+    ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], "Poisson residual 1.0 too large at level 2"),
+    ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], "divergence gap 1.0 too large at level 2"),
+    ([0.0, np.nan, 0.0], [0.0, 1.0, 0.0], "Poisson residual nan too large at level 2"),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, np.nan], "divergence gap nan too large at level 3"),
+], ids=["residual-first", "gap-first", "tie", "nan-gap"])
+def test_gate_names_the_first_failing_level_and_the_residual_on_a_tie(residual, gap, message):
+    with pytest.raises(pde.ResolutionError, match=f"^{message}$"):
+        pde._gate(("Poisson residual", np.array(residual)),
+                  ("divergence gap", np.array(gap)))
+    pde._gate(("Poisson residual", np.zeros(3)), ("divergence gap", np.zeros(3)))
 
 
 def test_flat_lambda1_grid_scales_as_one_over_r_squared_down_to_radius_1e_7(flat):
