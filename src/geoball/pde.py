@@ -463,7 +463,7 @@ def _gate(*gates: tuple[str, np.ndarray]) -> None:
     """Raise ResolutionError naming the first level whose error in any of
     the (name, per-level errors) gates is above RESIDUAL_TOL, and the
     earlier gate of those it fails; a NaN error fails too."""
-    errors = np.stack([e for _, e in gates], axis=1)  # one row per level
+    errors = np.array([e for _, e in gates]).T  # one row per level
     bad = np.flatnonzero(~(errors <= RESIDUAL_TOL))
     if len(bad):
         k, g = divmod(int(bad[0]), len(gates))
