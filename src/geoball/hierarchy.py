@@ -112,7 +112,7 @@ def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
     dx *= R
     D = np.multiply.outer(c, inv_c)
     D /= dx
-    D.reshape(-1)[:: N + 2] -= D.sum(axis=1)  # d/dr at the nodes (Trefethen's cheb.m)
+    D.flat[:: N + 2] -= D.sum(axis=1)  # d/dr at the nodes (Trefethen's cheb.m)
     M = (N - 1) // 2  # nodes 1..M lie in (0, R); node N-j mirrors node j
     eta = mean_curvature_model(m, R * x[1 : M + 1])
     if not np.all(np.isfinite(eta)):
