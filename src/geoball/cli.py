@@ -7,6 +7,7 @@ Metric grammar:   example1 | radial(<warping>) | perturbed(eps, mode)
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,10 +33,9 @@ from .surface import (
     PolarMetric2D,
     _lengths_and_areas,
     ball_area,
-    gauss_curvature,
+    curvature_table,
     perturbed_flat_metric,
     radial_metric,
-    sphere_mean_curvature,
 )
 from .symmetrize import (
     check_equimeasurable,
@@ -196,11 +196,9 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     out = _output_dir(args.output)
     rs = np.linspace(R / args.nr, R, args.nr)
     ts = np.arange(args.ntheta) * (2 * math.pi / args.ntheta)
-    r, t = rs[:, None], ts[None, :]
+    H, K = curvature_table(m, rs[:, None], ts[None, :])
     _write_csv(out / "surface_curvature.csv", ["r", "theta", "H", "K"],
-               [np.repeat(rs, len(ts)), np.tile(ts, len(rs)),
-                sphere_mean_curvature(m, r, t).ravel(),
-                gauss_curvature(m, r, t).ravel()])
+               [np.repeat(rs, len(ts)), np.tile(ts, len(rs)), H.ravel(), K.ravel()])
     lengths, areas = _lengths_and_areas(m, rs)
     _write_csv(out / "surface_volumes.csv", ["r", "length", "area"],
                [rs, lengths, areas])
@@ -309,8 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built once per process;
+    ``build_parser`` returns a new one, so no caller can change this one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ExpressionError, ValueError, RuntimeError) as exc:

@@ -8,7 +8,8 @@ moments and lambda_1 at that resolution.
 
 Hierarchy members are kept in the normalized form v_k = u_k / k!, which
 reads the eigenvalue ratio directly off consecutive moments and avoids
-factorial overflow for deep hierarchies.
+factorial overflow for deep hierarchies.  The LAPACK LU (getrf, getrs) is
+imported from scipy by the calls that factor and solve, not with the module.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .model import ModelSpace, mean_curvature_model, sphere_volume_model
 from .quadrature import GaussPanels
@@ -125,6 +125,8 @@ def _folded_operator(m: ModelSpace, R: float, N: int) -> tuple[np.ndarray, ...]:
 def _lu_factor(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LU factors and pivots of L by LAPACK getrf.  A singular or
     non-finite L raises EigenvalueConvergenceError."""
+    from scipy.linalg.lapack import dgetrf
+
     lu, piv, info = dgetrf(L)
     if info != 0 or not np.all(np.isfinite(lu)):
         raise EigenvalueConvergenceError(
@@ -252,6 +254,8 @@ def radial_hierarchy(m: ModelSpace, R: float, depth: int) -> RadialHierarchy:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     m._check_radius(R)
+    from scipy.linalg.lapack import dgetrs
+
     prev, coarse = math.nan, None
     for N in CHEBYSHEV_N:
         x, D, L = _folded_operator(m, R, N)

@@ -9,7 +9,9 @@ the CSC indices and indptr), and keeps the last shape's, so a repeat
 build of that shape in one process fills only the values.  A single
 factorization is reused across all hierarchy levels and the inverse power
 iteration: LAPACK's LDL^T of a symmetric positive definite tridiagonal
-(pttrf) on a rotationally symmetric grid, SuperLU on any other.
+(pttrf) on a rotationally symmetric grid, SuperLU on any other.  scipy
+is imported where the matrix and the factor are built, so a process that
+builds no solver loads none of scipy.sparse.
 
 The metric is sampled on broadcast axes (radii[:, None], thetas[None, :]),
 never on a materialized mesh, and whether a grid is constant in theta is
@@ -52,14 +54,15 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from .hierarchy import MomentSpectrum
 from .surface import TWO_PI, MetricAuditError, PolarMetric2D
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_matrix
 
 # hierarchy level L that, with level L - 1, brackets the grid lambda_1
 # around the power eigenvalue (``GridHierarchy.lambda1``): to 3e-3
@@ -242,6 +245,8 @@ def _assemble_flux(
     diag = -np.bincount(p, c, n_unknowns) - np.bincount(q, c, n_unknowns)
     diag[-nt:] -= c_radial[-1]  # face to the Dirichlet ring
     data = np.bincount(slot, np.concatenate([c, c, diag]), len(indices))
+    from scipy.sparse import csc_matrix
+
     return csc_matrix((data, indices, indptr), shape=(n_unknowns, n_unknowns))
 
 
@@ -260,16 +265,18 @@ class _TridiagonalFactor:
     upper bidiagonal, 2n - 1 nonzeros each."""
 
     def __init__(self, flux: csc_matrix):
+        from scipy.linalg.lapack import dpttrf, dpttrs
+
         d, e, info = dpttrf(-flux.diagonal(), -flux.diagonal(1))
         if info != 0:
             raise ResolutionError(
                 f"radial pencil is not negative definite: pttrf info = {info}")
-        self._d, self._e = d, e
+        self._d, self._e, self._dpttrs = d, e, dpttrs
         self.L = self.U = _Fill(2 * len(d) - 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with flux x = rhs."""
-        x = dpttrs(self._d, self._e, rhs)[0]
+        x = self._dpttrs(self._d, self._e, rhs)[0]
         return np.negative(x, out=x)
 
 
@@ -385,8 +392,12 @@ class HierarchySolver:
         # largest absolute row sum, from the CSC entries (row indices)
         self._flux_norm = float(np.bincount(flux.indices, np.abs(flux.data),
                                             len(self.areas)).max())
-        self._lu = (_TridiagonalFactor(flux) if radial
-                    else splu(flux, permc_spec="MMD_AT_PLUS_A"))
+        if radial:
+            self._lu = _TridiagonalFactor(flux)
+        else:
+            from scipy.sparse.linalg import splu
+
+            self._lu = splu(flux, permc_spec="MMD_AT_PLUS_A")
 
     def solve_poisson(self, rhs: np.ndarray) -> np.ndarray:
         """Solve L v = rhs by one direct solve of the flux system."""

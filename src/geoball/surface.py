@@ -130,6 +130,16 @@ METRIC_REGISTRY = {
 }
 
 
+def _mean_curvature(jet: _Jet) -> np.ndarray:
+    """w_r / w from a jet of w."""
+    return jet.r / jet.v
+
+
+def _gauss_curvature(jet: _Jet) -> np.ndarray:
+    """-w_rr / w from a jet of w."""
+    return -jet.rr / jet.v
+
+
 def sphere_mean_curvature(
     m: PolarMetric2D, t: float | np.ndarray, theta: float | np.ndarray
 ) -> float | np.ndarray:
@@ -137,8 +147,7 @@ def sphere_mean_curvature(
 
     Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    jet = m.jet(t, theta)
-    h = jet.r / jet.v
+    h = _mean_curvature(m.jet(t, theta))
     return float(h) if h.ndim == 0 else h
 
 
@@ -149,9 +158,18 @@ def gauss_curvature(
 
     Broadcasts over array arguments; scalar arguments give a float."""
     m._check_radius(t)
-    jet = m.jet(t, theta)
-    k = -jet.rr / jet.v
+    k = _gauss_curvature(m.jet(t, theta))
     return float(k) if k.ndim == 0 else k
+
+
+def curvature_table(
+    m: PolarMetric2D, t: np.ndarray, theta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sphere_mean_curvature`` and ``gauss_curvature`` at the same
+    (t, theta) arrays, from one jet of w."""
+    m._check_radius(t)
+    jet = m.jet(t, theta)
+    return _mean_curvature(jet), _gauss_curvature(jet)
 
 
 # Starting and largest angle counts of the tensor rule: its theta budget.

@@ -18,7 +18,7 @@ from geoball.cli import (
     parse_warping_expr,
 )
 from geoball.model import space_form_profile
-from geoball.surface import builtin_example_metric
+from geoball.surface import builtin_example_metric, gauss_curvature, sphere_mean_curvature
 
 
 def test_parse_warping_euclidean():
@@ -274,6 +274,36 @@ def test_cli_csv_output_is_pinned(command, expr, tmp_path):
             for p in tmp_path.glob("*.csv")} == CSV_PINS[command, expr]
 
 
+def test_cli_main_parses_every_command_with_one_parser(tmp_path, monkeypatch):
+    # one process, as the tests and the benchmark run main: an argv that
+    # argparse rejects between commands leaves the parser as it was
+    builds, build = [], geoball.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(geoball.cli, "build_parser", counted)
+    geoball.cli._parser.cache_clear()
+
+    def pinned(argv, key, out):
+        assert main(argv + ["--radius", "1", "--output", str(tmp_path / out)]) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (tmp_path / out).glob("*.csv")} == CSV_PINS[key]
+
+    surface = ["surface", "--metric", "example1", "--nr", "64", "--ntheta", "64"]
+    pinned(surface, ("surface", "example1"), "first")
+    with pytest.raises(SystemExit) as exc:
+        main(["surface", "--metric", "example1", "--radius", "1", "--nr", "0"])
+    assert exc.value.code == 2
+    pinned(["model", "--warping", "hyperbolic(1)", "--dim", "3"], ("model", "hyperbolic(1)"),
+           "model")
+    pinned(surface, ("surface", "example1"), "again")
+    assert len(builds) == 1
+    # build_parser still returns a parser of its own
+    assert build() is not build() and build() is not geoball.cli._parser()
+
+
 # sha256 of the verification.json that geoball verify (64^2, R = 1, against
 # the euclidean model, default --kmax) writes, and its exit code (1: the
 # flipped direction is the negative control and must fail)
@@ -362,7 +392,23 @@ def test_cli_surface_evaluates_metric_a_fixed_number_of_times(tmp_path, monkeypa
 
     run(8)
     run(64)
-    assert calls[64] <= calls[8] <= 40
+    # one jet for the curvature table, then one sample per quadrature level
+    assert calls[64] == calls[8] == 5
+
+
+@pytest.mark.parametrize("expr", ["example1", "perturbed(0.5,4)"])
+def test_cli_surface_curvatures_match_the_pointwise_functions(expr, tmp_path):
+    # H and K come from one jet; each must be, bit for bit, what
+    # sphere_mean_curvature and gauss_curvature give at the same (r, theta)
+    n_r, n_theta = 16, 12
+    assert main(["surface", "--metric", expr, "--radius", "1", "--nr", str(n_r),
+                 "--ntheta", str(n_theta), "--output", str(tmp_path)]) == 0
+    table = np.loadtxt(tmp_path / "surface_curvature.csv", delimiter=",", skiprows=1)
+    r, t, H, K = table.T.reshape(4, n_r, n_theta)
+    m = parse_metric_expr(expr)
+    r, t = r[:, :1], t[:1, :]
+    assert np.array_equal(H, sphere_mean_curvature(m, r, t))
+    assert np.array_equal(K, gauss_curvature(m, r, t))
 
 
 def test_cli_model_evaluates_warping_independently_of_grid(tmp_path, monkeypatch):

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BarycentricInterpolator
 from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgetrs
 from scipy.optimize import brentq
 
 from geoball import hierarchy
@@ -174,13 +174,14 @@ def test_folded_solves_match_lu_factor_and_lu_solve():
 def test_model_hierarchy_solves_each_level_once(depth, monkeypatch):
     # every rung solves v_1 and v_2 for its A_1; the settled rung's are the
     # hierarchy's first two levels, so only v_3..v_depth are solved again
-    calls = []
+    # (radial_hierarchy imports getrs from scipy's LAPACK module once per call)
+    calls, dgetrs = [], scipy.linalg.lapack.dgetrs
 
     def counted(*args, **kwargs):
         calls.append(1)
         return dgetrs(*args, **kwargs)
 
-    monkeypatch.setattr(hierarchy, "dgetrs", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", counted)
     rungs = set()
     for b, n, R in [(0.0, 2, 1.0), (-1.0, 3, 1.5), (0.7, 4, 2.0), (-1.0, 3, 20.0)]:
         calls.clear()

@@ -4,9 +4,10 @@ library, every private attribute a test sets is read by the library, the
 library samples on broadcast axes, never on an np.meshgrid mesh, it
 builds one sparse matrix, the flux stencil, in one place, it seeds jets
 only in the two ``jet`` methods, it imports only the scipy modules it
-runs, it writes no gate as ``any`` of a comparison, which a NaN passes,
-every array its cached functions return is read-only, and it writes CSV
-tables only through ``cli._write_csv``."""
+runs, each only once a command builds a matrix or a factor, it writes
+no gate as ``any`` of a comparison, which a NaN passes, every array its
+cached functions return is read-only, and it writes CSV tables only
+through ``cli._write_csv``."""
 
 import ast
 import importlib
@@ -267,14 +268,50 @@ def test_planted_scipy_imports_are_found():
         "scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.interpolate"]
 
 
-def test_fresh_import_leaves_heavy_scipy_unloaded():
+def _fresh_run(code: str, unloaded: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Run code in a fresh interpreter that imports geoball from this
+    checkout; the exit code is the ``rc`` that code sets (0 if it sets
+    none).  Returns that code and the modules of unloaded, each with its
+    submodules, that the process loaded."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, geoball\n"
-            f"print(*[m for m in {SCIPY_UNLOADED!r} if m in sys.modules])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == []
+    script = (f"import sys\nrc = 0\n{code}\n"
+              f"print(*[m for m in sys.modules if any(m == p or m.startswith(p + '.')"
+              f" for p in {unloaded!r})])\n"
+              "sys.exit(rc)")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert "Traceback" not in run.stderr, run.stderr
+    return run.returncode, run.stdout.splitlines()[-1].split()
+
+
+def test_fresh_import_leaves_heavy_scipy_unloaded():
+    # scipy is imported where a matrix or a factor is built, not with the library
+    assert _fresh_run("import geoball, geoball.cli", ("scipy",)) == (0, [])
+
+
+# a command in a fresh process, the scipy modules it leaves unloaded and its
+# exit code: surface builds no matrix or factor, model and symmetrize build
+# only the model balls' dense LU, and verify also the grid's sparse one (16^2
+# is too coarse for symmetrize's default tolerance, so it exits 1)
+FRESH_COMMANDS = {
+    "surface": (["surface", "--metric", "example1", "--radius", "1",
+                 "--nr", "8", "--ntheta", "8"], ("scipy",), 0),
+    "model": (["model", "--warping", "hyperbolic(1)", "--radius", "1",
+               "--kmax", "5", "--grid", "8"], ("scipy.sparse",), 0),
+    "symmetrize": (["symmetrize", "--metric", "example1", "--model", "euclidean",
+                    "--radius", "1", "--nr", "16", "--ntheta", "16"], ("scipy.sparse",), 1),
+    "verify": (["verify", "--metric", "example1", "--model", "euclidean",
+                "--radius", "1", "--nr", "16", "--ntheta", "16"], SCIPY_UNLOADED, 0),
+}
+
+
+@pytest.mark.parametrize("command", list(FRESH_COMMANDS))
+def test_fresh_command_loads_only_the_scipy_it_runs(command, tmp_path):
+    argv, unloaded, code = FRESH_COMMANDS[command]
+    argv = argv + ["--output", str(tmp_path)]
+    assert _fresh_run(f"import geoball.cli\nrc = geoball.cli.main({argv!r})",
+                      unloaded) == (code, [])
 
 
 def _is_comparison(node: ast.AST) -> bool:
@@ -319,7 +356,8 @@ def test_planted_any_of_comparisons_are_found():
 # every functools.cache or lru_cache function of the library, with small
 # arguments to call it on
 CACHED_CALLS = {"quadrature._gauss_legendre": (4,), "pde._power_start": (5,),
-                "pde._flux_pattern": (5, 2), "hierarchy._chebyshev": (5,)}
+                "pde._flux_pattern": (5, 2), "hierarchy._chebyshev": (5,),
+                "cli._parser": ()}
 
 
 def _cached_functions(source: str) -> list[str]:

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigh
 from scipy.sparse import csc_matrix, diags
 from scipy.sparse.linalg import splu
@@ -740,7 +741,8 @@ def test_radial_route_never_reaches_superlu(flat, monkeypatch):
     def no_superlu(*args, **kwargs):
         raise AssertionError("the solver called SuperLU")
 
-    monkeypatch.setattr(pde, "splu", no_superlu)
+    # the solver imports SuperLU from scipy.sparse.linalg where it factors
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", no_superlu)
     for m in (flat, radial_metric(space_form_profile(-1.0))):
         lambda1_grid(m, make_grid(m, 1.0, 32, 32))
     run_verification(flat, make_space_form(0.0, 2), 1.0, n_r=32, n_theta=32)
